@@ -178,22 +178,37 @@ FIG1_HEADER = ["panel", "tau", "r", "j0", "delta", "omega_lo",
                "kappa_secular", "kappa_full", "method"]
 
 
-def cmd_fig1(panel: str, scenario: SweepScenario) -> int:
-    out = _require_out(scenario)
+def _require_low_t(command: str, scenario: SweepScenario) -> None:
+    # The recipes are defined at low temperature; a finite beta would be
+    # recorded in the sidecar without being used.
+    if scenario.beta is not None:
+        raise UsageError(f"beta: {command} runs at low temperature only; "
+                         "use sweep for a finite beta")
+
+
+def _fig1_curve_rows(payload: dict) -> list[list]:
+    panel, r, method, grid = (payload["panel"], payload["r"],
+                              payload["method"], payload["grid"])
     params = FIG1_PANELS[panel]
-    grid = scenario.tau_grid()
     env = EnvironmentParams(
         SpectralDensity(params["j0"], params["omega_lo"], params["delta"]),
         low_t=True)
+    k_sec = kappa_secular(r, params["j0"] * params["delta"],
+                          params["omega_lo"], grid)
+    k_full = kappa_full_curve(env, r, grid, method)
+    return [[panel, float(tau), r, params["j0"], params["delta"],
+             params["omega_lo"], float(k_sec[i]), float(k_full[i]), method]
+            for i, tau in enumerate(grid)]
+
+
+def cmd_fig1(panel: str, scenario: SweepScenario) -> int:
+    out = _require_out(scenario)
+    _require_low_t("fig1", scenario)
+    payloads = [{"panel": panel, "r": r, "method": scenario.method,
+                 "grid": scenario.tau_grid()} for r in FIG1_RS]
     rows = []
-    for r in FIG1_RS:
-        k_sec = kappa_secular(r, params["j0"] * params["delta"],
-                              params["omega_lo"], grid)
-        k_full = kappa_full_curve(env, r, grid, scenario.method)
-        for i, tau in enumerate(grid):
-            rows.append([panel, float(tau), r, params["j0"], params["delta"],
-                         params["omega_lo"], float(k_sec[i]), float(k_full[i]),
-                         scenario.method])
+    for chunk in _map_payloads(_fig1_curve_rows, payloads, scenario.jobs):
+        rows.extend(chunk)
     write_csv(out, FIG1_HEADER, rows)
     write_meta(out, "fig1", scenario, {"panel": panel})
     return 0
@@ -235,6 +250,7 @@ def _fig2_combo_rows(payload: dict) -> list[list]:
 
 def cmd_fig2(panel: str, scenario: SweepScenario) -> int:
     out = _require_out(scenario)
+    _require_low_t("fig2", scenario)
     if scenario.mode == "both":
         raise UsageError("mode: fig2 emits one curve per combination; "
                          "choose secular or full")

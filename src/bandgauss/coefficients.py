@@ -12,8 +12,12 @@ Every quantity is available on two routes selected by a method tag:
 * ``"closed-form"`` -- the low-temperature short-time expressions
   (gamma = J0*delta*Omega*tau^3/3, delta = J0*delta*tau, and their
   integrals Gamma = J0*delta*Omega*tau^4/6, DeltaGamma = J0*delta*tau^2/2);
-* ``"quadrature"`` -- full adaptive quadrature over the kernels of
-  :mod:`bandgauss.spectral`, at any temperature.
+* ``"quadrature"`` -- cumulative Simpson integrals of the kernels of
+  :mod:`bandgauss.spectral` on a dense uniform grid, at any temperature.
+
+:func:`build_trace` is the one evaluator of both routes. The per-point
+functions return what a trace over ``[0, tau]`` holds at ``tau``; those that
+need a single running integral compute only that one.
 
 Times are dimensionless (system frequency = 1).
 """
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -34,11 +37,7 @@ from .spectral import SpectralDensity, kernel_cos, kernel_cos_thermal, kernel_si
 METHOD_CLOSED = "closed-form"
 METHOD_QUADRATURE = "quadrature"
 
-QUAD_EPSABS = 1e-12
-QUAD_EPSREL = 1e-9
-
-# Dense precomputation grid: 8192 Simpson panels, i.e. step <= tau/2048 for
-# any target time within a factor-2 bracket of the grid end.
+# Dense grid of every trace: 8192 Simpson panels over [0, tau_max].
 GRID_POINTS = 8193
 
 
@@ -84,54 +83,6 @@ def _check_tau(tau: float) -> float:
     return tau
 
 
-def _chunked_quad(f, tau: float, freq: float) -> float:
-    """Adaptive quadrature of f over [0, tau], split per oscillation period."""
-    if tau == 0.0:
-        return 0.0
-    n_chunks = max(1, int(math.ceil(tau * max(freq, 1e-12) / math.pi)))
-    edges = np.linspace(0.0, tau, n_chunks + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, _ = integrate.quad(f, a, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
-                                limit=200)
-        total += val
-    return total
-
-
-# ---------------------------------------------------------------------------
-# per-point coefficients, quadrature route
-# ---------------------------------------------------------------------------
-
-def gamma_quad(env: EnvironmentParams, tau: float) -> float:
-    """Damping coefficient: integral of sin(s)*kernel_sin(s) over [0, tau]."""
-    tau = _check_tau(tau)
-    sd = env.spectral
-    return _chunked_quad(lambda s: math.sin(s) * kernel_sin(sd, s),
-                         tau, 1.0 + sd.omega_hi)
-
-
-def delta_quad(env: EnvironmentParams, tau: float) -> float:
-    """Diffusion coefficient: integral of cos(s)*thermal_cos_kernel(s)."""
-    tau = _check_tau(tau)
-    return _chunked_quad(lambda s: math.cos(s) * env.thermal_cos_kernel(s),
-                         tau, 1.0 + env.spectral.omega_hi)
-
-
-def pi_quad(env: EnvironmentParams, tau: float) -> float:
-    """Anomalous diffusion coefficient: integral of sin(s)*thermal_cos_kernel(s)."""
-    tau = _check_tau(tau)
-    return _chunked_quad(lambda s: math.sin(s) * env.thermal_cos_kernel(s),
-                         tau, 1.0 + env.spectral.omega_hi)
-
-
-def r_quad(env: EnvironmentParams, tau: float) -> float:
-    """Frequency-shift coefficient (diagnostic only, never propagated)."""
-    tau = _check_tau(tau)
-    sd = env.spectral
-    return _chunked_quad(lambda s: math.cos(s) * kernel_sin(sd, s),
-                         tau, 1.0 + sd.omega_hi)
-
-
 # ---------------------------------------------------------------------------
 # closed forms (low temperature, leading order in time)
 # ---------------------------------------------------------------------------
@@ -167,158 +118,6 @@ def gamma_int_closed(env: EnvironmentParams, tau):
 def delta_gamma_closed(env: EnvironmentParams, tau):
     sd = env.spectral
     return 0.5 * sd.j0 * sd.delta * np.asarray(tau, dtype=float) ** 2
-
-
-# ---------------------------------------------------------------------------
-# dense grid cache for the nested (weighted) integrals
-# ---------------------------------------------------------------------------
-
-class CoefficientGrid:
-    """Dense uniform grid of the per-time coefficients over [0, tau_max].
-
-    The grid carries cumulative-Simpson values of gamma, delta, pi, r and of
-    the damping exponent Gamma, plus cubic-spline interpolants used inside
-    outer adaptive quadratures. The coefficients are smooth, so spline error
-    is far below the quadrature tolerances.
-    """
-
-    def __init__(self, env: EnvironmentParams, tau_max: float,
-                 n: int = GRID_POINTS):
-        if tau_max <= 0.0:
-            raise DomainError("tau_max must be positive")
-        sd = env.spectral
-        s = np.linspace(0.0, tau_max, n)
-        ks = kernel_sin(sd, s)
-        kc = env.thermal_cos_kernel(s)
-        kc = np.asarray(kc, dtype=float)
-
-        self.s = s
-        self.gamma = integrate.cumulative_simpson(np.sin(s) * ks, x=s, initial=0.0)
-        self.delta = integrate.cumulative_simpson(np.cos(s) * kc, x=s, initial=0.0)
-        self.pi = integrate.cumulative_simpson(np.sin(s) * kc, x=s, initial=0.0)
-        self.r = integrate.cumulative_simpson(np.cos(s) * ks, x=s, initial=0.0)
-        self.big_gamma = integrate.cumulative_simpson(2.0 * self.gamma, x=s,
-                                                      initial=0.0)
-
-        self.gamma_fn = CubicSpline(s, self.gamma)
-        self.delta_fn = CubicSpline(s, self.delta)
-        self.pi_fn = CubicSpline(s, self.pi)
-        self.r_fn = CubicSpline(s, self.r)
-        self.big_gamma_fn = CubicSpline(s, self.big_gamma)
-
-
-@lru_cache(maxsize=16)
-def _cached_grid(env: EnvironmentParams, tau_ceil: float) -> CoefficientGrid:
-    return CoefficientGrid(env, tau_ceil)
-
-
-def _grid_for(env: EnvironmentParams, tau: float) -> CoefficientGrid:
-    # Quantise the grid end to the next power of two so repeated calls in a
-    # bracket share one grid; the step then stays below tau/2048.
-    ceil = 2.0 ** math.ceil(math.log2(tau))
-    return _cached_grid(env, ceil)
-
-
-# ---------------------------------------------------------------------------
-# time-integrated quantities
-# ---------------------------------------------------------------------------
-
-def gamma_int(env: EnvironmentParams, tau: float, method: str = METHOD_CLOSED) -> float:
-    """Accumulated damping exponent: twice the running integral of gamma.
-
-    The quadrature route uses the exact reordering
-    2*int_0^tau gamma(s) ds = 2*int_0^tau (tau-s)*sin(s)*kernel_sin(s) ds,
-    which collapses the double integral to a single one.
-    """
-    require_method(method)
-    tau = _check_tau(tau)
-    if method == METHOD_CLOSED:
-        return float(gamma_int_closed(env, tau))
-    if tau == 0.0:
-        return 0.0
-    sd = env.spectral
-    return _chunked_quad(
-        lambda s: 2.0 * (tau - s) * math.sin(s) * kernel_sin(sd, s),
-        tau, 1.0 + sd.omega_hi)
-
-
-def delta_gamma(env: EnvironmentParams, tau: float, method: str = METHOD_CLOSED) -> float:
-    """Diffusion variance: exp(-Gamma(tau)) * int_0^tau exp(Gamma(s)) delta(s) ds.
-
-    The closed form drops the exponential weights (they are higher order in
-    the short-time regime) and is exactly J0*delta*tau^2/2.
-    """
-    require_method(method)
-    tau = _check_tau(tau)
-    if method == METHOD_CLOSED:
-        return float(delta_gamma_closed(env, tau))
-    if tau == 0.0:
-        return 0.0
-    grid = _grid_for(env, tau)
-    g_tau = float(grid.big_gamma_fn(tau))
-
-    def f(s):
-        return math.exp(float(grid.big_gamma_fn(s)) - g_tau) * float(grid.delta_fn(s))
-
-    return _chunked_quad(f, tau, 1.0 + env.spectral.omega_hi)
-
-
-def _closed_inputs(env: EnvironmentParams):
-    sd = env.spectral
-    c4 = sd.j0 * sd.delta * sd.omega_lo / 6.0
-
-    def big_gamma(s):
-        return c4 * s ** 4
-
-    def delta_fn(s):
-        return sd.j0 * sd.delta * s
-
-    def pi_fn(s):
-        return 0.5 * sd.j0 * sd.delta * s ** 2
-
-    return big_gamma, delta_fn, pi_fn
-
-
-def secular_coeffs(env: EnvironmentParams, tau: float,
-                   method: str = METHOD_CLOSED) -> tuple[float, float, float, float]:
-    """The four oscillatory-weighted integrals feeding the non-secular blocks.
-
-    Returns (delta_co, delta_si, pi_co, pi_si) where e.g.
-    delta_co(tau) = exp(-Gamma(tau)) * int_0^tau exp(Gamma(s)) delta(s)
-    cos(2(tau-s)) ds, and the others swap delta->pi and cos->sin. The method
-    tag selects closed-form or quadrature inputs for the integrands and for
-    Gamma.
-    """
-    require_method(method)
-    tau = _check_tau(tau)
-    if tau == 0.0:
-        return (0.0, 0.0, 0.0, 0.0)
-    if method == METHOD_CLOSED:
-        big_gamma, delta_fn, pi_fn = _closed_inputs(env)
-    else:
-        grid = _grid_for(env, tau)
-        big_gamma = lambda s: float(grid.big_gamma_fn(s))
-        delta_fn = lambda s: float(grid.delta_fn(s))
-        pi_fn = lambda s: float(grid.pi_fn(s))
-
-    g_tau = big_gamma(tau)
-    freq = 2.0 + env.spectral.omega_hi
-
-    def weighted(x_fn, trig):
-        return _chunked_quad(
-            lambda s: math.exp(big_gamma(s) - g_tau) * x_fn(s) * trig(2.0 * s),
-            tau, freq)
-
-    # Accumulate against cos(2s)/sin(2s), then rotate to the cos/sin(2(tau-s))
-    # combinations; this keeps a single quadrature pass per integrand.
-    d_c, d_s = weighted(delta_fn, math.cos), weighted(delta_fn, math.sin)
-    p_c, p_s = weighted(pi_fn, math.cos), weighted(pi_fn, math.sin)
-    c2, s2 = math.cos(2.0 * tau), math.sin(2.0 * tau)
-    delta_co = c2 * d_c + s2 * d_s
-    delta_si = s2 * d_c - c2 * d_s
-    pi_co = c2 * p_c + s2 * p_s
-    pi_si = s2 * p_c - c2 * p_s
-    return (delta_co, delta_si, pi_co, pi_si)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +199,11 @@ def _weighted_cumulative(s: np.ndarray, x: np.ndarray,
     return y
 
 
+def _running_integral(y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Cumulative Simpson integral of ``y`` from 0 on the uniform grid ``s``."""
+    return integrate.cumulative_simpson(y, x=s, initial=0.0)
+
+
 def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
                 n_dense: int = GRID_POINTS) -> CoefficientTrace:
     """Evaluate every coefficient of the channel on ``tau_grid``.
@@ -439,12 +243,12 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
         pi_s = pi_closed(env, s)
     else:
         ks = kernel_sin(sd, s)
-        kc = np.asarray(env.thermal_cos_kernel(s), dtype=float)
-        gamma_s = integrate.cumulative_simpson(np.sin(s) * ks, x=s, initial=0.0)
-        delta_s = integrate.cumulative_simpson(np.cos(s) * kc, x=s, initial=0.0)
-        pi_s = integrate.cumulative_simpson(np.sin(s) * kc, x=s, initial=0.0)
-        r_s = integrate.cumulative_simpson(np.cos(s) * ks, x=s, initial=0.0)
-        big_gamma_s = integrate.cumulative_simpson(2.0 * gamma_s, x=s, initial=0.0)
+        kc = _thermal_kernel(env, s)
+        gamma_s = _running_integral(np.sin(s) * ks, s)
+        delta_s = _running_integral(np.cos(s) * kc, s)
+        pi_s = _running_integral(np.sin(s) * kc, s)
+        r_s = _running_integral(np.cos(s) * ks, s)
+        big_gamma_s = _running_integral(2.0 * gamma_s, s)
         gamma = CubicSpline(s, gamma_s)(tau_grid)
         delta = CubicSpline(s, delta_s)(tau_grid)
         pi = CubicSpline(s, pi_s)(tau_grid)
@@ -477,3 +281,81 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
         sec_pi_si=s2 * p_c - c2 * p_s,
         method=method,
     )
+
+
+# ---------------------------------------------------------------------------
+# per-point values: the end of a trace over [0, tau]
+# ---------------------------------------------------------------------------
+
+def _running_end(tau: float, integrand) -> float:
+    """End value of the running integral of ``integrand(s)`` over [0, tau].
+
+    This is the first stage of :func:`build_trace` for one integrand, on the
+    same dense grid, without the weighted recurrences or unused kernels.
+    """
+    tau = _check_tau(tau)
+    if tau == 0.0:
+        return 0.0
+    s = np.linspace(0.0, tau, GRID_POINTS)
+    return float(_running_integral(integrand(s), s)[-1])
+
+
+def _thermal_kernel(env: EnvironmentParams, s: np.ndarray) -> np.ndarray:
+    return np.asarray(env.thermal_cos_kernel(s), dtype=float)
+
+
+def gamma_quad(env: EnvironmentParams, tau: float) -> float:
+    """Damping coefficient: integral of sin(s)*kernel_sin(s) over [0, tau]."""
+    return _running_end(tau, lambda s: np.sin(s) * kernel_sin(env.spectral, s))
+
+
+def delta_quad(env: EnvironmentParams, tau: float) -> float:
+    """Diffusion coefficient: integral of cos(s)*thermal_cos_kernel(s)."""
+    return _running_end(tau, lambda s: np.cos(s) * _thermal_kernel(env, s))
+
+
+def pi_quad(env: EnvironmentParams, tau: float) -> float:
+    """Anomalous diffusion coefficient: integral of sin(s)*thermal_cos_kernel(s)."""
+    return _running_end(tau, lambda s: np.sin(s) * _thermal_kernel(env, s))
+
+
+def r_quad(env: EnvironmentParams, tau: float) -> float:
+    """Frequency-shift coefficient (diagnostic only, never propagated)."""
+    return _running_end(tau, lambda s: np.cos(s) * kernel_sin(env.spectral, s))
+
+
+def gamma_int(env: EnvironmentParams, tau: float, method: str = METHOD_CLOSED) -> float:
+    """Accumulated damping exponent: twice the running integral of gamma."""
+    require_method(method)
+    if method == METHOD_CLOSED:
+        return float(gamma_int_closed(env, _check_tau(tau)))
+    return _running_end(tau, lambda s: 2.0 * _running_integral(
+        np.sin(s) * kernel_sin(env.spectral, s), s))
+
+
+def delta_gamma(env: EnvironmentParams, tau: float, method: str = METHOD_CLOSED) -> float:
+    """Diffusion variance: exp(-Gamma(tau)) * int_0^tau exp(Gamma(s)) delta(s) ds.
+
+    The closed form drops the exponential weights (they are higher order in
+    the short-time regime) and is exactly J0*delta*tau^2/2.
+    """
+    require_method(method)
+    tau = _check_tau(tau)
+    if method == METHOD_CLOSED:
+        return float(delta_gamma_closed(env, tau))
+    return float(build_trace(env, [tau], method).delta_gamma[0])
+
+
+def secular_coeffs(env: EnvironmentParams, tau: float,
+                   method: str = METHOD_CLOSED) -> tuple[float, float, float, float]:
+    """The four oscillatory-weighted integrals feeding the non-secular blocks.
+
+    Returns (delta_co, delta_si, pi_co, pi_si) where e.g.
+    delta_co(tau) = exp(-Gamma(tau)) * int_0^tau exp(Gamma(s)) delta(s)
+    cos(2(tau-s)) ds, and the others swap delta->pi and cos->sin. The method
+    tag selects closed-form or quadrature inputs for the integrands and for
+    Gamma.
+    """
+    tr = build_trace(env, [_check_tau(tau)], method)
+    return (float(tr.sec_delta_co[0]), float(tr.sec_delta_si[0]),
+            float(tr.sec_pi_co[0]), float(tr.sec_pi_si[0]))

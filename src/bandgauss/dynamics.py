@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import (METHOD_CLOSED, CoefficientTrace, EnvironmentParams,
-                           delta_gamma, gamma_int, require_method,
-                           secular_coeffs)
+                           build_trace)
 from .errors import DomainError, UnsupportedStateError
 
 _BLOCK_TOL = 1e-10
@@ -129,15 +128,9 @@ class ChannelSnapshot:
 
 def channel_snapshot(env: EnvironmentParams, tau: float,
                      method: str = METHOD_CLOSED) -> ChannelSnapshot:
-    """Evaluate the channel coefficients at one time."""
-    require_method(method)
-    return ChannelSnapshot(
-        tau=float(tau),
-        gamma_int=gamma_int(env, tau, method),
-        delta_gamma=delta_gamma(env, tau, method),
-        secular=secular_coeffs(env, tau, method),
-        angle=float(tau),
-    )
+    """Evaluate the channel coefficients at one time: the end of a trace
+    over [0, tau]."""
+    return snapshots_from_trace(build_trace(env, [tau], method))[0]
 
 
 def snapshots_from_trace(trace: CoefficientTrace) -> list[ChannelSnapshot]:

@@ -1,9 +1,10 @@
 """Independent verification paths for the primary numerics.
 
 Every oracle here deliberately uses a different algorithm family from the
-code it validates: the reference integrator is composite Simpson with
-Richardson control (the primary integrals are adaptive Gauss-Kronrod), the
-covariance reconstruction integrates the raw rotated diffusion matrix
+code it validates: the reference integrators are composite Simpson with
+Richardson control and adaptive Gauss-Kronrod (the primary integrals are
+running Simpson sums and exponential-integrator steps on one fixed dense
+grid), the covariance reconstruction integrates the raw rotated diffusion matrix
 instead of assembling weighted trigonometric integrals, and the symplectic
 spectra come from an eigensolver rather than the invariant formula. The
 oracles ship with the library (not only the tests) so the command line can
@@ -16,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import integrate
 
 from .coefficients import (METHOD_CLOSED, METHOD_QUADRATURE, EnvironmentParams,
                            delta_gamma, gamma_int, gamma_int_closed,
@@ -25,6 +27,10 @@ from .errors import DomainError, NumericError
 from .spectral import SpectralDensity, kernel_cos, kernel_sin
 
 MAX_SIMPSON_POINTS = 2 ** 22
+
+# Tolerances of the adaptive Gauss-Kronrod references.
+QUAD_EPSABS = 1e-12
+QUAD_EPSREL = 1e-9
 
 
 def quad_reference(f, a: float, b: float, tol: float = 1e-10) -> float:
@@ -66,6 +72,60 @@ def finite_diff(f, tau: float, h: float) -> float:
     if tau - h < 0.0:
         return (f(tau + h) - f(tau)) / h
     return (f(tau + h) - f(tau - h)) / (2.0 * h)
+
+
+def _chunked_quad(f, tau: float, freq: float) -> float:
+    """Adaptive quadrature of f over [0, tau], split per oscillation period."""
+    if tau == 0.0:
+        return 0.0
+    n_chunks = max(1, int(math.ceil(tau * max(freq, 1e-12) / math.pi)))
+    edges = np.linspace(0.0, tau, n_chunks + 1)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        val, _ = integrate.quad(f, a, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
+                                limit=200)
+        total += val
+    return total
+
+
+def gamma_int_gk(env: EnvironmentParams, tau: float) -> float:
+    """Gauss-Kronrod reference for the quadrature-route damping exponent.
+
+    Uses the exact reordering
+    2*int_0^tau gamma(s) ds = 2*int_0^tau (tau-s)*sin(s)*kernel_sin(s) ds,
+    which collapses the double integral to a single one.
+    """
+    sd = env.spectral
+    return _chunked_quad(
+        lambda s: 2.0 * (tau - s) * math.sin(s) * kernel_sin(sd, s),
+        tau, 1.0 + sd.omega_hi)
+
+
+def secular_coeffs_gk(env: EnvironmentParams,
+                      tau: float) -> tuple[float, float, float, float]:
+    """Gauss-Kronrod reference for the closed-route weighted integrals.
+
+    Integrates exp(Gamma(s) - Gamma(tau)) * x(s) * cos/sin(2s) for
+    x = delta, pi with the closed-form Gamma, delta and pi, then rotates to
+    the cos/sin(2(tau-s)) combinations (delta_co, delta_si, pi_co, pi_si).
+    """
+    sd = env.spectral
+    c4 = sd.j0 * sd.delta * sd.omega_lo / 6.0
+    g_tau = c4 * tau ** 4
+    freq = 2.0 + sd.omega_hi
+
+    def weighted(x_fn, trig):
+        return _chunked_quad(
+            lambda s: math.exp(c4 * s ** 4 - g_tau) * x_fn(s) * trig(2.0 * s),
+            tau, freq)
+
+    delta_fn = lambda s: sd.j0 * sd.delta * s
+    pi_fn = lambda s: 0.5 * sd.j0 * sd.delta * s ** 2
+    d_c, d_s = weighted(delta_fn, math.cos), weighted(delta_fn, math.sin)
+    p_c, p_s = weighted(pi_fn, math.cos), weighted(pi_fn, math.sin)
+    c2, s2 = math.cos(2.0 * tau), math.sin(2.0 * tau)
+    return (c2 * d_c + s2 * d_s, s2 * d_c - c2 * d_s,
+            c2 * p_c + s2 * p_s, s2 * p_c - c2 * p_s)
 
 
 def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:

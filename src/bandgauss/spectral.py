@@ -132,7 +132,9 @@ def kernel_cos_thermal(spectral: SpectralDensity, s, beta: float | None = None,
 
     With ``low_t=True`` the thermal factor is 1 and the zero-temperature
     closed form is returned; otherwise ``beta > 0`` is required and the
-    band integral is evaluated by adaptive quadrature.
+    band integral is evaluated by adaptive quadrature. A band that starts at
+    zero frequency is rejected at finite temperature: coth(beta*w/2) grows
+    like 2/(beta*w) there, so the integral diverges logarithmically.
     """
     if low_t:
         if beta is not None:
@@ -140,15 +142,11 @@ def kernel_cos_thermal(spectral: SpectralDensity, s, beta: float | None = None,
         return kernel_cos(spectral, s)
     if beta is None or beta <= 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
+    if spectral.omega_lo == 0.0:
+        raise DomainError("omega_lo must be positive at finite temperature: "
+                          "the thermal kernel diverges at a zero band edge")
     s_arr = _check_times(s)
     if np.isscalar(s) or s_arr.ndim == 0:
-        # omega_lo = 0 makes coth diverge at the band edge like 2/(beta*w);
-        # the integral still converges but quad handles the endpoint poorly,
-        # so nudge the lower limit for that corner case.
-        if spectral.omega_lo == 0.0:
-            eps = min(1e-12, spectral.delta * 1e-9)
-            shifted = SpectralDensity(spectral.j0, eps, spectral.delta - eps)
-            return _thermal_cos_point(shifted, float(s_arr), beta)
         return _thermal_cos_point(spectral, float(s_arr), beta)
     return np.array([kernel_cos_thermal(spectral, float(si), beta=beta)
                      for si in s_arr])

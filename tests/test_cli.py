@@ -74,6 +74,13 @@ class TestCsvContract:
         assert fields[6] == want
         assert fields[7] == want  # full channel coincides at tau = 0
 
+    def test_fig1_parallel_jobs_deterministic(self, tmp_path):
+        out1, out2 = tmp_path / "f1.csv", tmp_path / "f2.csv"
+        args = ["fig1", "--panel", "b", "--tau-steps", "24"]
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2), "--jobs", "2"]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_byte_identical_reruns(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["fig2", "--panel", "b", "--tau-steps", "30"]
@@ -240,6 +247,24 @@ class TestErrors:
     def test_fig2_both_mode_rejected(self, tmp_path):
         assert main(["fig2", "--panel", "a", "--mode", "both", "--out",
                      str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("recipe", [["fig1", "--panel", "a"],
+                                        ["fig2", "--panel", "a"]])
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_recipe_rejects_finite_beta(self, tmp_path, capsys, recipe, route):
+        # the recipes run at low temperature; a finite beta is refused
+        # instead of being recorded in the sidecar without effect
+        out = tmp_path / "x.csv"
+        if route == "flag":
+            args = recipe + ["--beta", "5.0"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"beta": 5.0}))
+            args = recipe + ["--config", str(cfg)]
+        assert main(args + ["--out", str(out)]) == 2
+        assert "beta" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".meta").exists()
 
     def test_invalid_panel(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -8,8 +8,10 @@ from bandgauss.coefficients import (METHOD_CLOSED, METHOD_QUADRATURE,
                                     delta_gamma, delta_quad, gamma_int,
                                     gamma_quad, pi_quad, r_quad,
                                     secular_coeffs)
+from bandgauss.dynamics import channel_snapshot
 from bandgauss.errors import DomainError, UsageError
-from bandgauss.oracle import finite_diff, quad_reference
+from bandgauss.oracle import (finite_diff, gamma_int_gk, quad_reference,
+                              secular_coeffs_gk)
 from bandgauss.spectral import SpectralDensity, kernel_cos, kernel_sin
 
 
@@ -251,21 +253,44 @@ class TestTrace:
         assert np.all(np.diff(tr.gamma_int) >= 0.0)
 
     def test_matches_point_operations(self):
+        # cross-family: the trace against adaptive Gauss-Kronrod references,
+        # the weighted integrals on the closed route and the damping exponent
+        # on the quadrature route
         env = narrow_env()
         grid = np.linspace(0.0, 10.0, 21)
-        for method in (METHOD_CLOSED, METHOD_QUADRATURE):
-            tr = build_trace(env, grid, method)
-            for i in (3, 10, 20):
-                tau = float(grid[i])
-                assert tr.gamma_int[i] == pytest.approx(
-                    gamma_int(env, tau, method), rel=1e-7, abs=1e-14)
-                assert tr.delta_gamma[i] == pytest.approx(
-                    delta_gamma(env, tau, method), rel=1e-7, abs=1e-14)
-                sec = secular_coeffs(env, tau, method)
-                got = (tr.sec_delta_co[i], tr.sec_delta_si[i],
-                       tr.sec_pi_co[i], tr.sec_pi_si[i])
-                for g, want in zip(got, sec):
-                    assert g == pytest.approx(want, rel=1e-6, abs=1e-12)
+        closed = build_trace(env, grid, METHOD_CLOSED)
+        quad = build_trace(env, grid, METHOD_QUADRATURE)
+        for i in (3, 10, 20):
+            tau = float(grid[i])
+            assert quad.gamma_int[i] == pytest.approx(
+                gamma_int_gk(env, tau), rel=1e-7, abs=1e-14)
+            got = (closed.sec_delta_co[i], closed.sec_delta_si[i],
+                   closed.sec_pi_co[i], closed.sec_pi_si[i])
+            for g, want in zip(got, secular_coeffs_gk(env, tau)):
+                assert g == pytest.approx(want, rel=1e-6, abs=1e-12)
+
+    @pytest.mark.parametrize("method", [METHOD_CLOSED, METHOD_QUADRATURE])
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 2.0, 10.0])
+    def test_point_accessors_read_the_trace(self, method, tau):
+        env = narrow_env()
+        tr = build_trace(env, [tau], method)
+        pairs = [(gamma_int(env, tau, method), tr.gamma_int[0]),
+                 (delta_gamma(env, tau, method), tr.delta_gamma[0])]
+        pairs += zip(secular_coeffs(env, tau, method),
+                     (tr.sec_delta_co[0], tr.sec_delta_si[0],
+                      tr.sec_pi_co[0], tr.sec_pi_si[0]))
+        snap = channel_snapshot(env, tau, method)
+        pairs += [(snap.gamma_int, tr.gamma_int[0]),
+                  (snap.delta_gamma, tr.delta_gamma[0])]
+        pairs += zip(snap.secular, (tr.sec_delta_co[0], tr.sec_delta_si[0],
+                                    tr.sec_pi_co[0], tr.sec_pi_si[0]))
+        if method == METHOD_QUADRATURE:
+            pairs += [(gamma_quad(env, tau), tr.gamma[0]),
+                      (delta_quad(env, tau), tr.delta_coef[0]),
+                      (pi_quad(env, tau), tr.pi_coef[0]),
+                      (r_quad(env, tau), tr.r_shift[0])]
+        for point, traced in pairs:
+            assert point == pytest.approx(float(traced), rel=1e-12, abs=1e-15)
 
     def test_extreme_damping_does_not_overflow(self):
         env = narrow_env(delta=1e-2, omega_lo=10.0)

@@ -118,6 +118,15 @@ class TestKernelCos:
             scale = max(abs(cold), sd.j0 * sd.delta)
             assert abs(warm - cold) / scale < 1e-6
 
+    def test_zero_band_edge_rejected_at_finite_temperature(self):
+        # coth(beta*w/2) ~ 2/(beta*w) makes the band integral diverge
+        sd = SpectralDensity(1.0, 0.0, 1.0)
+        with pytest.raises(DomainError, match="omega_lo"):
+            kernel_cos_thermal(sd, 0.0, beta=1.0)
+        with pytest.raises(DomainError, match="omega_lo"):
+            kernel_cos_thermal(sd, np.array([0.0, 1.0]), beta=1.0)
+        assert kernel_cos_thermal(sd, 0.0, low_t=True) == pytest.approx(1.0)
+
     def test_invalid_beta(self):
         sd = SpectralDensity(1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
