@@ -25,7 +25,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import __version__
-from .coefficients import EnvironmentParams, build_trace
+from .coefficients import METHOD_CLOSED, EnvironmentParams, build_trace
 from .dynamics import apply_channel, make_twb, snapshots_from_trace
 from .entanglement import (find_last_upcrossing, kappa_full_curve,
                            kappa_secular, state_kappa_curve)
@@ -84,16 +84,24 @@ def _require_out(scenario: SweepScenario) -> str:
     return scenario.out
 
 
-def _warn_regime(scenario: SweepScenario) -> None:
-    # The closed-form coefficients assume temperatures far below the band
-    # location; flag finite-beta runs that leave that regime.
-    if scenario.beta is None:
-        return
-    for omega in sorted(set(scenario.omega_values)):
-        if omega * scenario.beta < 100.0:
-            print(f"warning: omega_lo={omega:g}, beta={scenario.beta:g} has "
-                  "omega_lo*beta < 100; outside the low-temperature regime "
-                  "the closed-form route is unreliable", file=sys.stderr)
+def _require_low_t(what: str, scenario: SweepScenario,
+                   hint: str = "use sweep for a finite beta") -> None:
+    # A finite beta that the computation never reads would still be
+    # recorded in the sidecar; refuse it instead.
+    if scenario.beta is not None:
+        raise UsageError(f"beta: {what} runs at low temperature only; {hint}")
+
+
+def _require_beta_route(command: str, scenario: SweepScenario) -> None:
+    # The closed-form coefficients and the paper kappa are low-temperature
+    # expressions; only the quadrature route reads beta.
+    if scenario.method == METHOD_CLOSED:
+        _require_low_t(f"{command} --method closed", scenario,
+                       "use --method quad for a finite beta")
+    if command == "sweep" and scenario.kappa == "paper":
+        _require_low_t("sweep --kappa paper", scenario,
+                       "use --kappa symmetric or oracle with --method quad "
+                       "for a finite beta")
 
 
 def _environment(scenario: SweepScenario, j0: float, delta: float,
@@ -119,7 +127,7 @@ COEFF_HEADER = ["tau", "j0", "delta", "omega_lo", "gamma", "delta_coef",
 
 def cmd_coefficients(scenario: SweepScenario) -> int:
     out = _require_out(scenario)
-    _warn_regime(scenario)
+    _require_beta_route("coefficients", scenario)
     grid = scenario.tau_grid()
     rows = []
     for j0, delta, omega_lo in sorted(product(scenario.j0_values,
@@ -148,7 +156,7 @@ EVOLVE_HEADER = ["tau", "r", "j0", "delta", "omega_lo", "mode", "method",
 
 def cmd_evolve(scenario: SweepScenario) -> int:
     out = _require_out(scenario)
-    _warn_regime(scenario)
+    _require_beta_route("evolve", scenario)
     grid = scenario.tau_grid()
     modes = ("secular", "full") if scenario.mode == "both" else (scenario.mode,)
     rows = []
@@ -176,14 +184,6 @@ def cmd_evolve(scenario: SweepScenario) -> int:
 
 FIG1_HEADER = ["panel", "tau", "r", "j0", "delta", "omega_lo",
                "kappa_secular", "kappa_full", "method"]
-
-
-def _require_low_t(command: str, scenario: SweepScenario) -> None:
-    # The recipes are defined at low temperature; a finite beta would be
-    # recorded in the sidecar without being used.
-    if scenario.beta is not None:
-        raise UsageError(f"beta: {command} runs at low temperature only; "
-                         "use sweep for a finite beta")
 
 
 def _fig1_curve_rows(payload: dict) -> list[list]:
@@ -307,7 +307,7 @@ def _sweep_combo_rows(payload: dict) -> list[list]:
 
 def cmd_sweep(scenario: SweepScenario) -> int:
     out = _require_out(scenario)
-    _warn_regime(scenario)
+    _require_beta_route("sweep", scenario)
     modes = ("secular", "full") if scenario.mode == "both" else (scenario.mode,)
     if scenario.kappa == "paper":
         modes = ("secular",)

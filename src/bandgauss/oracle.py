@@ -2,11 +2,13 @@
 
 Every oracle here deliberately uses a different algorithm family from the
 code it validates: the reference integrators are composite Simpson with
-Richardson control and adaptive Gauss-Kronrod (the primary integrals are
-running Simpson sums and exponential-integrator steps on one fixed dense
-grid), the covariance reconstruction integrates the raw rotated diffusion matrix
-instead of assembling weighted trigonometric integrals, and the symplectic
-spectra come from an eigensolver rather than the invariant formula. The
+Richardson control and adaptive Gauss-Kronrod, one point at a time (the
+primary integrals are running Simpson sums and exponential-integrator steps
+on one fixed dense grid, and the finite-temperature kernel is a fixed graded
+Gauss-Legendre rule applied to all times at once), the covariance
+reconstruction integrates the raw rotated diffusion matrix instead of
+assembling weighted trigonometric integrals, and the symplectic spectra come
+from an eigensolver rather than the invariant formula. The
 oracles ship with the library (not only the tests) so the command line can
 emit verification tables on demand.
 """
@@ -24,13 +26,20 @@ from .coefficients import (METHOD_CLOSED, METHOD_QUADRATURE, EnvironmentParams,
                            delta_closed, pi_closed, require_method)
 from .dynamics import make_twb, rotation
 from .errors import DomainError, NumericError
-from .spectral import SpectralDensity, kernel_cos, kernel_sin
+from .spectral import (SpectralDensity, kernel_cos, kernel_cos_thermal,
+                       kernel_sin)
 
 MAX_SIMPSON_POINTS = 2 ** 22
 
 # Tolerances of the adaptive Gauss-Kronrod references.
 QUAD_EPSABS = 1e-12
 QUAD_EPSREL = 1e-9
+
+# The thermal-kernel reference checks a 1e-13 contract, so it runs tighter:
+# relative 1e-12, and absolute 1e-14 of the band integral of j0*coth (the
+# kernel at s = 0), which keeps the bound meaningful at every temperature.
+THERMAL_EPSREL = 1e-12
+THERMAL_EPSABS_SCALE = 1e-14
 
 
 def quad_reference(f, a: float, b: float, tol: float = 1e-10) -> float:
@@ -74,18 +83,36 @@ def finite_diff(f, tau: float, h: float) -> float:
     return (f(tau + h) - f(tau - h)) / (2.0 * h)
 
 
-def _chunked_quad(f, tau: float, freq: float) -> float:
-    """Adaptive quadrature of f over [0, tau], split per oscillation period."""
-    if tau == 0.0:
+def _chunked_quad(f, a: float, b: float, freq: float,
+                  epsabs: float = QUAD_EPSABS,
+                  epsrel: float = QUAD_EPSREL) -> float:
+    """Adaptive quadrature of f over [a, b], split per oscillation half-period."""
+    if a == b:
         return 0.0
-    n_chunks = max(1, int(math.ceil(tau * max(freq, 1e-12) / math.pi)))
-    edges = np.linspace(0.0, tau, n_chunks + 1)
+    n_chunks = max(1, int(math.ceil((b - a) * max(freq, 1e-12) / math.pi)))
+    edges = np.linspace(a, b, n_chunks + 1)
     total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, _ = integrate.quad(f, a, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
+    for left, right in zip(edges[:-1], edges[1:]):
+        val, _ = integrate.quad(f, left, right, epsabs=epsabs, epsrel=epsrel,
                                 limit=200)
         total += val
     return total
+
+
+def kernel_cos_thermal_gk(spectral: SpectralDensity, s: float,
+                          beta: float) -> float:
+    """Gauss-Kronrod reference for the finite-temperature cosine kernel.
+
+    Integrates j0*coth(beta*w/2)*cos(w*s) over the band adaptively, one
+    point at a time, split into equal pieces of at most half an oscillation.
+    """
+    lo, hi = spectral.omega_lo, spectral.omega_hi
+    coth = lambda w: spectral.j0 / math.tanh(0.5 * beta * w)
+    scale, _ = integrate.quad(coth, lo, hi, epsabs=0.0, epsrel=THERMAL_EPSREL,
+                              limit=200)
+    return _chunked_quad(lambda w: coth(w) * math.cos(w * s), lo, hi, s,
+                         epsabs=THERMAL_EPSABS_SCALE * scale,
+                         epsrel=THERMAL_EPSREL)
 
 
 def gamma_int_gk(env: EnvironmentParams, tau: float) -> float:
@@ -98,7 +125,7 @@ def gamma_int_gk(env: EnvironmentParams, tau: float) -> float:
     sd = env.spectral
     return _chunked_quad(
         lambda s: 2.0 * (tau - s) * math.sin(s) * kernel_sin(sd, s),
-        tau, 1.0 + sd.omega_hi)
+        0.0, tau, 1.0 + sd.omega_hi)
 
 
 def secular_coeffs_gk(env: EnvironmentParams,
@@ -117,7 +144,7 @@ def secular_coeffs_gk(env: EnvironmentParams,
     def weighted(x_fn, trig):
         return _chunked_quad(
             lambda s: math.exp(c4 * s ** 4 - g_tau) * x_fn(s) * trig(2.0 * s),
-            tau, freq)
+            0.0, tau, freq)
 
     delta_fn = lambda s: sd.j0 * sd.delta * s
     pi_fn = lambda s: 0.5 * sd.j0 * sd.delta * s ** 2
@@ -224,7 +251,9 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
     """The library's standing cross-check suite.
 
     Covers the kernel closed forms against the Simpson reference, the
-    assembled covariance against the direct matrix propagator, the invariant
+    finite-temperature kernel against per-point Gauss-Kronrod, the
+    assembled covariance against the direct matrix propagator (low
+    temperature and beta = 2), the invariant
     kappa against the PT eigensolver, and the damping-exponent derivative
     identity. Tolerance scale 1 is the shipped contract; 0 fails every row.
     """
@@ -249,14 +278,31 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
                     f"kernel_cos[lo={omega_lo},delta={delta},s={s}]",
                     kernel_cos(sd, s), ref_cos, 1e-9 * tol_scale))
 
+    # finite-temperature kernel vs per-point Gauss-Kronrod, in units of the
+    # kernel at s = 0 (j0 times the band integral of coth); the first band
+    # starts next to the coth pole at w = 0, the last needs many panels
+    for omega_lo, delta, beta, times in ((1e-3, 0.5, 2.0, (0.0, 1.0, 5.0)),
+                                         (1.0, 1e-3, 200.0, (0.0, 10.0)),
+                                         (3.0, 1.0, 1.0, (30.0,))):
+        sd = SpectralDensity(1.0, omega_lo, delta)
+        scale = kernel_cos_thermal_gk(sd, 0.0, beta)
+        for s in times:
+            reports.append(OracleReport.compare(
+                f"kernel_cos_thermal[lo={omega_lo},delta={delta},"
+                f"beta={beta},s={s}]",
+                kernel_cos_thermal(sd, s, beta=beta) / scale,
+                kernel_cos_thermal_gk(sd, s, beta) / scale,
+                1e-13 * tol_scale, mode="abs"))
+
     env = EnvironmentParams(SpectralDensity(1.0, 1.0, 1e-3), low_t=True)
+    env_warm = EnvironmentParams(env.spectral, beta=2.0)
 
     # assembled covariance vs direct matrix propagation. With quadrature
     # inputs both sides evaluate the same object, so the match is exact; the
     # closed route keeps the literal unweighted diffusion variance and agrees
     # with the propagator only to leading order, checked at short time.
     state = make_twb(1.0)
-    def propagator_dev(method, tau):
+    def propagator_dev(env, method, tau):
         snap = channel_snapshot(env, tau, method)
         evolved = apply_channel(state, snap)
         w_bar = propagate_w_matrix(env, tau, method=method)
@@ -270,13 +316,15 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
         direct[2:, 2:] += 2.0 * w_bar
         return float(np.max(np.abs(evolved.cm - direct)))
 
-    for tau in (0.5, 1.0, 2.0, 5.0):
-        dev = propagator_dev(METHOD_QUADRATURE, tau)
-        reports.append(OracleReport(
-            name=f"cm_vs_propagator[{METHOD_QUADRATURE},tau={tau}]",
-            primary=dev, oracle=0.0, abs_dev=dev, rel_dev=dev,
-            tol=1e-6 * tol_scale, passed=bool(dev < 1e-6 * tol_scale)))
-    dev = propagator_dev(METHOD_CLOSED, 0.5)
+    for label, penv, taus in (("", env, (0.5, 1.0, 2.0, 5.0)),
+                              ("beta=2,", env_warm, (0.5, 2.0))):
+        for tau in taus:
+            dev = propagator_dev(penv, METHOD_QUADRATURE, tau)
+            reports.append(OracleReport(
+                name=f"cm_vs_propagator[{METHOD_QUADRATURE},{label}tau={tau}]",
+                primary=dev, oracle=0.0, abs_dev=dev, rel_dev=dev,
+                tol=1e-6 * tol_scale, passed=bool(dev < 1e-6 * tol_scale)))
+    dev = propagator_dev(env, METHOD_CLOSED, 0.5)
     scale = delta_gamma(env, 0.5, METHOD_CLOSED)
     reports.append(OracleReport.compare(
         f"cm_vs_propagator_short_time[{METHOD_CLOSED},tau=0.5]",

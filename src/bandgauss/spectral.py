@@ -2,27 +2,25 @@
 
 The environment couples only through a rectangular band of height ``j0``
 on ``[omega_lo, omega_lo + delta)``. Everything downstream (damping and
-diffusion coefficients) consumes the two closed-form kernels defined here:
-the sine transform of the band and the thermally weighted cosine transform.
+diffusion coefficients) consumes the two kernels defined here: the sine
+transform of the band (closed form) and the thermally weighted cosine
+transform (closed form at low temperature, a fixed graded Gauss-Legendre
+rule evaluated as one matrix product at finite temperature).
 All frequencies and times are dimensionless (mode frequency = 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError
 
 # Below this value of s*(band top) the exact kernels hit 0/0 cancellation,
 # so a third-order series takes over.
 SERIES_CROSSOVER = 1e-4
-
-# Tolerances for the adaptive frequency quadrature at finite temperature.
-QUAD_EPSABS = 1e-12
-QUAD_EPSREL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -107,23 +105,34 @@ def kernel_cos(spectral: SpectralDensity, s):
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
 
 
-def _thermal_cos_point(spectral: SpectralDensity, s: float, beta: float) -> float:
-    # The integrand coth(beta*w/2)*cos(w*s) is smooth on the finite band;
-    # split per oscillation half-period once s*delta gets large so the
-    # adaptive rule never straddles many oscillations.
-    lo, hi, j0 = spectral.omega_lo, spectral.omega_hi, spectral.j0
+# Row-block budget of the thermal kernel: elements of one cos(s*w) block
+# (256 KB of float64), small enough that a trace's peak memory stays put.
+_BLOCK_ELEMENTS = 2 ** 15
 
-    def f(w):
-        return j0 / np.tanh(0.5 * beta * w) * np.cos(w * s)
 
-    n_osc = int(np.ceil(s * spectral.delta / np.pi)) if s > 0 else 1
-    edges = np.linspace(lo, hi, max(n_osc, 1) + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, _ = integrate.quad(f, a, b, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
-                                limit=200)
-        total += val
-    return total
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    # The 16-node rule of every thermal panel. Built on first use: its
+    # eigensolve raises peak memory, which low-temperature runs need not pay.
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _thermal_panels(lo: float, hi: float, s_max: float) -> np.ndarray:
+    """Panel edges on [lo, hi]: no wider than pi/s_max nor than the left edge.
+
+    The first cap keeps at most half an oscillation of cos(w*s) per panel;
+    the second grades the panels geometrically toward the coth pole at
+    w = 0, so every panel sees it at least three half-widths away.
+    """
+    cap = np.pi / s_max if s_max > 0.0 else np.inf
+    edges = [lo]
+    while edges[-1] < min(cap, hi):
+        edges.append(min(2.0 * edges[-1], hi))
+    a = edges.pop()
+    n = int(np.ceil((hi - a) / cap))
+    return np.concatenate([edges, np.linspace(a, hi, n + 1)])
 
 
 def kernel_cos_thermal(spectral: SpectralDensity, s, beta: float | None = None,
@@ -132,9 +141,12 @@ def kernel_cos_thermal(spectral: SpectralDensity, s, beta: float | None = None,
 
     With ``low_t=True`` the thermal factor is 1 and the zero-temperature
     closed form is returned; otherwise ``beta > 0`` is required and the
-    band integral is evaluated by adaptive quadrature. A band that starts at
-    zero frequency is rejected at finite temperature: coth(beta*w/2) grows
-    like 2/(beta*w) there, so the integral diverges logarithmically.
+    band integral is a fixed 16-node Gauss-Legendre rule on the panels of
+    :func:`_thermal_panels`, sized from the band edges and the largest time,
+    evaluated for all times at once as cos(outer(s, w)) @ (weights*J*coth).
+    A band that starts at zero frequency is rejected at finite temperature:
+    coth(beta*w/2) grows like 2/(beta*w) there, so the integral diverges
+    logarithmically.
     """
     if low_t:
         if beta is not None:
@@ -146,7 +158,24 @@ def kernel_cos_thermal(spectral: SpectralDensity, s, beta: float | None = None,
         raise DomainError("omega_lo must be positive at finite temperature: "
                           "the thermal kernel diverges at a zero band edge")
     s_arr = _check_times(s)
+    if not np.all(np.isfinite(s_arr)):
+        raise DomainError("time argument must be finite")
+    times = s_arr.ravel()
+    s_max = float(times.max()) if times.size else 0.0
+
+    edges = _thermal_panels(spectral.omega_lo, spectral.omega_hi, s_max)
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes, node_weights = _gauss_legendre()
+    w = (mid + half * nodes).ravel()
+    weights = (half * node_weights).ravel() * spectral.j0 \
+        / np.tanh(0.5 * beta * w)
+
+    out = np.empty(times.size)
+    rows = max(1, _BLOCK_ELEMENTS // w.size)
+    for i in range(0, times.size, rows):
+        phase = np.outer(times[i:i + rows], w)
+        out[i:i + rows] = np.cos(phase, out=phase) @ weights
     if np.isscalar(s) or s_arr.ndim == 0:
-        return _thermal_cos_point(spectral, float(s_arr), beta)
-    return np.array([kernel_cos_thermal(spectral, float(si), beta=beta)
-                     for si in s_arr])
+        return float(out[0])
+    return out.reshape(s_arr.shape)

@@ -271,11 +271,31 @@ class TestErrors:
             main(["fig1", "--panel", "d", "--out", str(tmp_path / "x.csv")])
 
     def test_regime_warning(self, tmp_path, capsys):
+        # the closed-form route and the paper kappa never read beta, so a
+        # finite beta from the flag or the config file is refused instead
+        # of being recorded in the sidecar
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"beta": 5.0}))
+        out = tmp_path / "x.csv"
+        for command in (["coefficients"], ["evolve"],
+                        ["sweep", "--kappa", "symmetric"],
+                        ["sweep", "--method", "quad", "--kappa", "paper"]):
+            for route in (["--beta", "5.0"], ["--config", str(cfg)]):
+                assert main(command + route + [
+                    "--out", str(out), "--tau-max", "0.5",
+                    "--tau-steps", "3"]) == 2
+                assert "beta" in capsys.readouterr().err
+                assert not out.exists()
+                assert not out.with_suffix(".meta").exists()
+
+    def test_quadrature_route_takes_finite_beta(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
-        assert main(["coefficients", "--out", str(out), "--beta", "5.0",
-                     "--tau-max", "0.5", "--tau-steps", "3"]) == 0
-        err = capsys.readouterr().err
-        assert "low-temperature" in err
+        assert main(["coefficients", "--method", "quad", "--beta", "5.0",
+                     "--out", str(out), "--tau-max", "0.5",
+                     "--tau-steps", "3"]) == 0
+        assert capsys.readouterr().err == ""
+        meta = json.loads(out.with_suffix(".meta").read_text())
+        assert meta["scenario"]["beta"] == 5.0
 
 
 class TestVerifyCommand:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bandgauss.errors import DomainError
-from bandgauss.oracle import quad_reference
+from bandgauss.oracle import kernel_cos_thermal_gk, quad_reference
 from bandgauss.spectral import (SpectralDensity, kernel_cos,
                                 kernel_cos_thermal, kernel_sin)
 
@@ -133,6 +134,80 @@ class TestKernelCos:
             kernel_cos_thermal(sd, 1.0, beta=0.0)
         with pytest.raises(DomainError):
             kernel_cos_thermal(sd, 1.0)
+
+    def test_non_finite_time_rejected(self):
+        # the panel width pi/max(s) needs a finite largest time
+        sd = SpectralDensity(1.0, 1.0, 1.0)
+        with pytest.raises(DomainError, match="finite"):
+            kernel_cos_thermal(sd, np.array([0.0, np.inf]), beta=1.0)
+
+
+def thermal_scale(sd, beta):
+    """Exact kernel at s = 0: j0*(2/beta)*ln(sinh(beta*hi/2)/sinh(beta*lo/2)).
+
+    Written as beta*(hi-lo)/2 + ln(-expm1(-beta*hi)) - ln(-expm1(-beta*lo))
+    so that it neither overflows at large beta nor cancels at small beta*lo.
+    """
+    lo, hi = sd.omega_lo, sd.omega_hi
+    log_ratio = (0.5 * beta * (hi - lo) + math.log(-math.expm1(-beta * hi))
+                 - math.log(-math.expm1(-beta * lo)))
+    return sd.j0 * 2.0 / beta * log_ratio
+
+
+class TestKernelCosThermal:
+    """The Gauss-Legendre panel kernel against its references.
+
+    Deviations are measured in units of the kernel at s = 0 (j0 times the
+    band integral of coth), the natural size of the integrand's mass.
+    """
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(omega_lo=st.floats(1e-3, 10.0), delta=st.floats(1e-3, 2.0),
+           beta=st.floats(0.1, 1e3), s=st.floats(0.0, 50.0))
+    def test_matches_gauss_kronrod(self, omega_lo, delta, beta, s):
+        sd = SpectralDensity(1.0, omega_lo, delta)
+        scale = thermal_scale(sd, beta)
+        dev = abs(kernel_cos_thermal(sd, s, beta=beta)
+                  - kernel_cos_thermal_gk(sd, s, beta))
+        assert dev <= 1e-13 * scale
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(omega_lo=st.floats(1e-3, 10.0), delta=st.floats(1e-2, 2.0),
+           beta=st.floats(0.1, 1e3))
+    def test_zero_time_exact(self, omega_lo, delta, beta):
+        sd = SpectralDensity(1.0, omega_lo, delta)
+        assert kernel_cos_thermal(sd, 0.0, beta=beta) == pytest.approx(
+            thermal_scale(sd, beta), rel=1e-12)
+
+    def test_pole_near_band_edge(self):
+        # coth(beta*w/2) ~ 2/(beta*w) just below the band: panels must grade
+        # toward w = 0, which a rule of equal-width panels does not
+        sd, beta = SpectralDensity(1.0, 1e-3, 0.5), 2.0
+        scale = thermal_scale(sd, beta)
+        times = np.array([0.0, 1.0, 5.0])
+        n_panels = int(math.ceil(sd.delta * times.max() / math.pi))
+        edges = np.linspace(sd.omega_lo, sd.omega_hi, n_panels + 1)
+        x, wx = np.polynomial.legendre.leggauss(16)
+        half = 0.5 * np.diff(edges)[:, None]
+        w = (0.5 * (edges[1:] + edges[:-1])[:, None] + half * x).ravel()
+        weights = (half * wx).ravel() / np.tanh(0.5 * beta * w)
+        equal_width = np.cos(np.outer(times, w)) @ weights
+        ref = np.array([kernel_cos_thermal_gk(sd, s, beta) for s in times])
+        assert np.max(np.abs(equal_width - ref)) > 1e-3 * scale
+        got = kernel_cos_thermal(sd, times, beta=beta)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-13 * scale)
+
+    def test_scalar_calls_match_array_call(self):
+        # 64 Gauss nodes make row blocks of 2048 times; straddle their edges
+        sd, beta = SpectralDensity(1.0, 1.0, 1.0), 2.0
+        times = np.linspace(0.0, 10.0, 8193)
+        whole = kernel_cos_thermal(sd, times, beta=beta)
+        assert whole.shape == times.shape
+        scale = thermal_scale(sd, beta)
+        for i in (0, 1, 2047, 2048, 2049, 4095, 4096, 6144, 8191, 8192):
+            point = kernel_cos_thermal(sd, times[i], beta=beta)
+            assert isinstance(point, float)
+            assert abs(point - whole[i]) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("omega_lo", [0.1, 1.0, 10.0])
