@@ -10,9 +10,9 @@ from .coefficients import (METHOD_CLOSED, METHOD_QUADRATURE, CoefficientTrace,
                            delta_quad, gamma_int, gamma_quad, pi_quad, r_quad,
                            secular_coeffs)
 from .dynamics import (ChannelSnapshot, TwbSpec, TwoModeGaussianState,
-                       apply_channel, channel_snapshot, evolve_cm_full,
-                       evolve_cm_secular, evolve_mean, make_twb, rotation,
-                       snapshots_from_trace)
+                       apply_channel, channel_snapshot, check_covariances,
+                       evolve_cm_full, evolve_cm_secular, evolve_covariances,
+                       evolve_mean, make_twb, rotation, snapshots_from_trace)
 from .entanglement import (SymplecticInvariants, find_last_upcrossing,
                            invariants, kappa_full, kappa_full_curve,
                            kappa_secular, kappa_secular_channel_curve,
@@ -31,7 +31,8 @@ __all__ = [
     "EnvironmentParams", "build_trace", "delta_gamma", "delta_quad",
     "gamma_int", "gamma_quad", "pi_quad", "r_quad", "secular_coeffs",
     "ChannelSnapshot", "TwbSpec", "TwoModeGaussianState", "apply_channel",
-    "channel_snapshot", "evolve_cm_full", "evolve_cm_secular", "evolve_mean",
+    "channel_snapshot", "check_covariances", "evolve_cm_full",
+    "evolve_cm_secular", "evolve_covariances", "evolve_mean",
     "make_twb", "rotation", "snapshots_from_trace",
     "SymplecticInvariants", "find_last_upcrossing", "invariants",
     "kappa_full", "kappa_full_curve", "kappa_secular",

@@ -26,7 +26,7 @@ from scipy.interpolate import CubicSpline
 
 from . import __version__
 from .coefficients import METHOD_CLOSED, EnvironmentParams, build_trace
-from .dynamics import apply_channel, make_twb, snapshots_from_trace
+from .dynamics import evolve_covariances, make_twb
 from .entanglement import (find_last_upcrossing, kappa_full_curve,
                            kappa_secular, state_kappa_curve)
 from .errors import DomainError, NumericError, UnsupportedStateError, UsageError
@@ -159,24 +159,26 @@ def cmd_evolve(scenario: SweepScenario) -> int:
     _require_beta_route("evolve", scenario)
     grid = scenario.tau_grid()
     modes = ("secular", "full") if scenario.mode == "both" else (scenario.mode,)
+    env_values = (scenario.j0_values, scenario.delta_values,
+                  scenario.omega_values)
+    traces = {key: build_trace(_environment(scenario, *key), grid,
+                               scenario.method)
+              for key in sorted(set(product(*env_values)))}
+    upper = (slice(None),) + np.triu_indices(4)
+    tau = grid.tolist()
     rows = []
     for r, j0, delta, omega_lo in sorted(product(scenario.r_values,
-                                                 scenario.j0_values,
-                                                 scenario.delta_values,
-                                                 scenario.omega_values)):
-        env = _environment(scenario, j0, delta, omega_lo)
-        trace = build_trace(env, grid, scenario.method)
-        snaps = snapshots_from_trace(trace)
+                                                 *env_values)):
+        trace = traces[j0, delta, omega_lo]
         state = make_twb(r)
         for mode in modes:
-            for snap in snaps:
-                evolved = apply_channel(state, snap,
-                                        include_secular=(mode == "full"))
-                cm = evolved.cm
-                iu = np.triu_indices(4)
-                rows.append([snap.tau, r, j0, delta, omega_lo, mode,
-                             trace.method, snap.gamma_int, snap.delta_gamma]
-                            + [float(v) for v in cm[iu]])
+            cms = evolve_covariances(state, trace,
+                                     include_secular=(mode == "full"))
+            for t, g_int, d_gamma, cm in zip(tau, trace.gamma_int.tolist(),
+                                             trace.delta_gamma.tolist(),
+                                             cms[upper].tolist()):
+                rows.append([t, r, j0, delta, omega_lo, mode, trace.method,
+                             g_int, d_gamma] + cm)
     write_csv(out, EVOLVE_HEADER, rows)
     write_meta(out, "evolve", scenario)
     return 0
@@ -186,66 +188,103 @@ FIG1_HEADER = ["panel", "tau", "r", "j0", "delta", "omega_lo",
                "kappa_secular", "kappa_full", "method"]
 
 
-def _fig1_curve_rows(payload: dict) -> list[list]:
-    panel, r, method, grid = (payload["panel"], payload["r"],
-                              payload["method"], payload["grid"])
+def _fig1_rows(panel: str, method: str, grid: np.ndarray) -> list[list]:
     params = FIG1_PANELS[panel]
     env = EnvironmentParams(
         SpectralDensity(params["j0"], params["omega_lo"], params["delta"]),
         low_t=True)
-    k_sec = kappa_secular(r, params["j0"] * params["delta"],
-                          params["omega_lo"], grid)
-    k_full = kappa_full_curve(env, r, grid, method)
-    return [[panel, float(tau), r, params["j0"], params["delta"],
-             params["omega_lo"], float(k_sec[i]), float(k_full[i]), method]
-            for i, tau in enumerate(grid)]
+    trace = build_trace(env, grid, method)
+    tau = grid.tolist()
+    rows = []
+    for r in FIG1_RS:
+        k_sec = kappa_secular(r, params["j0"] * params["delta"],
+                              params["omega_lo"], grid)
+        k_full = kappa_full_curve(trace, r)
+        rows.extend([panel, t, r, params["j0"], params["delta"],
+                     params["omega_lo"], ks, kf, method]
+                    for t, ks, kf in zip(tau, k_sec.tolist(), k_full.tolist()))
+    return rows
 
 
 def cmd_fig1(panel: str, scenario: SweepScenario) -> int:
     out = _require_out(scenario)
     _require_low_t("fig1", scenario)
-    payloads = [{"panel": panel, "r": r, "method": scenario.method,
-                 "grid": scenario.tau_grid()} for r in FIG1_RS]
-    rows = []
-    for chunk in _map_payloads(_fig1_curve_rows, payloads, scenario.jobs):
-        rows.extend(chunk)
+    # one environment per panel, hence one trace and nothing for --jobs
+    rows = _fig1_rows(panel, scenario.method, scenario.tau_grid())
     write_csv(out, FIG1_HEADER, rows)
     write_meta(out, "fig1", scenario, {"panel": panel})
     return 0
 
 
+def _environment_curves(payload: dict) -> list[list[list]]:
+    """Kappa rows of one environment: for each r of ``payload["r_values"]``,
+    the rows of its curves in mode order. The environment's coefficient
+    trace is built once and serves every curve."""
+    j0, delta, omega_lo = payload["spectral"]
+    source, method, grid = payload["kappa"], payload["method"], payload["grid"]
+    lead, columns = payload["lead"], payload["columns"]
+    trace = None
+    if source != "paper":
+        env = EnvironmentParams(SpectralDensity(j0, omega_lo, delta),
+                                beta=payload["beta"], low_t=payload["low_t"])
+        trace = build_trace(env, grid, method)
+    tau = grid.tolist()
+    curves = []
+    for r in payload["r_values"]:
+        rows = []
+        for mode in payload["modes"]:
+            if source == "paper":
+                kappa = kappa_secular(r, j0 * delta, omega_lo, grid)
+                point_fn = lambda t: kappa_secular(r, j0 * delta, omega_lo, t)
+            else:
+                kappa = state_kappa_curve(trace, r,
+                                          include_secular=(mode == "full"),
+                                          source=source)
+                spline = CubicSpline(grid, kappa)
+                point_fn = lambda t: float(spline(t))
+            tags = [r, *columns, source, mode, method]
+            rows.extend(["point", *lead, t, *tags, k, e, ""]
+                        for t, k, e in zip(tau, kappa.tolist(),
+                                           _negativity_curve(kappa).tolist()))
+            tau_sd = find_last_upcrossing(grid, kappa, 1.0, point_fn)
+            rows.append(["sudden_death", *lead, "", *tags, "", "",
+                         "none" if tau_sd is None else float(tau_sd)])
+        curves.append(rows)
+    return curves
+
+
+def _kappa_table(scenario: SweepScenario, combos: list[tuple], spectral_of,
+                 lead: tuple = ()) -> list[list]:
+    """Rows of the kappa curves of ``combos``, in their order.
+
+    Each combo is ``(r, *columns)``: the squeezing and the environment's CSV
+    columns, which ``spectral_of`` maps to (j0, delta, omega_lo). Curves are
+    computed one environment per payload, so each environment's trace is
+    built once and ``--jobs`` runs environments in parallel. The paper
+    source has no mode; it gives one curve tagged secular.
+    """
+    if scenario.kappa == "paper":
+        modes = ("secular",)
+    elif scenario.mode == "both":
+        modes = ("secular", "full")
+    else:
+        modes = (scenario.mode,)
+    r_values = sorted({combo[0] for combo in combos})
+    keys = sorted({combo[1:] for combo in combos})
+    common = {"beta": scenario.beta, "low_t": scenario.low_t,
+              "kappa": scenario.kappa, "method": scenario.method,
+              "grid": scenario.tau_grid(), "r_values": r_values,
+              "modes": modes, "lead": lead}
+    payloads = [dict(common, spectral=spectral_of(key), columns=key)
+                for key in keys]
+    results = _map_payloads(_environment_curves, payloads, scenario.jobs)
+    rows_of = {(r, *key): rows for key, curves in zip(keys, results)
+               for r, rows in zip(r_values, curves)}
+    return [row for combo in combos for row in rows_of[combo]]
+
+
 FIG2_HEADER = ["kind", "panel", "tau", "r", "j0_delta", "omega_lo",
                "kappa_source", "mode", "method", "kappa", "e_n", "tau_sd"]
-
-
-def _fig2_combo_rows(payload: dict) -> list[list]:
-    panel = payload["panel"]
-    r, j0_delta, omega_lo = payload["r"], payload["j0_delta"], payload["omega_lo"]
-    source, mode, method = payload["kappa"], payload["mode"], payload["method"]
-    grid = np.linspace(payload["tau_start"], payload["tau_stop"],
-                       payload["tau_steps"])
-    if source == "paper":
-        kappa = kappa_secular(r, j0_delta, omega_lo, grid)
-        point_fn = lambda t: kappa_secular(r, j0_delta, omega_lo, t)
-        mode_tag = "secular"
-    else:
-        env = EnvironmentParams(SpectralDensity(1.0, omega_lo, j0_delta),
-                                low_t=True)
-        kappa = state_kappa_curve(env, r, grid, method,
-                                  include_secular=(mode == "full"),
-                                  source=source)
-        spline = CubicSpline(grid, kappa)
-        point_fn = lambda t: float(spline(t))
-        mode_tag = mode
-    e_n = _negativity_curve(kappa)
-    rows = [["point", panel, float(t), r, j0_delta, omega_lo, source,
-             mode_tag, method, float(kappa[i]), float(e_n[i]), ""]
-            for i, t in enumerate(grid)]
-    tau_sd = find_last_upcrossing(grid, kappa, 1.0, point_fn)
-    rows.append(["sudden_death", panel, "", r, j0_delta, omega_lo, source,
-                 mode_tag, method, "", "",
-                 "none" if tau_sd is None else float(tau_sd)])
-    return rows
 
 
 def cmd_fig2(panel: str, scenario: SweepScenario) -> int:
@@ -255,17 +294,11 @@ def cmd_fig2(panel: str, scenario: SweepScenario) -> int:
         raise UsageError("mode: fig2 emits one curve per combination; "
                          "choose secular or full")
     params = FIG2_PANELS[panel]
-    payloads = [
-        {"panel": panel, "r": r, "j0_delta": jd, "omega_lo": om,
-         "kappa": scenario.kappa, "mode": scenario.mode,
-         "method": scenario.method, "tau_start": scenario.tau_start,
-         "tau_stop": scenario.tau_stop, "tau_steps": scenario.tau_steps}
-        for r, jd, om in sorted(product(params["r"], params["j0_delta"],
-                                        params["omega_lo"]))
-    ]
-    rows = []
-    for chunk in _map_payloads(_fig2_combo_rows, payloads, scenario.jobs):
-        rows.extend(chunk)
+    combos = sorted(product(params["r"], params["j0_delta"],
+                            params["omega_lo"]))
+    # kappa depends on j0 and delta only through their product: j0 = 1
+    rows = _kappa_table(scenario, combos,
+                        lambda key: (1.0, key[0], key[1]), lead=(panel,))
     write_csv(out, FIG2_HEADER, rows)
     write_meta(out, "fig2", scenario, {"panel": panel})
     return 0
@@ -275,57 +308,12 @@ SWEEP_HEADER = ["kind", "tau", "r", "j0", "delta", "omega_lo", "kappa_source",
                 "mode", "method", "kappa", "e_n", "tau_sd"]
 
 
-def _sweep_combo_rows(payload: dict) -> list[list]:
-    r, j0, delta, omega_lo = (payload["r"], payload["j0"], payload["delta"],
-                              payload["omega_lo"])
-    source, mode, method = payload["kappa"], payload["mode"], payload["method"]
-    grid = np.linspace(payload["tau_start"], payload["tau_stop"],
-                       payload["tau_steps"])
-    if source == "paper":
-        kappa = kappa_secular(r, j0 * delta, omega_lo, grid)
-        point_fn = lambda t: kappa_secular(r, j0 * delta, omega_lo, t)
-        mode_tag = "secular"
-    else:
-        env = EnvironmentParams(SpectralDensity(j0, omega_lo, delta),
-                                beta=payload["beta"],
-                                low_t=payload["low_t"])
-        kappa = state_kappa_curve(env, r, grid, method,
-                                  include_secular=(mode == "full"),
-                                  source=source)
-        spline = CubicSpline(grid, kappa)
-        point_fn = lambda t: float(spline(t))
-        mode_tag = mode
-    e_n = _negativity_curve(kappa)
-    rows = [["point", float(t), r, j0, delta, omega_lo, source, mode_tag,
-             method, float(kappa[i]), float(e_n[i]), ""]
-            for i, t in enumerate(grid)]
-    tau_sd = find_last_upcrossing(grid, kappa, 1.0, point_fn)
-    rows.append(["sudden_death", "", r, j0, delta, omega_lo, source, mode_tag,
-                 method, "", "", "none" if tau_sd is None else float(tau_sd)])
-    return rows
-
-
 def cmd_sweep(scenario: SweepScenario) -> int:
     out = _require_out(scenario)
     _require_beta_route("sweep", scenario)
-    modes = ("secular", "full") if scenario.mode == "both" else (scenario.mode,)
-    if scenario.kappa == "paper":
-        modes = ("secular",)
-    payloads = [
-        {"r": r, "j0": j0, "delta": delta, "omega_lo": om,
-         "kappa": scenario.kappa, "mode": mode, "method": scenario.method,
-         "beta": scenario.beta, "low_t": scenario.low_t,
-         "tau_start": scenario.tau_start, "tau_stop": scenario.tau_stop,
-         "tau_steps": scenario.tau_steps}
-        for r, j0, delta, om in sorted(product(scenario.r_values,
-                                               scenario.j0_values,
-                                               scenario.delta_values,
-                                               scenario.omega_values))
-        for mode in modes
-    ]
-    rows = []
-    for chunk in _map_payloads(_sweep_combo_rows, payloads, scenario.jobs):
-        rows.extend(chunk)
+    combos = sorted(product(scenario.r_values, scenario.j0_values,
+                            scenario.delta_values, scenario.omega_values))
+    rows = _kappa_table(scenario, combos, lambda key: key)
     write_csv(out, SWEEP_HEADER, rows)
     write_meta(out, "sweep", scenario)
     return 0

@@ -141,6 +141,12 @@ class CoefficientTrace:
     sec_pi_si: np.ndarray
     method: str
 
+    @property
+    def secular(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The four weighted integrals (delta_co, delta_si, pi_co, pi_si)."""
+        return (self.sec_delta_co, self.sec_delta_si, self.sec_pi_co,
+                self.sec_pi_si)
+
 
 # Largest damping-exponent change per Simpson pair for which polynomial
 # quadrature of the weighted integrand is still accurate; stiffer pairs use

@@ -11,6 +11,12 @@ Sign conventions of the added noise block are fixed by conjugating the
 diffusion matrix with the rotation, i.e. by the direct propagator that
 :func:`bandgauss.oracle.propagate_w_matrix` implements; the oracle check is
 the arbiter for them.
+
+The channel does not depend on the input state, so one coefficient trace
+serves every state: :func:`evolve_covariances` assembles and validates a
+whole trace as one (N, 4, 4) array; :func:`apply_channel` is the same
+assembly at one time. :func:`check_covariances` validates stacks and single
+states alike.
 """
 
 from __future__ import annotations
@@ -53,14 +59,7 @@ class TwoModeGaussianState:
     def __post_init__(self):
         mean = np.array(self.mean, dtype=float).reshape(4)
         cm = np.array(self.cm, dtype=float)
-        if cm.shape != (4, 4):
-            raise DomainError(f"covariance matrix must be 4x4, got {cm.shape}")
-        if np.max(np.abs(cm - cm.T)) > 1e-12:
-            raise DomainError("covariance matrix must be symmetric to 1e-12")
-        if np.min(np.linalg.eigvalsh(cm)) < -1e-10:
-            raise DomainError("covariance matrix must be positive semidefinite")
-        if self.validate_uncertainty and self.min_uncertainty_eig(cm) < -1e-8:
-            raise DomainError("covariance matrix violates the uncertainty bound")
+        check_covariances(cm[None], self.validate_uncertainty)
         mean.flags.writeable = False
         cm.flags.writeable = False
         object.__setattr__(self, "mean", mean)
@@ -68,7 +67,11 @@ class TwoModeGaussianState:
 
     @staticmethod
     def min_uncertainty_eig(cm: np.ndarray) -> float:
-        """Smallest eigenvalue of cm + i*Omega; >= 0 for physical states."""
+        """Smallest eigenvalue of cm + i*Omega; >= 0 for physical states.
+
+        ``cm`` may also be an (N, 4, 4) stack; the minimum is then over all
+        of its matrices.
+        """
         return float(np.min(np.linalg.eigvalsh(cm + 1j * symplectic_form())))
 
     @property
@@ -82,6 +85,22 @@ class TwoModeGaussianState:
     @property
     def block_c(self) -> np.ndarray:
         return self.cm[:2, 2:]
+
+
+def check_covariances(cms: np.ndarray, validate_uncertainty: bool = True) -> None:
+    """Raise DomainError unless every matrix of the (N, 4, 4) stack ``cms``
+    is a covariance matrix: symmetric to 1e-12, positive semidefinite to
+    -1e-10 and, when ``validate_uncertainty`` is set, within -1e-8 of the
+    uncertainty bound. One batched eigensolve serves each check.
+    """
+    if cms.ndim != 3 or cms.shape[1:] != (4, 4):
+        raise DomainError(f"covariance matrix must be 4x4, got {cms.shape[1:]}")
+    if np.max(np.abs(cms - cms.transpose(0, 2, 1))) > 1e-12:
+        raise DomainError("covariance matrix must be symmetric to 1e-12")
+    if np.min(np.linalg.eigvalsh(cms)) < -1e-10:
+        raise DomainError("covariance matrix must be positive semidefinite")
+    if validate_uncertainty and TwoModeGaussianState.min_uncertainty_eig(cms) < -1e-8:
+        raise DomainError("covariance matrix violates the uncertainty bound")
 
 
 @dataclass(frozen=True)
@@ -140,8 +159,7 @@ def snapshots_from_trace(trace: CoefficientTrace) -> list[ChannelSnapshot]:
             tau=float(t),
             gamma_int=float(trace.gamma_int[i]),
             delta_gamma=float(trace.delta_gamma[i]),
-            secular=(float(trace.sec_delta_co[i]), float(trace.sec_delta_si[i]),
-                     float(trace.sec_pi_co[i]), float(trace.sec_pi_si[i])),
+            secular=tuple(float(v[i]) for v in trace.secular),
             angle=float(t),
         )
         for i, t in enumerate(trace.tau_grid)
@@ -163,45 +181,50 @@ def _twb_block_values(state: TwoModeGaussianState) -> tuple[float, float]:
     return float(a), float(c)
 
 
-def noise_block(snapshot: ChannelSnapshot,
-                include_secular: bool = True) -> np.ndarray:
-    """Additive 2x2 noise block of the channel at the snapshot time.
-
-    DeltaGamma*I plus, when ``include_secular`` is set, the rotated traceless
-    combination of the weighted integrals. The rotation by 2*angle and the
-    relative signs follow from conjugating the diffusion matrix with the
-    free rotation.
-    """
-    dg = snapshot.delta_gamma
-    if not include_secular:
-        return np.array([[dg, 0.0], [0.0, dg]])
-    d_co, d_si, p_co, p_si = snapshot.secular
-    diag = d_co - p_si
-    off = -(d_si + p_co)
-    return np.array([[dg + diag, off], [off, dg - diag]])
-
-
-def _assemble_cm(a: float, c: float, snapshot: ChannelSnapshot,
+def _assemble_cm(a: float, c: float, gamma_int, delta_gamma, secular, angle,
                  include_secular: bool) -> np.ndarray:
-    decay = np.exp(-snapshot.gamma_int)
-    a_t = a * decay * np.eye(2) + noise_block(snapshot, include_secular)
-    c2, s2 = np.cos(2.0 * snapshot.angle), np.sin(2.0 * snapshot.angle)
+    """Covariance matrices after the channel for initial blocks a*I and
+    diag(c, -c), shape (..., 4, 4) for channel data of shape (...): one
+    matrix per time of a trace, or a single (4, 4) matrix for scalars.
+
+    The added noise block is DeltaGamma*I plus, when ``include_secular`` is
+    set, the rotated traceless combination of the weighted integrals. The
+    rotation by 2*angle and the relative signs follow from conjugating the
+    diffusion matrix with the free rotation.
+    """
+    dg = np.asarray(delta_gamma, dtype=float)
+    noise = np.zeros(dg.shape + (2, 2))
+    if include_secular:
+        d_co, d_si, p_co, p_si = secular
+        diag = d_co - p_si
+        noise[..., 0, 0], noise[..., 1, 1] = dg + diag, dg - diag
+        noise[..., 0, 1] = noise[..., 1, 0] = -(d_si + p_co)
+    else:
+        noise[..., 0, 0] = noise[..., 1, 1] = dg
+    decay = np.exp(-np.asarray(gamma_int, dtype=float))[..., None, None]
+    a_t = a * decay * np.eye(2) + noise
+    c2, s2 = np.cos(2.0 * angle), np.sin(2.0 * angle)
     # correlation block rotates as R C0 R^T with C0 = diag(c, -c)
-    c_t = c * decay * np.array([[c2, -s2], [-s2, -c2]])
-    cm = np.zeros((4, 4))
-    cm[:2, :2] = a_t
-    cm[2:, 2:] = a_t
-    cm[:2, 2:] = c_t
-    cm[2:, :2] = c_t.T
+    rot = np.moveaxis(np.array([[c2, -s2], [-s2, -c2]]), (0, 1), (-2, -1))
+    c_t = c * decay * rot
+    cm = np.zeros(dg.shape + (4, 4))
+    cm[..., :2, :2] = a_t
+    cm[..., 2:, 2:] = a_t
+    cm[..., :2, 2:] = c_t
+    cm[..., 2:, :2] = np.swapaxes(c_t, -1, -2)
     return cm
+
+
+def _check_damping(gamma_int) -> None:
+    # allow rounding noise from cumulative quadrature around zero
+    if np.any(np.asarray(gamma_int) < -1e-12):
+        raise DomainError("damping exponent must be non-negative")
 
 
 def evolve_mean(state: TwoModeGaussianState,
                 snapshot: ChannelSnapshot) -> np.ndarray:
     """Mean vector after the channel: exp(-Gamma/2) * (R (+) R) * mean."""
-    # allow rounding noise from cumulative quadrature around zero
-    if snapshot.gamma_int < -1e-12:
-        raise DomainError("damping exponent must be non-negative")
+    _check_damping(snapshot.gamma_int)
     r = rotation(snapshot.angle)
     block = np.zeros((4, 4))
     block[:2, :2] = r
@@ -213,9 +236,26 @@ def apply_channel(state: TwoModeGaussianState, snapshot: ChannelSnapshot,
                   include_secular: bool = True) -> TwoModeGaussianState:
     """Propagate a symmetric two-mode state through the channel snapshot."""
     a, c = _twb_block_values(state)
-    cm = _assemble_cm(a, c, snapshot, include_secular)
+    cm = _assemble_cm(a, c, snapshot.gamma_int, snapshot.delta_gamma,
+                      snapshot.secular, snapshot.angle, include_secular)
     return TwoModeGaussianState(evolve_mean(state, snapshot), cm,
                                 validate_uncertainty=False)
+
+
+def evolve_covariances(state: TwoModeGaussianState, trace: CoefficientTrace,
+                       include_secular: bool = True) -> np.ndarray:
+    """Covariance matrices of ``state`` after the channel at every time of
+    ``trace``, shape (N, 4, 4).
+
+    The same matrices, checks and errors as :func:`apply_channel` on each
+    snapshot of the trace, computed as arrays in one pass.
+    """
+    a, c = _twb_block_values(state)
+    _check_damping(trace.gamma_int)
+    cms = _assemble_cm(a, c, trace.gamma_int, trace.delta_gamma,
+                       trace.secular, trace.tau_grid, include_secular)
+    check_covariances(cms, validate_uncertainty=False)
+    return cms
 
 
 def evolve_cm_full(state: TwoModeGaussianState, env: EnvironmentParams,

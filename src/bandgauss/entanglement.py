@@ -10,7 +10,8 @@ transposed covariance matrix. Three routes to that eigenvalue coexist:
   (tau^2*J0*delta + exp(-2r - tau^4*J0*delta*Omega/6))/2, on the scale where
   the vacuum gives 1/2;
 * ``nu_min_pt`` -- direct eigendecomposition of i*Omega*sigma_pt, the
-  convention-independent oracle (vacuum gives 1).
+  convention-independent oracle (vacuum gives 1); the ``oracle`` source of
+  :func:`state_kappa_curve` runs it as one batched eigensolve over a trace.
 
 The two printed formulas deliberately keep their inconsistent normalisations;
 every consumer labels which route produced a number. ``kappa_full`` evaluates
@@ -18,6 +19,10 @@ the full channel (secular terms included) on the same 1/2 scale as
 ``kappa_secular`` so the two are directly comparable, coinciding at tau = 0
 and wherever the secular terms are negligible. Negativity uses the natural
 logarithm and the literal threshold kappa = 1.
+
+:func:`kappa_full_curve` and :func:`state_kappa_curve` take an evaluated
+:class:`CoefficientTrace`: the channel does not depend on the input state,
+so one trace per environment serves every squeezing value and mode.
 """
 
 from __future__ import annotations
@@ -28,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .coefficients import (METHOD_CLOSED, EnvironmentParams, build_trace,
-                           require_method)
-from .dynamics import (TwoModeGaussianState, channel_snapshot,
-                       symplectic_form)
+from .coefficients import (METHOD_CLOSED, CoefficientTrace, EnvironmentParams,
+                           build_trace, require_method)
+from .dynamics import (TwoModeGaussianState, _assemble_cm, channel_snapshot,
+                       check_covariances, symplectic_form)
 from .errors import DomainError, NumericError, UsageError, UnsupportedStateError
 from .spectral import SpectralDensity
 
@@ -109,19 +114,25 @@ def kappa_secular(r, j0_delta, omega_lo, tau):
     return float(out) if np.isscalar(tau) or t.ndim == 0 else out
 
 
+def _nu_min_pt_stack(cms: np.ndarray) -> np.ndarray:
+    """Minimum PT symplectic eigenvalue of each matrix of an (N, 4, 4) stack,
+    by one batched eigensolve."""
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    sigma_pt = flip @ cms @ flip
+    try:
+        eigs = np.linalg.eigvals(1j * symplectic_form() @ sigma_pt)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+    return np.min(np.abs(eigs), axis=-1)
+
+
 def nu_min_pt(state: TwoModeGaussianState) -> float:
     """Minimum symplectic eigenvalue of the partial transpose, by eigensolver.
 
     Flips the second mode's momentum, forms i*Omega*sigma_pt and returns the
     smallest eigenvalue modulus. Independent of the invariant formula.
     """
-    flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    sigma_pt = flip @ state.cm @ flip
-    try:
-        eigs = np.linalg.eigvals(1j * symplectic_form() @ sigma_pt)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    return float(np.min(np.abs(eigs)))
+    return float(_nu_min_pt_stack(state.cm[None])[0])
 
 
 def negativity(kappa):
@@ -171,23 +182,18 @@ def _nu_curve(a0, c0, a_minus_c, gamma_int, dgamma, sec4, tau):
     return np.sqrt(_nu_sq(i1 - i3, i4))
 
 
-def kappa_full_curve(env: EnvironmentParams, r: float, tau_grid,
-                     method: str = METHOD_CLOSED) -> np.ndarray:
-    """Full-channel kappa (secular terms included) on the 1/2 vacuum scale.
+def kappa_full_curve(trace: CoefficientTrace, r: float) -> np.ndarray:
+    """Full-channel kappa (secular terms included) on the 1/2 vacuum scale,
+    on the grid of ``trace``.
 
     Comparable point by point with :func:`kappa_secular`; the two coincide
     exactly when the secular terms vanish.
     """
-    require_method(method)
     if r < 0.0:
         raise DomainError(f"r must be non-negative, got {r}")
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    trace = build_trace(env, tau_grid, method)
-    sec4 = (trace.sec_delta_co, trace.sec_delta_si,
-            trace.sec_pi_co, trace.sec_pi_si)
     return _nu_curve(0.5 * math.cosh(2.0 * r), 0.5 * math.sinh(2.0 * r),
                      0.5 * math.exp(-2.0 * r), trace.gamma_int,
-                     trace.delta_gamma, sec4, tau_grid)
+                     trace.delta_gamma, trace.secular, trace.tau_grid)
 
 
 def kappa_secular_channel_curve(env: EnvironmentParams, r: float, tau_grid,
@@ -210,35 +216,29 @@ def kappa_full(env: EnvironmentParams, r: float, tau: float,
                            snap.delta_gamma, snap.secular, snap.tau))
 
 
-def state_kappa_curve(env: EnvironmentParams, r: float, tau_grid,
-                      method: str = METHOD_CLOSED, include_secular: bool = True,
+def state_kappa_curve(trace: CoefficientTrace, r: float,
+                      include_secular: bool = True,
                       source: str = "symmetric") -> np.ndarray:
-    """Kappa along a trace for the physical-scale state (vacuum CM = I).
+    """Kappa on the grid of ``trace`` for the physical-scale state
+    (vacuum CM = I).
 
     ``source`` selects the route: "symmetric" applies the sqrt(2) invariant
-    formula, "oracle" runs the PT eigensolver per grid point.
+    formula, "oracle" assembles the covariance matrix of every grid point,
+    validates them and runs the PT eigensolver on the whole stack at once.
     """
-    require_method(method)
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    trace = build_trace(env, tau_grid, method)
     a0, c0 = math.cosh(2.0 * r), math.sinh(2.0 * r)
     if source == "symmetric":
-        sec4 = (trace.sec_delta_co, trace.sec_delta_si,
-                trace.sec_pi_co, trace.sec_pi_si)
+        sec4 = trace.secular
         if not include_secular:
-            sec4 = tuple(np.zeros_like(tau_grid) for _ in range(4))
+            sec4 = tuple(np.zeros_like(trace.tau_grid) for _ in range(4))
         return math.sqrt(2.0) * _nu_curve(a0, c0, math.exp(-2.0 * r),
                                           trace.gamma_int, trace.delta_gamma,
-                                          sec4, tau_grid)
+                                          sec4, trace.tau_grid)
     if source == "oracle":
-        from .dynamics import snapshots_from_trace, _assemble_cm
-        out = np.empty_like(tau_grid)
-        for i, snap in enumerate(snapshots_from_trace(trace)):
-            cm = _assemble_cm(a0, c0, snap, include_secular)
-            state = TwoModeGaussianState(np.zeros(4), cm,
-                                         validate_uncertainty=False)
-            out[i] = nu_min_pt(state)
-        return out
+        cms = _assemble_cm(a0, c0, trace.gamma_int, trace.delta_gamma,
+                           trace.secular, trace.tau_grid, include_secular)
+        check_covariances(cms, validate_uncertainty=False)
+        return _nu_min_pt_stack(cms)
     raise UsageError(f"unknown kappa source {source!r}")
 
 
@@ -301,8 +301,8 @@ def sudden_death_time(r: float, j0_delta: float, omega_lo: float,
         values = kappa_secular(r, j0_delta, omega_lo, grid)
         point_fn = lambda t: kappa_secular(r, j0_delta, omega_lo, t)
     else:
-        env = _env_for(j0_delta, omega_lo)
-        values = kappa_full_curve(env, r, grid, method)
+        trace = build_trace(_env_for(j0_delta, omega_lo), grid, method)
+        values = kappa_full_curve(trace, r)
         # bisection refines on splines of the sampled curve; spline error is
         # orders of magnitude below the time tolerance
         spline = CubicSpline(grid, values)

@@ -11,8 +11,9 @@ import numpy as np
 
 from bandgauss.cli import main
 from bandgauss.coefficients import (METHOD_CLOSED, METHOD_QUADRATURE,
-                                    EnvironmentParams, delta_gamma, delta_quad,
-                                    gamma_int, gamma_quad)
+                                    EnvironmentParams, build_trace,
+                                    delta_gamma, delta_quad, gamma_int,
+                                    gamma_quad)
 from bandgauss.dynamics import evolve_cm_full, make_twb
 from bandgauss.entanglement import (kappa_full_curve, kappa_secular,
                                     negativity, nu_min_pt, sudden_death_time)
@@ -67,11 +68,11 @@ def test_c02_quadrature_tracks_closed_forms():
 
 
 def _validity_ratio(delta, omega_lo, tau):
-    env = env_for(delta, omega_lo)
+    trace = build_trace(env_for(delta, omega_lo), tau, METHOD_CLOSED)
     worst = np.zeros_like(tau)
     for r in FIG1_RS:
         k_sec = kappa_secular(r, delta, omega_lo, tau)
-        k_full = kappa_full_curve(env, r, tau, METHOD_CLOSED)
+        k_full = kappa_full_curve(trace, r)
         worst = np.maximum(worst, np.abs(k_full - k_sec) / k_sec)
     return worst
 
@@ -90,9 +91,8 @@ def test_c03_secular_validity_window():
 
 
 def test_c04_curves_converge_across_squeezing():
-    env = env_for(1e-4)
-    tail = np.array([0.0, 30.0])
-    values = np.array([kappa_full_curve(env, r, tail, METHOD_CLOSED)[-1]
+    trace = build_trace(env_for(1e-4), [0.0, 30.0], METHOD_CLOSED)
+    values = np.array([kappa_full_curve(trace, r)[-1]
                        for r in FIG1_RS])
     spread = float((values.max() - values.min()) / values.mean())
     ok = spread < 0.05
@@ -143,7 +143,7 @@ def test_c08_non_markovian_revival():
     env = env_for(0.01, omega_lo=10.0)
     death = sudden_death_time(1.0, 0.01, 10.0, "full")
     tau = np.linspace(0.0, death * 0.999, 2000)
-    kappa = kappa_full_curve(env, 1.0, tau, METHOD_CLOSED)
+    kappa = kappa_full_curve(build_trace(env, tau, METHOD_CLOSED), 1.0)
     e_n = np.where(kappa < 1.0, -2.0 * np.log(kappa), 0.0)
     diffs = np.diff(e_n)
     first_drop = int(np.argmax(diffs < 0.0))

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from bandgauss import cli
 from bandgauss.cli import main
 from bandgauss.scenario import SweepScenario, apply_overrides, scenario_from_file
 from bandgauss.errors import UsageError
@@ -223,6 +224,37 @@ class TestSweep:
         assert out.exists()
         lines = read_lines(out)
         assert len([l for l in lines if l.startswith("point")]) == 6
+
+    def test_parallel_jobs_deterministic(self, tmp_path):
+        out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
+        args = ["sweep", "--kappa", "oracle", "--mode", "both", "--r",
+                "0.5,2", "--omega", "1,3", "--delta", "1e-2,1e-3",
+                "--tau-steps", "24"]
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2), "--jobs", "2"]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestOneTracePerEnvironment:
+    @pytest.mark.parametrize("argv,calls", [
+        (["evolve", "--r", "0.3,0.9,2", "--mode", "both"], 1),
+        (["sweep", "--kappa", "oracle", "--mode", "both", "--r", "0.5,1,2",
+          "--omega", "1,3", "--delta", "1e-2"], 2),
+        (["fig1", "--panel", "a"], 1),
+        (["fig2", "--panel", "b", "--kappa", "oracle", "--mode", "full"], 5),
+    ])
+    def test_build_trace_calls(self, tmp_path, monkeypatch, argv, calls):
+        seen = []
+        build_trace = cli.build_trace
+
+        def counting(*args, **kwargs):
+            seen.append(args)
+            return build_trace(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_trace", counting)
+        assert main(argv + ["--tau-max", "10", "--tau-steps", "21",
+                            "--out", str(tmp_path / "x.csv")]) == 0
+        assert len(seen) == calls
 
 
 class TestErrors:

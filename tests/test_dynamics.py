@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ from bandgauss.coefficients import (METHOD_CLOSED, METHOD_QUADRATURE,
                                     EnvironmentParams, build_trace)
 from bandgauss.dynamics import (ChannelSnapshot, TwbSpec, TwoModeGaussianState,
                                 apply_channel, channel_snapshot,
-                                evolve_cm_full, evolve_cm_secular, evolve_mean,
-                                make_twb, rotation, snapshots_from_trace,
-                                symplectic_form)
+                                check_covariances, evolve_cm_full,
+                                evolve_cm_secular, evolve_covariances,
+                                evolve_mean, make_twb, rotation,
+                                snapshots_from_trace, symplectic_form)
 from bandgauss.errors import DomainError, UnsupportedStateError
 from bandgauss.spectral import SpectralDensity
+
+import per_point
 
 
 def narrow_env(j0=1.0, omega_lo=1.0, delta=1e-3):
@@ -221,3 +225,60 @@ class TestChannel:
             omega = symplectic_form()
             eigs = np.linalg.eigvalsh(evolved.cm + 1j * omega)
             assert np.min(eigs) >= -1e-8
+
+
+def _raised(fn):
+    with pytest.raises((DomainError, UnsupportedStateError)) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+class TestEvolveCovariances:
+    @pytest.mark.parametrize("method", [METHOD_CLOSED, METHOD_QUADRATURE])
+    @pytest.mark.parametrize("omega_lo,delta", [(1.0, 1e-3), (10.0, 1.0)])
+    @pytest.mark.parametrize("r", [0.0, 1.0, 2.0])
+    def test_bit_identical_to_per_point(self, method, omega_lo, delta, r):
+        trace = build_trace(narrow_env(omega_lo=omega_lo, delta=delta),
+                            np.linspace(0.0, 3.0, 31), method)
+        state = make_twb(r)
+        snaps = snapshots_from_trace(trace)
+        a, c = state.cm[0, 0], state.cm[0, 2]
+        for include_secular in (True, False):
+            try:
+                one_by_one = np.stack([apply_channel(state, snap,
+                                                    include_secular).cm
+                                      for snap in snaps])
+            except DomainError as exc:
+                # the stiff quadrature trace has Gamma < 0 at some times
+                assert _raised(lambda: evolve_covariances(
+                    state, trace, include_secular)) == (DomainError, str(exc))
+                continue
+            stack = evolve_covariances(state, trace, include_secular)
+            assert stack.shape == (31, 4, 4)
+            scalar = np.stack([per_point.assemble_cm(a, c, snap,
+                                                      include_secular)
+                               for snap in snaps])
+            assert np.array_equal(stack, one_by_one)
+            assert np.array_equal(stack, scalar)
+
+    def test_errors_match_per_point(self):
+        trace = build_trace(narrow_env(), np.linspace(0.0, 2.0, 5))
+        twb = make_twb(0.5)
+        lopsided = TwoModeGaussianState(np.zeros(4), np.diag([2.0, 2.0, 3.0, 3.0]))
+        negative_damping = replace(trace, gamma_int=trace.gamma_int - 1e-9)
+        not_psd = replace(trace, delta_gamma=trace.delta_gamma - 10.0)
+        for state, bad in ((lopsided, trace), (twb, negative_damping),
+                           (twb, not_psd)):
+            snap = snapshots_from_trace(bad)[0]
+            want = _raised(lambda: apply_channel(state, snap))
+            assert _raised(lambda: evolve_covariances(state, bad)) == want
+
+    def test_one_validator_for_stacks_and_states(self):
+        bad = [np.eye(3), np.eye(4) + np.triu(np.ones((4, 4)), 1) * 1e-6,
+               -np.eye(4), 0.5 * np.eye(4)]
+        for cm in bad:
+            want = _raised(lambda: TwoModeGaussianState(np.zeros(4), cm))
+            assert _raised(lambda: check_covariances(
+                np.stack([np.eye(cm.shape[0]), cm]))) == want
+        check_covariances(np.stack([np.eye(4), 0.5 * np.eye(4)]),
+                          validate_uncertainty=False)

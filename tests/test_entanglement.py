@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bandgauss.coefficients import METHOD_CLOSED, EnvironmentParams
+from bandgauss.coefficients import (METHOD_CLOSED, METHOD_QUADRATURE,
+                                    EnvironmentParams, build_trace)
 from bandgauss.dynamics import (ChannelSnapshot, TwoModeGaussianState,
-                                apply_channel, channel_snapshot, make_twb)
+                                apply_channel, channel_snapshot, make_twb,
+                                snapshots_from_trace)
 from bandgauss.entanglement import (SymplecticInvariants, find_last_upcrossing,
                                     invariants, kappa_full, kappa_full_curve,
                                     kappa_secular, kappa_secular_channel_curve,
@@ -15,6 +18,8 @@ from bandgauss.entanglement import (SymplecticInvariants, find_last_upcrossing,
 from bandgauss.errors import (DomainError, NumericError, UnsupportedStateError,
                               UsageError)
 from bandgauss.spectral import SpectralDensity
+
+import per_point
 
 
 def narrow_env(j0=1.0, omega_lo=1.0, delta=1e-3):
@@ -79,7 +84,8 @@ class TestKappaSymmetric:
         # the trace evaluator carries a0 - c0 exactly, so even r = 10 starts
         # at the analytic value
         env = narrow_env(delta=0.01)
-        got = state_kappa_curve(env, 10.0, np.array([0.0]), source="symmetric")
+        got = state_kappa_curve(build_trace(env, [0.0]), 10.0,
+                                source="symmetric")
         assert got[0] == pytest.approx(math.sqrt(2.0) * math.exp(-20.0),
                                        rel=1e-12)
 
@@ -187,7 +193,7 @@ class TestKappaFull:
         env = narrow_env()
         r = 0.8
         taus = np.array([0.0, 1.0, 3.0, 7.0])
-        curve = kappa_full_curve(env, r, taus, METHOD_CLOSED)
+        curve = kappa_full_curve(build_trace(env, taus, METHOD_CLOSED), r)
         half = TwoModeGaussianState(np.zeros(4), 0.5 * make_twb(r).cm,
                                     validate_uncertainty=False)
         for i, tau in enumerate(taus):
@@ -199,7 +205,7 @@ class TestKappaFull:
     def test_scalar_matches_curve(self):
         env = narrow_env()
         taus = np.array([0.0, 2.5, 9.0])
-        curve = kappa_full_curve(env, 1.0, taus, METHOD_CLOSED)
+        curve = kappa_full_curve(build_trace(env, taus, METHOD_CLOSED), 1.0)
         for i, tau in enumerate(taus):
             assert kappa_full(env, 1.0, float(tau)) == \
                 pytest.approx(float(curve[i]), rel=1e-8)
@@ -218,13 +224,53 @@ class TestKappaFull:
     def test_oracle_source_matches_symmetric_source(self):
         env = narrow_env()
         taus = np.linspace(0.0, 5.0, 6)
-        sym = state_kappa_curve(env, 0.5, taus, METHOD_CLOSED, source="symmetric")
-        orc = state_kappa_curve(env, 0.5, taus, METHOD_CLOSED, source="oracle")
+        trace = build_trace(env, taus, METHOD_CLOSED)
+        sym = state_kappa_curve(trace, 0.5, source="symmetric")
+        orc = state_kappa_curve(trace, 0.5, source="oracle")
         np.testing.assert_allclose(sym / math.sqrt(2.0), orc, rtol=1e-9)
 
     def test_unknown_source_rejected(self):
         with pytest.raises(UsageError):
-            state_kappa_curve(narrow_env(), 0.5, [0.0, 1.0], source="magic")
+            state_kappa_curve(build_trace(narrow_env(), [0.0, 1.0]), 0.5,
+                              source="magic")
+
+
+def _twb_state(r):
+    # the blocks the oracle source starts from: math.cosh/sinh, not numpy's
+    cm = np.diag([math.cosh(2.0 * r)] * 4)
+    cm[0, 2] = cm[2, 0] = math.sinh(2.0 * r)
+    cm[1, 3] = cm[3, 1] = -math.sinh(2.0 * r)
+    return TwoModeGaussianState(np.zeros(4), cm, validate_uncertainty=False)
+
+
+class TestBatchedOracleSource:
+    @pytest.mark.parametrize("method", [METHOD_CLOSED, METHOD_QUADRATURE])
+    @pytest.mark.parametrize("omega_lo,delta", [(1.0, 1e-3), (10.0, 1.0)])
+    @pytest.mark.parametrize("r", [0.0, 1.0, 2.0])
+    def test_bit_identical_to_per_point(self, method, omega_lo, delta, r):
+        trace = build_trace(narrow_env(omega_lo=omega_lo, delta=delta),
+                            np.linspace(0.0, 3.0, 31), method)
+        a0, c0 = math.cosh(2.0 * r), math.sinh(2.0 * r)
+        for include_secular in (True, False):
+            batched = state_kappa_curve(trace, r, include_secular, "oracle")
+            cms = [per_point.assemble_cm(a0, c0, snap, include_secular)
+                   for snap in snapshots_from_trace(trace)]
+            states = [TwoModeGaussianState(np.zeros(4), cm,
+                                           validate_uncertainty=False)
+                      for cm in cms]
+            assert np.array_equal(batched, [nu_min_pt(s) for s in states])
+            assert np.array_equal(batched,
+                                  [per_point.nu_min_pt(cm) for cm in cms])
+
+    def test_errors_match_per_point(self):
+        trace = build_trace(narrow_env(), np.linspace(0.0, 2.0, 5))
+        bad = replace(trace, delta_gamma=trace.delta_gamma - 10.0)
+        snap = snapshots_from_trace(bad)[0]
+        with pytest.raises(DomainError) as one:
+            nu_min_pt(apply_channel(_twb_state(0.5), snap))
+        with pytest.raises(DomainError) as stack:
+            state_kappa_curve(bad, 0.5, source="oracle")
+        assert str(stack.value) == str(one.value)
 
 
 class TestSuddenDeath:
@@ -311,7 +357,7 @@ class TestLastUpcrossing:
         env = narrow_env(delta=0.01, omega_lo=10.0)
         death = sudden_death_time(1.0, 0.01, 10.0, "full")
         taus = np.linspace(0.0, death * 0.999, 1500)
-        kappa = kappa_full_curve(env, 1.0, taus, METHOD_CLOSED)
+        kappa = kappa_full_curve(build_trace(env, taus, METHOD_CLOSED), 1.0)
         e_n = np.where(kappa < 1.0, -2.0 * np.log(kappa), 0.0)
         diffs = np.diff(e_n)
         first_drop = np.argmax(diffs < 0.0)
