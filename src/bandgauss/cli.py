@@ -5,6 +5,13 @@ Subcommands: ``coefficients`` (channel coefficient sweeps), ``evolve``
 ``fig2`` (negativity-dynamics recipe), ``sweep`` (general parameter product)
 and ``verify`` (oracle cross-check table, nonzero exit on failure).
 
+The five data commands share one engine, :func:`_table`: it builds each
+distinct environment (j0, delta, omega_lo) of the scenario once, with its
+one coefficient trace, runs the command's row function on it (in parallel
+under ``--jobs``) and orders the rows. The ``fig1`` and ``fig2`` panels are
+presets of the scenario's parameter lists, so their sidecars record the
+values that ran.
+
 All data output is CSV with a fixed format: 17 significant digits, comma
 delimiter, LF line endings, header row first, rows in sorted parameter
 order, so identical scenarios produce byte-identical files. Every run also
@@ -18,34 +25,42 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+from functools import partial
 from itertools import product
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import __version__
-from .coefficients import METHOD_CLOSED, EnvironmentParams, build_trace
+from .coefficients import (METHOD_CLOSED, CoefficientTrace, EnvironmentParams,
+                           build_trace)
 from .dynamics import evolve_covariances, make_twb
 from .entanglement import (find_last_upcrossing, kappa_full_curve,
-                           kappa_secular, state_kappa_curve)
+                           kappa_secular, negativity, state_kappa_curve)
 from .errors import DomainError, NumericError, UnsupportedStateError, UsageError
 from .oracle import run_verification
 from .scenario import (KAPPA_SOURCES, MODES, SweepScenario,
                        apply_overrides, scenario_from_file)
 from .spectral import SpectralDensity
 
+
+def _panel(r_values: tuple, delta_values: tuple, omega_values: tuple) -> dict:
+    # kappa depends on j0 and delta only through their product: j0 = 1
+    return {"r_values": r_values, "j0_values": (1.0,),
+            "delta_values": delta_values, "omega_values": omega_values}
+
+
+# The paper's panels, as dataclasses.replace presets of SweepScenario.
 FIG1_RS = (0.01, 0.1, 0.3, 0.5, 0.9)
-FIG1_PANELS = {
-    "a": {"j0": 1.0, "delta": 1e-4, "omega_lo": 1.0},
-    "b": {"j0": 1.0, "delta": 1e-3, "omega_lo": 1.0},
-    "c": {"j0": 1.0, "delta": 1e-3, "omega_lo": 3.0},
-}
+FIG1_PANELS = {"a": _panel(FIG1_RS, (1e-4,), (1.0,)),
+               "b": _panel(FIG1_RS, (1e-3,), (1.0,)),
+               "c": _panel(FIG1_RS, (1e-3,), (3.0,))}
 FIG2_PANELS = {
-    "a": {"r": (0.1, 0.5, 1.0, 2.0, 10.0), "j0_delta": (0.01,), "omega_lo": (1.0,)},
-    "b": {"r": (1.0,), "j0_delta": (1e-3, 10.0 ** -2.5, 1e-2, 10.0 ** -1.5, 1e-1),
-          "omega_lo": (1.0,)},
-    "c": {"r": (1.0,), "j0_delta": (0.01,), "omega_lo": (0.1, 0.5, 1.0, 2.0, 10.0)},
+    "a": _panel((0.1, 0.5, 1.0, 2.0, 10.0), (0.01,), (1.0,)),
+    "b": _panel((1.0,), (1e-3, 10.0 ** -2.5, 1e-2, 10.0 ** -1.5, 1e-1),
+                (1.0,)),
+    "c": _panel((1.0,), (0.01,), (0.1, 0.5, 1.0, 2.0, 10.0)),
 }
 
 
@@ -64,24 +79,15 @@ def write_csv(path: str, header: list[str], rows) -> None:
             f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_meta(out_path: str, command: str, scenario: SweepScenario,
-               extra: dict | None = None) -> None:
-    meta = {
-        "command": command,
-        "log_base": "e",
-        "version": __version__,
-        "scenario": scenario.to_meta(),
-    }
-    if extra:
-        meta.update(extra)
-    with open(Path(out_path).with_suffix(".meta"), "w", newline="") as f:
+def _write(command: str, scenario: SweepScenario, header: list[str], rows,
+           extra: dict | None = None) -> int:
+    """Write the CSV and its ``.meta`` sidecar; return the exit code 0."""
+    write_csv(scenario.out, header, rows)
+    meta = {"command": command, "log_base": "e", "version": __version__,
+            "scenario": scenario.to_meta(), **(extra or {})}
+    with open(Path(scenario.out).with_suffix(".meta"), "w", newline="") as f:
         f.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-
-
-def _require_out(scenario: SweepScenario) -> str:
-    if not scenario.out:
-        raise UsageError("out: required (use --out or the config file)")
-    return scenario.out
+    return 0
 
 
 def _require_low_t(what: str, scenario: SweepScenario,
@@ -104,19 +110,57 @@ def _require_beta_route(command: str, scenario: SweepScenario) -> None:
                        "for a finite beta")
 
 
-def _environment(scenario: SweepScenario, j0: float, delta: float,
-                 omega_lo: float) -> EnvironmentParams:
+# ---------------------------------------------------------------------------
+# the per-environment engine
+# ---------------------------------------------------------------------------
+
+def _environment(scenario: SweepScenario, key: tuple) -> EnvironmentParams:
+    j0, delta, omega_lo = key
     return EnvironmentParams(SpectralDensity(j0, omega_lo, delta),
                              beta=scenario.beta, low_t=scenario.low_t)
 
 
-def _negativity_curve(kappa: np.ndarray) -> np.ndarray:
-    return np.where(kappa >= 1.0, 0.0,
-                    -2.0 * np.log(np.maximum(kappa, 1e-300)))
+def _trace(scenario: SweepScenario, key: tuple) -> CoefficientTrace:
+    # the one call of build_trace: a row function makes it once per
+    # environment, and only if it reads the channel
+    return build_trace(_environment(scenario, key), scenario.tau_grid(),
+                       scenario.method)
+
+
+def _modes(scenario: SweepScenario) -> tuple:
+    return ("secular", "full") if scenario.mode == "both" else (scenario.mode,)
+
+
+def _map_payloads(worker, payloads, jobs: int):
+    if jobs <= 1 or len(payloads) <= 1:
+        return [worker(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(worker, payloads))
+
+
+def _table(scenario: SweepScenario, rows_of, by_r: bool = True) -> list[list]:
+    """Rows of every parameter combination of ``scenario``, sorted.
+
+    ``rows_of(scenario, key)`` gives the rows of one environment ``key =
+    (j0, delta, omega_lo)``; with ``by_r`` it gives a dict from each
+    squeezing value to its rows. It runs once per distinct environment, and
+    ``--jobs`` runs environments in parallel. Repeated parameter values
+    repeat their rows.
+    """
+    keys = sorted(product(scenario.j0_values, scenario.delta_values,
+                          scenario.omega_values))
+    distinct = sorted(set(keys))
+    results = _map_payloads(partial(rows_of, scenario), distinct,
+                            scenario.jobs)
+    rows_at = dict(zip(distinct, results))
+    if not by_r:
+        return [row for key in keys for row in rows_at[key]]
+    return [row for r in sorted(scenario.r_values) for key in keys
+            for row in rows_at[key][r]]
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: a row function and a header each
 # ---------------------------------------------------------------------------
 
 COEFF_HEADER = ["tau", "j0", "delta", "omega_lo", "gamma", "delta_coef",
@@ -125,27 +169,18 @@ COEFF_HEADER = ["tau", "j0", "delta", "omega_lo", "gamma", "delta_coef",
                 "method"]
 
 
+def _coefficient_rows(scenario: SweepScenario, key: tuple) -> list[list]:
+    tr = _trace(scenario, key)
+    columns = (tr.tau_grid, tr.gamma, tr.delta_coef, tr.pi_coef, tr.r_shift,
+               tr.gamma_int, tr.delta_gamma, *tr.secular)
+    return [[t, *key, *values, tr.method]
+            for t, *values in zip(*(c.tolist() for c in columns))]
+
+
 def cmd_coefficients(scenario: SweepScenario) -> int:
-    out = _require_out(scenario)
     _require_beta_route("coefficients", scenario)
-    grid = scenario.tau_grid()
-    rows = []
-    for j0, delta, omega_lo in sorted(product(scenario.j0_values,
-                                              scenario.delta_values,
-                                              scenario.omega_values)):
-        env = _environment(scenario, j0, delta, omega_lo)
-        tr = build_trace(env, grid, scenario.method)
-        for i, tau in enumerate(grid):
-            rows.append([float(tau), j0, delta, omega_lo,
-                         float(tr.gamma[i]), float(tr.delta_coef[i]),
-                         float(tr.pi_coef[i]), float(tr.r_shift[i]),
-                         float(tr.gamma_int[i]), float(tr.delta_gamma[i]),
-                         float(tr.sec_delta_co[i]), float(tr.sec_delta_si[i]),
-                         float(tr.sec_pi_co[i]), float(tr.sec_pi_si[i]),
-                         tr.method])
-    write_csv(out, COEFF_HEADER, rows)
-    write_meta(out, "coefficients", scenario)
-    return 0
+    return _write("coefficients", scenario, COEFF_HEADER,
+                  _table(scenario, _coefficient_rows, by_r=False))
 
 
 EVOLVE_HEADER = ["tau", "r", "j0", "delta", "omega_lo", "mode", "method",
@@ -154,133 +189,90 @@ EVOLVE_HEADER = ["tau", "r", "j0", "delta", "omega_lo", "mode", "method",
                  "cm_24", "cm_33", "cm_34", "cm_44"]
 
 
-def cmd_evolve(scenario: SweepScenario) -> int:
-    out = _require_out(scenario)
-    _require_beta_route("evolve", scenario)
-    grid = scenario.tau_grid()
-    modes = ("secular", "full") if scenario.mode == "both" else (scenario.mode,)
-    env_values = (scenario.j0_values, scenario.delta_values,
-                  scenario.omega_values)
-    traces = {key: build_trace(_environment(scenario, *key), grid,
-                               scenario.method)
-              for key in sorted(set(product(*env_values)))}
+def _evolve_rows(scenario: SweepScenario, key: tuple) -> dict:
+    trace = _trace(scenario, key)
     upper = (slice(None),) + np.triu_indices(4)
-    tau = grid.tolist()
-    rows = []
-    for r, j0, delta, omega_lo in sorted(product(scenario.r_values,
-                                                 *env_values)):
-        trace = traces[j0, delta, omega_lo]
+    lead = (trace.tau_grid.tolist(), trace.gamma_int.tolist(),
+            trace.delta_gamma.tolist())
+    rows_at = {}
+    for r in sorted(set(scenario.r_values)):
         state = make_twb(r)
-        for mode in modes:
+        rows = rows_at[r] = []
+        for mode in _modes(scenario):
             cms = evolve_covariances(state, trace,
                                      include_secular=(mode == "full"))
-            for t, g_int, d_gamma, cm in zip(tau, trace.gamma_int.tolist(),
-                                             trace.delta_gamma.tolist(),
-                                             cms[upper].tolist()):
-                rows.append([t, r, j0, delta, omega_lo, mode, trace.method,
-                             g_int, d_gamma] + cm)
-    write_csv(out, EVOLVE_HEADER, rows)
-    write_meta(out, "evolve", scenario)
-    return 0
+            rows.extend([t, r, *key, mode, trace.method, g_int, d_gamma] + cm
+                        for t, g_int, d_gamma, cm
+                        in zip(*lead, cms[upper].tolist()))
+    return rows_at
+
+
+def cmd_evolve(scenario: SweepScenario) -> int:
+    _require_beta_route("evolve", scenario)
+    return _write("evolve", scenario, EVOLVE_HEADER,
+                  _table(scenario, _evolve_rows))
 
 
 FIG1_HEADER = ["panel", "tau", "r", "j0", "delta", "omega_lo",
                "kappa_secular", "kappa_full", "method"]
 
 
-def _fig1_rows(panel: str, method: str, grid: np.ndarray) -> list[list]:
-    params = FIG1_PANELS[panel]
-    env = EnvironmentParams(
-        SpectralDensity(params["j0"], params["omega_lo"], params["delta"]),
-        low_t=True)
-    trace = build_trace(env, grid, method)
-    tau = grid.tolist()
-    rows = []
-    for r in FIG1_RS:
-        k_sec = kappa_secular(r, params["j0"] * params["delta"],
-                              params["omega_lo"], grid)
-        k_full = kappa_full_curve(trace, r)
-        rows.extend([panel, t, r, params["j0"], params["delta"],
-                     params["omega_lo"], ks, kf, method]
-                    for t, ks, kf in zip(tau, k_sec.tolist(), k_full.tolist()))
-    return rows
+def _fig1_rows(scenario: SweepScenario, key: tuple) -> dict:
+    j0, delta, omega_lo = key
+    trace = _trace(scenario, key)
+    tau = trace.tau_grid.tolist()
+    rows_at = {}
+    for r in sorted(set(scenario.r_values)):
+        k_sec = kappa_secular(r, j0 * delta, omega_lo, trace.tau_grid).tolist()
+        k_full = kappa_full_curve(trace, r).tolist()
+        rows_at[r] = [[t, r, *key, ks, kf, scenario.method]
+                      for t, ks, kf in zip(tau, k_sec, k_full)]
+    return rows_at
 
 
 def cmd_fig1(panel: str, scenario: SweepScenario) -> int:
-    out = _require_out(scenario)
     _require_low_t("fig1", scenario)
-    # one environment per panel, hence one trace and nothing for --jobs
-    rows = _fig1_rows(panel, scenario.method, scenario.tau_grid())
-    write_csv(out, FIG1_HEADER, rows)
-    write_meta(out, "fig1", scenario, {"panel": panel})
-    return 0
+    scenario = replace(scenario, **FIG1_PANELS[panel])
+    rows = ([panel, *row] for row in _table(scenario, _fig1_rows))
+    return _write("fig1", scenario, FIG1_HEADER, rows, {"panel": panel})
 
 
-def _environment_curves(payload: dict) -> list[list[list]]:
-    """Kappa rows of one environment: for each r of ``payload["r_values"]``,
-    the rows of its curves in mode order. The environment's coefficient
-    trace is built once and serves every curve."""
-    j0, delta, omega_lo = payload["spectral"]
-    source, method, grid = payload["kappa"], payload["method"], payload["grid"]
-    lead, columns = payload["lead"], payload["columns"]
-    trace = None
-    if source != "paper":
-        env = EnvironmentParams(SpectralDensity(j0, omega_lo, delta),
-                                beta=payload["beta"], low_t=payload["low_t"])
-        trace = build_trace(env, grid, method)
-    tau = grid.tolist()
-    curves = []
-    for r in payload["r_values"]:
-        rows = []
-        for mode in payload["modes"]:
-            if source == "paper":
+SWEEP_HEADER = ["kind", "tau", "r", "j0", "delta", "omega_lo", "kappa_source",
+                "mode", "method", "kappa", "e_n", "tau_sd"]
+
+
+def _kappa_rows(scenario: SweepScenario, key: tuple) -> dict:
+    """Kappa curves of one environment: per r and mode, the point rows and
+    a sudden_death row. The paper source reads no trace and has no mode;
+    it gives one curve tagged secular."""
+    j0, delta, omega_lo = key
+    source, grid = scenario.kappa, scenario.tau_grid()
+    paper = source == "paper"
+    trace = None if paper else _trace(scenario, key)
+    rows_at = {}
+    for r in sorted(set(scenario.r_values)):
+        rows = rows_at[r] = []
+        for mode in ("secular",) if paper else _modes(scenario):
+            if paper:
                 kappa = kappa_secular(r, j0 * delta, omega_lo, grid)
                 point_fn = lambda t: kappa_secular(r, j0 * delta, omega_lo, t)
             else:
-                kappa = state_kappa_curve(trace, r,
-                                          include_secular=(mode == "full"),
-                                          source=source)
-                spline = CubicSpline(grid, kappa)
-                point_fn = lambda t: float(spline(t))
-            tags = [r, *columns, source, mode, method]
-            rows.extend(["point", *lead, t, *tags, k, e, ""]
-                        for t, k, e in zip(tau, kappa.tolist(),
-                                           _negativity_curve(kappa).tolist()))
+                kappa = state_kappa_curve(trace, r, mode == "full", source)
+                point_fn = None
+            tags = [r, *key, source, mode, scenario.method]
+            rows.extend(["point", t, *tags, k, e, ""]
+                        for t, k, e in zip(grid.tolist(), kappa.tolist(),
+                                           negativity(kappa).tolist()))
             tau_sd = find_last_upcrossing(grid, kappa, 1.0, point_fn)
-            rows.append(["sudden_death", *lead, "", *tags, "", "",
+            rows.append(["sudden_death", "", *tags, "", "",
                          "none" if tau_sd is None else float(tau_sd)])
-        curves.append(rows)
-    return curves
+    return rows_at
 
 
-def _kappa_table(scenario: SweepScenario, combos: list[tuple], spectral_of,
-                 lead: tuple = ()) -> list[list]:
-    """Rows of the kappa curves of ``combos``, in their order.
-
-    Each combo is ``(r, *columns)``: the squeezing and the environment's CSV
-    columns, which ``spectral_of`` maps to (j0, delta, omega_lo). Curves are
-    computed one environment per payload, so each environment's trace is
-    built once and ``--jobs`` runs environments in parallel. The paper
-    source has no mode; it gives one curve tagged secular.
-    """
-    if scenario.kappa == "paper":
-        modes = ("secular",)
-    elif scenario.mode == "both":
-        modes = ("secular", "full")
-    else:
-        modes = (scenario.mode,)
-    r_values = sorted({combo[0] for combo in combos})
-    keys = sorted({combo[1:] for combo in combos})
-    common = {"beta": scenario.beta, "low_t": scenario.low_t,
-              "kappa": scenario.kappa, "method": scenario.method,
-              "grid": scenario.tau_grid(), "r_values": r_values,
-              "modes": modes, "lead": lead}
-    payloads = [dict(common, spectral=spectral_of(key), columns=key)
-                for key in keys]
-    results = _map_payloads(_environment_curves, payloads, scenario.jobs)
-    rows_of = {(r, *key): rows for key, curves in zip(keys, results)
-               for r, rows in zip(r_values, curves)}
-    return [row for combo in combos for row in rows_of[combo]]
+def cmd_sweep(scenario: SweepScenario) -> int:
+    _require_beta_route("sweep", scenario)
+    return _write("sweep", scenario, SWEEP_HEADER,
+                  _table(scenario, _kappa_rows))
 
 
 FIG2_HEADER = ["kind", "panel", "tau", "r", "j0_delta", "omega_lo",
@@ -288,42 +280,15 @@ FIG2_HEADER = ["kind", "panel", "tau", "r", "j0_delta", "omega_lo",
 
 
 def cmd_fig2(panel: str, scenario: SweepScenario) -> int:
-    out = _require_out(scenario)
     _require_low_t("fig2", scenario)
     if scenario.mode == "both":
         raise UsageError("mode: fig2 emits one curve per combination; "
                          "choose secular or full")
-    params = FIG2_PANELS[panel]
-    combos = sorted(product(params["r"], params["j0_delta"],
-                            params["omega_lo"]))
-    # kappa depends on j0 and delta only through their product: j0 = 1
-    rows = _kappa_table(scenario, combos,
-                        lambda key: (1.0, key[0], key[1]), lead=(panel,))
-    write_csv(out, FIG2_HEADER, rows)
-    write_meta(out, "fig2", scenario, {"panel": panel})
-    return 0
-
-
-SWEEP_HEADER = ["kind", "tau", "r", "j0", "delta", "omega_lo", "kappa_source",
-                "mode", "method", "kappa", "e_n", "tau_sd"]
-
-
-def cmd_sweep(scenario: SweepScenario) -> int:
-    out = _require_out(scenario)
-    _require_beta_route("sweep", scenario)
-    combos = sorted(product(scenario.r_values, scenario.j0_values,
-                            scenario.delta_values, scenario.omega_values))
-    rows = _kappa_table(scenario, combos, lambda key: key)
-    write_csv(out, SWEEP_HEADER, rows)
-    write_meta(out, "sweep", scenario)
-    return 0
-
-
-def _map_payloads(worker, payloads, jobs: int):
-    if jobs <= 1 or len(payloads) <= 1:
-        return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, payloads))
+    scenario = replace(scenario, **FIG2_PANELS[panel])
+    # the sweep rows with the panel for j0 = 1: delta is then j0_delta
+    rows = ([kind, panel, tau, r, *rest]
+            for kind, tau, r, _, *rest in _table(scenario, _kappa_rows))
+    return _write("fig2", scenario, FIG2_HEADER, rows, {"panel": panel})
 
 
 VERIFY_HEADER = ["name", "primary", "oracle", "abs_dev", "rel_dev", "tol",
@@ -340,11 +305,9 @@ def cmd_verify(scenario: SweepScenario, tol_scale: float) -> int:
     n_pass = sum(r.passed for r in reports)
     print(f"verification: {n_pass}/{len(reports)} checks passed")
     if scenario.out:
-        write_csv(scenario.out, VERIFY_HEADER,
-                  [[r.name, r.primary, r.oracle, r.abs_dev, r.rel_dev, r.tol,
-                    r.passed] for r in reports])
-        write_meta(scenario.out, "verify", scenario,
-                   {"tol_scale": tol_scale})
+        _write("verify", scenario, VERIFY_HEADER,
+               [[r.name, r.primary, r.oracle, r.abs_dev, r.rel_dev, r.tol,
+                 r.passed] for r in reports], {"tol_scale": tol_scale})
     return 0 if n_pass == len(reports) else 1
 
 
@@ -436,6 +399,8 @@ def main(argv=None) -> int:
             scenario = SweepScenario(out=args.out)
             return cmd_verify(scenario, args.tol_scale)
         scenario = _scenario_from_args(args)
+        if not scenario.out:
+            raise UsageError("out: required (use --out or the config file)")
         if args.command == "coefficients":
             return cmd_coefficients(scenario)
         if args.command == "evolve":

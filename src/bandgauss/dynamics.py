@@ -16,7 +16,8 @@ The channel does not depend on the input state, so one coefficient trace
 serves every state: :func:`evolve_covariances` assembles and validates a
 whole trace as one (N, 4, 4) array; :func:`apply_channel` is the same
 assembly at one time. :func:`check_covariances` validates stacks and single
-states alike.
+states alike, and is the gate on every output: Gamma itself may dip below
+zero on the quadrature route, which is the non-Markovian signature.
 """
 
 from __future__ import annotations
@@ -215,16 +216,9 @@ def _assemble_cm(a: float, c: float, gamma_int, delta_gamma, secular, angle,
     return cm
 
 
-def _check_damping(gamma_int) -> None:
-    # allow rounding noise from cumulative quadrature around zero
-    if np.any(np.asarray(gamma_int) < -1e-12):
-        raise DomainError("damping exponent must be non-negative")
-
-
 def evolve_mean(state: TwoModeGaussianState,
                 snapshot: ChannelSnapshot) -> np.ndarray:
     """Mean vector after the channel: exp(-Gamma/2) * (R (+) R) * mean."""
-    _check_damping(snapshot.gamma_int)
     r = rotation(snapshot.angle)
     block = np.zeros((4, 4))
     block[:2, :2] = r
@@ -251,7 +245,6 @@ def evolve_covariances(state: TwoModeGaussianState, trace: CoefficientTrace,
     snapshot of the trace, computed as arrays in one pass.
     """
     a, c = _twb_block_values(state)
-    _check_damping(trace.gamma_int)
     cms = _assemble_cm(a, c, trace.gamma_int, trace.delta_gamma,
                        trace.secular, trace.tau_grid, include_secular)
     check_covariances(cms, validate_uncertainty=False)

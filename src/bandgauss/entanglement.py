@@ -1,28 +1,23 @@
 """Entanglement of the propagated two-mode states.
 
-Negativity is driven by the minimum symplectic eigenvalue of the partially
-transposed covariance matrix. Three routes to that eigenvalue coexist:
+Negativity is driven by kappa, the minimum symplectic eigenvalue of the
+partially transposed covariance matrix. Its printed formulas keep their own
+normalisations, so every kappa is read on a named vacuum scale, the value
+the vacuum gives:
 
-* ``kappa_symmetric`` -- invariant formula for symmetric states,
-  sqrt(2)*sqrt(I1 - I3 - sqrt((I1 - I3)^2 - I4)), on the vacuum = identity
-  scale (so the vacuum gives sqrt(2));
-* ``kappa_secular`` -- closed form under the secular approximation,
-  (tau^2*J0*delta + exp(-2r - tau^4*J0*delta*Omega/6))/2, on the scale where
-  the vacuum gives 1/2;
-* ``nu_min_pt`` -- direct eigendecomposition of i*Omega*sigma_pt, the
-  convention-independent oracle (vacuum gives 1); the ``oracle`` source of
-  :func:`state_kappa_curve` runs it as one batched eigensolve over a trace.
+* ``"1/2"`` -- the secular closed form :func:`kappa_secular`,
+  (tau^2*J0*delta + exp(-2r - tau^4*J0*delta*Omega/6))/2, and the full
+  channel :func:`kappa_full_curve`, so the two coincide at tau = 0;
+* ``"1"`` -- the eigensolver :func:`nu_min_pt` and the ``oracle`` source;
+* ``"sqrt2"`` -- the symmetric-state invariant formula
+  sqrt(2)*sqrt(I1 - I3 - sqrt((I1 - I3)^2 - I4)) of :func:`kappa_symmetric`
+  and the ``symmetric`` source (Serafini, Illuminati & De Siena, J. Phys. B
+  37, L21 (2004)).
 
-The two printed formulas deliberately keep their inconsistent normalisations;
-every consumer labels which route produced a number. ``kappa_full`` evaluates
-the full channel (secular terms included) on the same 1/2 scale as
-``kappa_secular`` so the two are directly comparable, coinciding at tau = 0
-and wherever the secular terms are negligible. Negativity uses the natural
-logarithm and the literal threshold kappa = 1.
-
-:func:`kappa_full_curve` and :func:`state_kappa_curve` take an evaluated
-:class:`CoefficientTrace`: the channel does not depend on the input state,
-so one trace per environment serves every squeezing value and mode.
+Every curve over a :class:`CoefficientTrace` comes from one evaluator,
+:func:`_kappa`, which owns the scales and rejects r < 0; one trace per
+environment serves every squeezing value and mode. Negativity uses the
+natural logarithm and the literal threshold kappa = 1.
 """
 
 from __future__ import annotations
@@ -34,13 +29,17 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .coefficients import (METHOD_CLOSED, CoefficientTrace, EnvironmentParams,
-                           build_trace, require_method)
-from .dynamics import (TwoModeGaussianState, _assemble_cm, channel_snapshot,
-                       check_covariances, symplectic_form)
+                           build_trace)
+from .dynamics import (TwoModeGaussianState, _assemble_cm, check_covariances,
+                       symplectic_form)
 from .errors import DomainError, NumericError, UsageError, UnsupportedStateError
 from .spectral import SpectralDensity
 
 RADICAND_TOL = 1e-12
+
+# Vacuum scales by name: (factor on the initial covariance blocks, factor
+# on the minimum PT eigenvalue). The 1/2 scale halves the input state only.
+_SCALES = {"1/2": (0.5, 1.0), "1": (1.0, 1.0), "sqrt2": (1.0, math.sqrt(2.0))}
 
 
 @dataclass(frozen=True)
@@ -81,8 +80,7 @@ def _nu_sq(x, i4):
 
 
 def _clamp_radicand(value, scale=1.0):
-    bad = value < -RADICAND_TOL * scale
-    if np.any(bad):
+    if np.any(value < -RADICAND_TOL * scale):
         raise NumericError(f"radicand {np.min(value)} is negative beyond tolerance; "
                            "covariance matrix is unphysical")
     return np.maximum(value, 0.0)
@@ -95,7 +93,7 @@ def pt_nu_min(inv: SymplecticInvariants) -> float:
 
 def kappa_symmetric(inv: SymplecticInvariants) -> float:
     """Invariant-formula kappa, sqrt(2) times the minimum PT eigenvalue."""
-    return math.sqrt(2.0) * pt_nu_min(inv)
+    return _SCALES["sqrt2"][1] * pt_nu_min(inv)
 
 
 def kappa_secular(r, j0_delta, omega_lo, tau):
@@ -110,7 +108,8 @@ def kappa_secular(r, j0_delta, omega_lo, tau):
     t = np.asarray(tau, dtype=float)
     if np.any(t < 0.0):
         raise DomainError("tau must be non-negative")
-    out = 0.5 * (t * t * j0_delta + np.exp(-2.0 * r - t ** 4 * j0_delta * omega_lo / 6.0))
+    out = _SCALES["1/2"][0] * (t * t * j0_delta + np.exp(
+        -2.0 * r - t ** 4 * j0_delta * omega_lo / 6.0))
     return float(out) if np.isscalar(tau) or t.ndim == 0 else out
 
 
@@ -148,11 +147,6 @@ def negativity(kappa):
 # channel-resolved kappa curves
 # ---------------------------------------------------------------------------
 
-def _env_for(j0_delta: float, omega_lo: float) -> EnvironmentParams:
-    # kappa depends on j0 and delta only through the product, so fix j0 = 1.
-    return EnvironmentParams(SpectralDensity(1.0, omega_lo, j0_delta), low_t=True)
-
-
 def _nu_curve(a0, c0, a_minus_c, gamma_int, dgamma, sec4, tau):
     """Minimum PT eigenvalue along a trace, for initial blocks a0*I, diag(c0, -c0).
 
@@ -182,64 +176,64 @@ def _nu_curve(a0, c0, a_minus_c, gamma_int, dgamma, sec4, tau):
     return np.sqrt(_nu_sq(i1 - i3, i4))
 
 
-def kappa_full_curve(trace: CoefficientTrace, r: float) -> np.ndarray:
-    """Full-channel kappa (secular terms included) on the 1/2 vacuum scale,
-    on the grid of ``trace``.
-
-    Comparable point by point with :func:`kappa_secular`; the two coincide
-    exactly when the secular terms vanish.
+def _kappa(trace: CoefficientTrace, r: float, scale: str,
+           source: str = "symmetric",
+           include_secular: bool = True) -> np.ndarray:
+    """Twin-beam kappa of squeezing ``r`` at every time of ``trace`` on the
+    vacuum ``scale``. ``source`` "symmetric" is the invariant formula,
+    "oracle" validates the assembled covariances and runs one batched PT
+    eigensolve, and "paper" is the secular closed form of the channel,
+    (a - c)*exp(-Gamma) + DeltaGamma, which has no secular terms.
     """
     if r < 0.0:
         raise DomainError(f"r must be non-negative, got {r}")
-    return _nu_curve(0.5 * math.cosh(2.0 * r), 0.5 * math.sinh(2.0 * r),
-                     0.5 * math.exp(-2.0 * r), trace.gamma_int,
-                     trace.delta_gamma, trace.secular, trace.tau_grid)
+    block, gain = _SCALES[scale]
+    a0, c0 = block * math.cosh(2.0 * r), block * math.sinh(2.0 * r)
+    a_minus_c = block * math.exp(-2.0 * r)
+    if source == "paper":
+        nu = a_minus_c * np.exp(-trace.gamma_int) + trace.delta_gamma
+    elif source == "oracle":
+        cms = _assemble_cm(a0, c0, trace.gamma_int, trace.delta_gamma,
+                           trace.secular, trace.tau_grid, include_secular)
+        check_covariances(cms, validate_uncertainty=False)
+        nu = _nu_min_pt_stack(cms)
+    else:
+        sec4 = trace.secular if include_secular \
+            else (np.zeros_like(trace.tau_grid),) * 4
+        nu = _nu_curve(a0, c0, a_minus_c, trace.gamma_int, trace.delta_gamma,
+                       sec4, trace.tau_grid)
+    return gain * nu
 
 
-def kappa_secular_channel_curve(env: EnvironmentParams, r: float, tau_grid,
-                                method: str = METHOD_CLOSED) -> np.ndarray:
-    """Channel-evaluated secular kappa (1/2 scale); with the closed-form
-    method this reproduces :func:`kappa_secular` to rounding."""
-    require_method(method)
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    trace = build_trace(env, tau_grid, method)
-    decay = np.exp(-trace.gamma_int)
-    return 0.5 * math.exp(-2.0 * r) * decay + trace.delta_gamma
+def kappa_full_curve(trace: CoefficientTrace, r: float) -> np.ndarray:
+    """Full-channel kappa (secular terms included) on the 1/2 vacuum scale,
+    comparable point by point with :func:`kappa_secular`."""
+    return _kappa(trace, r, "1/2")
+
+
+def kappa_secular_channel_curve(trace: CoefficientTrace,
+                                r: float) -> np.ndarray:
+    """Channel-evaluated secular kappa (1/2 scale); on a closed-form trace it
+    reproduces :func:`kappa_secular` to rounding."""
+    return _kappa(trace, r, "1/2", "paper", include_secular=False)
 
 
 def kappa_full(env: EnvironmentParams, r: float, tau: float,
                method: str = METHOD_CLOSED) -> float:
-    """Single-time full-channel kappa on the 1/2 vacuum scale."""
-    snap = channel_snapshot(env, tau, method)
-    return float(_nu_curve(0.5 * math.cosh(2.0 * r), 0.5 * math.sinh(2.0 * r),
-                           0.5 * math.exp(-2.0 * r), snap.gamma_int,
-                           snap.delta_gamma, snap.secular, snap.tau))
+    """Full-channel kappa at one time (1/2 scale): a trace of one point."""
+    return float(_kappa(build_trace(env, [tau], method), r, "1/2")[0])
 
 
 def state_kappa_curve(trace: CoefficientTrace, r: float,
                       include_secular: bool = True,
                       source: str = "symmetric") -> np.ndarray:
-    """Kappa on the grid of ``trace`` for the physical-scale state
-    (vacuum CM = I).
-
-    ``source`` selects the route: "symmetric" applies the sqrt(2) invariant
-    formula, "oracle" assembles the covariance matrix of every grid point,
-    validates them and runs the PT eigensolver on the whole stack at once.
-    """
-    a0, c0 = math.cosh(2.0 * r), math.sinh(2.0 * r)
-    if source == "symmetric":
-        sec4 = trace.secular
-        if not include_secular:
-            sec4 = tuple(np.zeros_like(trace.tau_grid) for _ in range(4))
-        return math.sqrt(2.0) * _nu_curve(a0, c0, math.exp(-2.0 * r),
-                                          trace.gamma_int, trace.delta_gamma,
-                                          sec4, trace.tau_grid)
-    if source == "oracle":
-        cms = _assemble_cm(a0, c0, trace.gamma_int, trace.delta_gamma,
-                           trace.secular, trace.tau_grid, include_secular)
-        check_covariances(cms, validate_uncertainty=False)
-        return _nu_min_pt_stack(cms)
-    raise UsageError(f"unknown kappa source {source!r}")
+    """Kappa on the grid of ``trace`` of the physical-scale state (vacuum
+    CM = I): on the sqrt(2) scale from the "symmetric" source, on the unit
+    scale from the "oracle" source."""
+    if source not in ("symmetric", "oracle"):
+        raise UsageError(f"unknown kappa source {source!r}")
+    return _kappa(trace, r, "sqrt2" if source == "symmetric" else "1",
+                  source, include_secular)
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +260,18 @@ def _bisect(f, a: float, b: float, xtol: float) -> float:
     return 0.5 * (a + b)
 
 
-def find_last_upcrossing(tau, values, threshold, point_fn, xtol=1e-6):
+def find_last_upcrossing(tau, values, threshold, point_fn=None, xtol=1e-6):
     """Time of the last upward crossing of ``threshold`` after which the
-    sampled curve stays above it; None when there is no such crossing."""
+    sampled curve stays above it; None when there is no such crossing.
+    Bisects ``point_fn``, or by default a cubic spline of the samples, whose
+    error is orders of magnitude below the time tolerance."""
     below = values < threshold
     if not below[0] or below[-1]:
         return None
     idx = int(np.nonzero(below)[0][-1])
+    if point_fn is None:
+        spline = CubicSpline(tau, values)
+        point_fn = lambda t: float(spline(t))
     return _bisect(lambda t: point_fn(t) - threshold,
                    float(tau[idx]), float(tau[idx + 1]), xtol)
 
@@ -301,10 +300,9 @@ def sudden_death_time(r: float, j0_delta: float, omega_lo: float,
         values = kappa_secular(r, j0_delta, omega_lo, grid)
         point_fn = lambda t: kappa_secular(r, j0_delta, omega_lo, t)
     else:
-        trace = build_trace(_env_for(j0_delta, omega_lo), grid, method)
-        values = kappa_full_curve(trace, r)
-        # bisection refines on splines of the sampled curve; spline error is
-        # orders of magnitude below the time tolerance
-        spline = CubicSpline(grid, values)
-        point_fn = lambda t: float(spline(t))
+        # kappa depends on j0 and delta only through the product: j0 = 1
+        env = EnvironmentParams(SpectralDensity(1.0, omega_lo, j0_delta),
+                                low_t=True)
+        values = kappa_full_curve(build_trace(env, grid, method), r)
+        point_fn = None
     return find_last_upcrossing(grid, values, 1.0, point_fn, xtol)

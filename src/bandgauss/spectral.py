@@ -135,23 +135,18 @@ def _thermal_panels(lo: float, hi: float, s_max: float) -> np.ndarray:
     return np.concatenate([edges, np.linspace(a, hi, n + 1)])
 
 
-def kernel_cos_thermal(spectral: SpectralDensity, s, beta: float | None = None,
-                       low_t: bool = False):
+def kernel_cos_thermal(spectral: SpectralDensity, s, beta: float | None = None):
     """Thermal cosine transform: integral of coth(beta*w/2)*J(w)*cos(w*s).
 
-    With ``low_t=True`` the thermal factor is 1 and the zero-temperature
-    closed form is returned; otherwise ``beta > 0`` is required and the
-    band integral is a fixed 16-node Gauss-Legendre rule on the panels of
-    :func:`_thermal_panels`, sized from the band edges and the largest time,
-    evaluated for all times at once as cos(outer(s, w)) @ (weights*J*coth).
+    ``beta > 0`` is required; the zero-temperature limit is
+    :func:`kernel_cos`. The band integral is a fixed 16-node Gauss-Legendre
+    rule on the panels of :func:`_thermal_panels`, sized from the band edges
+    and the largest time, evaluated for all times at once as
+    cos(outer(s, w)) @ (weights*J*coth).
     A band that starts at zero frequency is rejected at finite temperature:
     coth(beta*w/2) grows like 2/(beta*w) there, so the integral diverges
     logarithmically.
     """
-    if low_t:
-        if beta is not None:
-            raise DomainError("pass either beta or low_t, not both")
-        return kernel_cos(spectral, s)
     if beta is None or beta <= 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     if spectral.omega_lo == 0.0:

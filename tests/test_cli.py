@@ -234,6 +234,93 @@ class TestSweep:
         assert main(args + ["--out", str(out2), "--jobs", "2"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("source", ["paper", "symmetric", "oracle"])
+    def test_negative_squeezing_rejected(self, tmp_path, capsys, source):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--kappa", source, "--r=-1", "--out", str(out),
+                     "--tau-steps", "8"]) == 2
+        assert "r must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestEngine:
+    """Every data command runs through one per-environment engine."""
+
+    @pytest.mark.parametrize("argv", [
+        ["coefficients", "--omega", "1,3", "--delta", "1e-2,1e-3"],
+        ["evolve", "--r", "0.5,2", "--mode", "both", "--omega", "1,3"],
+    ])
+    def test_parallel_jobs_deterministic(self, tmp_path, argv):
+        out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
+        args = argv + ["--tau-max", "5", "--tau-steps", "24"]
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2), "--jobs", "2"]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("command,repeated", [
+        (["coefficients"], ["--delta", "1e-3"]),
+        (["sweep", "--kappa", "symmetric"], ["--r", "1"]),
+        (["evolve", "--mode", "both"], ["--r", "1"]),
+    ])
+    def test_repeated_values_repeat_rows(self, tmp_path, command, repeated):
+        flag, value = repeated
+        out1, out2 = tmp_path / "one.csv", tmp_path / "two.csv"
+        tail = ["--tau-max", "5", "--tau-steps", "6"]
+        assert main(command + [flag, value, "--out", str(out1)] + tail) == 0
+        assert main(command + [flag, f"{value},{value}", "--out", str(out2)]
+                    + tail) == 0
+        one, two = read_lines(out1), read_lines(out2)
+        assert two == one + one[1:]
+
+    def test_quad_evolve_accepts_negative_damping(self, tmp_path):
+        # the quadrature route's Gamma dips below zero here (non-Markovian);
+        # only the covariance check gates the output
+        out = tmp_path / "e.csv"
+        assert main(["evolve", "--method", "quad", "--omega", "10",
+                     "--delta", "1", "--tau-max", "3", "--tau-steps", "31",
+                     "--out", str(out)]) == 0
+        header = read_lines(out)[0].split(",")
+        gamma_int = [float(dict(zip(header, l.split(",")))["gamma_int"])
+                     for l in read_lines(out)[1:]]
+        assert min(gamma_int) < 0.0
+
+    def test_negative_squeezing_rejected_by_evolve(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        assert main(["evolve", "--r=-1", "--out", str(out),
+                     "--tau-steps", "8"]) == 2
+        assert "domain error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRecipeSidecars:
+    """The sidecar of a recipe records the parameter lists its panel ran."""
+
+    @pytest.mark.parametrize("panel", ["a", "b", "c"])
+    def test_fig1(self, tmp_path, panel):
+        out = tmp_path / "f1.csv"
+        assert main(["fig1", "--panel", panel, "--out", str(out),
+                     "--tau-steps", "4"]) == 0
+        self.check(out, "delta")
+
+    @pytest.mark.parametrize("panel", ["a", "b", "c"])
+    def test_fig2(self, tmp_path, panel):
+        out = tmp_path / "f2.csv"
+        assert main(["fig2", "--panel", panel, "--out", str(out),
+                     "--tau-steps", "4"]) == 0
+        self.check(out, "j0_delta")
+
+    @staticmethod
+    def check(out, delta_column):
+        scenario = json.loads(out.with_suffix(".meta").read_text())["scenario"]
+        lines = read_lines(out)
+        rows = [dict(zip(lines[0].split(","), line.split(",")))
+                for line in lines[1:]]
+        ran = lambda column: sorted({float(row[column]) for row in rows})
+        assert scenario["r_values"] == ran("r")
+        assert scenario["delta_values"] == ran(delta_column)
+        assert scenario["omega_values"] == ran("omega_lo")
+        assert scenario["j0_values"] == [1.0]
+
 
 class TestOneTracePerEnvironment:
     @pytest.mark.parametrize("argv,calls", [
@@ -242,6 +329,8 @@ class TestOneTracePerEnvironment:
           "--omega", "1,3", "--delta", "1e-2"], 2),
         (["fig1", "--panel", "a"], 1),
         (["fig2", "--panel", "b", "--kappa", "oracle", "--mode", "full"], 5),
+        (["coefficients", "--omega", "1,3", "--delta", "1e-2,1e-2"], 2),
+        (["sweep", "--kappa", "paper", "--r", "0.5,1", "--omega", "1,3"], 0),
     ])
     def test_build_trace_calls(self, tmp_path, monkeypatch, argv, calls):
         seen = []

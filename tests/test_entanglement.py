@@ -184,7 +184,8 @@ class TestKappaFull:
         # exactly on the printed closed form
         env = narrow_env()
         taus = np.linspace(0.0, 20.0, 41)
-        chan = kappa_secular_channel_curve(env, 0.7, taus, METHOD_CLOSED)
+        chan = kappa_secular_channel_curve(
+            build_trace(env, taus, METHOD_CLOSED), 0.7)
         closed = kappa_secular(0.7, 1e-3, 1.0, taus)
         np.testing.assert_allclose(chan, closed, rtol=1e-13)
 
@@ -233,6 +234,33 @@ class TestKappaFull:
         with pytest.raises(UsageError):
             state_kappa_curve(build_trace(narrow_env(), [0.0, 1.0]), 0.5,
                               source="magic")
+
+
+class TestVacuumScales:
+    """One evaluator reads every trace curve on a named vacuum scale."""
+
+    def curves(self, r):
+        trace = build_trace(narrow_env(), [0.0, 1.0])
+        return [kappa_full_curve(trace, r),
+                kappa_secular_channel_curve(trace, r),
+                state_kappa_curve(trace, r, source="symmetric"),
+                state_kappa_curve(trace, r, source="oracle")]
+
+    def test_vacuum_reads_half_one_and_sqrt2(self):
+        full, secular, symmetric, oracle = (c[0] for c in self.curves(0.0))
+        assert full == secular == 0.5
+        assert symmetric == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert oracle == pytest.approx(1.0, rel=1e-15)
+
+    def test_negative_squeezing_rejected(self):
+        trace = build_trace(narrow_env(), [0.0, 1.0])
+        for call in (lambda: kappa_full_curve(trace, -1.0),
+                     lambda: kappa_secular_channel_curve(trace, -1.0),
+                     lambda: state_kappa_curve(trace, -1.0, source="symmetric"),
+                     lambda: state_kappa_curve(trace, -1.0, source="oracle"),
+                     lambda: kappa_full(narrow_env(), -1.0, 1.0)):
+            with pytest.raises(DomainError, match="r must be non-negative"):
+                call()
 
 
 def _twb_state(r):
@@ -350,6 +378,14 @@ class TestLastUpcrossing:
         assert fn(got) == pytest.approx(1.0, abs=1e-5)
         fine = np.linspace(got + 1e-4, 20.0, 1000)
         assert np.all(fn(fine) > 1.0)
+
+    def test_spline_by_default(self):
+        def fn(t):
+            return 0.5 + 0.4 * np.sin(t) + 0.08 * t
+
+        tau = np.linspace(0.0, 20.0, 2001)
+        assert find_last_upcrossing(tau, fn(tau), 1.0) == \
+            pytest.approx(find_last_upcrossing(tau, fn(tau), 1.0, fn), abs=1e-5)
 
     def test_revival_exists_before_death_at_high_band_location(self):
         # full source, band far above the mode frequency: negativity shows a

@@ -87,16 +87,16 @@ class TestKernelSin:
 class TestKernelCos:
     def test_zero_time_is_bandwidth(self):
         sd = SpectralDensity(1.0, 1.0, 1e-3)
-        assert kernel_cos_thermal(sd, 0.0, low_t=True) == pytest.approx(1e-3, rel=1e-12)
+        assert kernel_cos(sd, 0.0) == pytest.approx(1e-3, rel=1e-12)
 
     def test_at_pi_vanishes(self):
         # (sin(2*pi) - sin(pi)) / pi = 0
         sd = SpectralDensity(1.0, 1.0, 1.0)
-        assert kernel_cos_thermal(sd, math.pi, low_t=True) == pytest.approx(0.0, abs=1e-15)
+        assert kernel_cos(sd, math.pi) == pytest.approx(0.0, abs=1e-15)
 
     def test_thermal_exceeds_low_t(self):
         sd = SpectralDensity(1.0, 1.0, 1.0)
-        cold = kernel_cos_thermal(sd, 1.0, low_t=True)
+        cold = kernel_cos(sd, 1.0)
         warm = kernel_cos_thermal(sd, 1.0, beta=10.0)
         assert warm > cold
 
@@ -114,7 +114,7 @@ class TestKernelCos:
         sd = SpectralDensity(1.0, 1.0, 1.0)
         beta = 1e4 / sd.omega_lo
         for s in (0.0, 0.1, 1.0, 5.0, 10.0):
-            cold = kernel_cos_thermal(sd, s, low_t=True)
+            cold = kernel_cos(sd, s)
             warm = kernel_cos_thermal(sd, s, beta=beta)
             scale = max(abs(cold), sd.j0 * sd.delta)
             assert abs(warm - cold) / scale < 1e-6
@@ -126,7 +126,7 @@ class TestKernelCos:
             kernel_cos_thermal(sd, 0.0, beta=1.0)
         with pytest.raises(DomainError, match="omega_lo"):
             kernel_cos_thermal(sd, np.array([0.0, 1.0]), beta=1.0)
-        assert kernel_cos_thermal(sd, 0.0, low_t=True) == pytest.approx(1.0)
+        assert kernel_cos(sd, 0.0) == pytest.approx(1.0)
 
     def test_invalid_beta(self):
         sd = SpectralDensity(1.0, 1.0, 1.0)
