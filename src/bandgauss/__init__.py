@@ -6,12 +6,9 @@ and quadrature routes, entanglement negativity, and sudden-death detection.
 """
 
 from .coefficients import (METHOD_CLOSED, METHOD_QUADRATURE, CoefficientTrace,
-                           EnvironmentParams, build_trace, delta_gamma,
-                           delta_quad, gamma_int, gamma_quad, pi_quad, r_quad,
-                           secular_coeffs)
+                           EnvironmentParams, build_trace)
 from .dynamics import (ChannelSnapshot, TwbSpec, TwoModeGaussianState,
-                       apply_channel, channel_snapshot, check_covariances,
-                       evolve_cm_full, evolve_cm_secular, evolve_covariances,
+                       apply_channel, check_covariances, evolve_covariances,
                        evolve_mean, make_twb, rotation, snapshots_from_trace)
 from .entanglement import (SymplecticInvariants, find_last_upcrossing,
                            invariants, kappa_full, kappa_full_curve,
@@ -28,11 +25,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "METHOD_CLOSED", "METHOD_QUADRATURE", "CoefficientTrace",
-    "EnvironmentParams", "build_trace", "delta_gamma", "delta_quad",
-    "gamma_int", "gamma_quad", "pi_quad", "r_quad", "secular_coeffs",
+    "EnvironmentParams", "build_trace",
     "ChannelSnapshot", "TwbSpec", "TwoModeGaussianState", "apply_channel",
-    "channel_snapshot", "check_covariances", "evolve_cm_full",
-    "evolve_cm_secular", "evolve_covariances", "evolve_mean",
+    "check_covariances", "evolve_covariances", "evolve_mean",
     "make_twb", "rotation", "snapshots_from_trace",
     "SymplecticInvariants", "find_last_upcrossing", "invariants",
     "kappa_full", "kappa_full_curve", "kappa_secular",

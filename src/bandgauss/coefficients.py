@@ -15,9 +15,10 @@ Every quantity is available on two routes selected by a method tag:
 * ``"quadrature"`` -- cumulative Simpson integrals of the kernels of
   :mod:`bandgauss.spectral` on a dense uniform grid, at any temperature.
 
-:func:`build_trace` is the one evaluator of both routes. The per-point
-functions return what a trace over ``[0, tau]`` holds at ``tau``; those that
-need a single running integral compute only that one.
+:func:`build_trace` is the one evaluator of both routes: it returns a
+:class:`CoefficientTrace`, every coefficient as a column over a time grid.
+A value at one time is a trace over ``[tau]``, which integrates ``[0, tau]``
+on the same dense grid as any longer trace.
 
 Times are dimensionless (system frequency = 1).
 """
@@ -76,13 +77,6 @@ class EnvironmentParams:
         return kernel_cos_thermal(self.spectral, s, beta=self.beta)
 
 
-def _check_tau(tau: float) -> float:
-    tau = float(tau)
-    if tau < 0.0:
-        raise DomainError(f"tau must be non-negative, got {tau}")
-    return tau
-
-
 # ---------------------------------------------------------------------------
 # closed forms (low temperature, leading order in time)
 # ---------------------------------------------------------------------------
@@ -116,6 +110,8 @@ def gamma_int_closed(env: EnvironmentParams, tau):
 
 
 def delta_gamma_closed(env: EnvironmentParams, tau):
+    # the exponential weights exp(Gamma(s) - Gamma(tau)) are higher order in
+    # the short-time regime and are dropped
     sd = env.spectral
     return 0.5 * sd.j0 * sd.delta * np.asarray(tau, dtype=float) ** 2
 
@@ -126,7 +122,12 @@ def delta_gamma_closed(env: EnvironmentParams, tau):
 
 @dataclass(frozen=True)
 class CoefficientTrace:
-    """All channel coefficients sampled on an ascending time grid."""
+    """All channel coefficients sampled on an ascending time grid.
+
+    ``delta_gamma`` is exp(-Gamma(tau)) * int_0^tau exp(Gamma(s)) delta(s) ds
+    (the closed route drops the weights). The four ``sec_*`` integrals
+    weight delta or pi the same way and also by cos or sin(2(tau - s)).
+    """
 
     tau_grid: np.ndarray
     gamma: np.ndarray
@@ -247,7 +248,7 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
         dense = []
     else:
         ks = kernel_sin(sd, s)
-        kc = _thermal_kernel(env, s)
+        kc = np.asarray(env.thermal_cos_kernel(s), dtype=float)
         gamma_s = _running_integral(np.sin(s) * ks, s)
         delta_s = _running_integral(np.cos(s) * kc, s)
         pi_s = _running_integral(np.sin(s) * kc, s)
@@ -279,81 +280,3 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
         sec_pi_si=s2 * p_c - c2 * p_s,
         method=method,
     )
-
-
-# ---------------------------------------------------------------------------
-# per-point values: the end of a trace over [0, tau]
-# ---------------------------------------------------------------------------
-
-def _running_end(tau: float, integrand) -> float:
-    """End value of the running integral of ``integrand(s)`` over [0, tau].
-
-    This is the first stage of :func:`build_trace` for one integrand, on the
-    same dense grid, without the weighted recurrences or unused kernels.
-    """
-    tau = _check_tau(tau)
-    if tau == 0.0:
-        return 0.0
-    s = np.linspace(0.0, tau, GRID_POINTS)
-    return float(_running_integral(integrand(s), s)[-1])
-
-
-def _thermal_kernel(env: EnvironmentParams, s: np.ndarray) -> np.ndarray:
-    return np.asarray(env.thermal_cos_kernel(s), dtype=float)
-
-
-def gamma_quad(env: EnvironmentParams, tau: float) -> float:
-    """Damping coefficient: integral of sin(s)*kernel_sin(s) over [0, tau]."""
-    return _running_end(tau, lambda s: np.sin(s) * kernel_sin(env.spectral, s))
-
-
-def delta_quad(env: EnvironmentParams, tau: float) -> float:
-    """Diffusion coefficient: integral of cos(s)*thermal_cos_kernel(s)."""
-    return _running_end(tau, lambda s: np.cos(s) * _thermal_kernel(env, s))
-
-
-def pi_quad(env: EnvironmentParams, tau: float) -> float:
-    """Anomalous diffusion coefficient: integral of sin(s)*thermal_cos_kernel(s)."""
-    return _running_end(tau, lambda s: np.sin(s) * _thermal_kernel(env, s))
-
-
-def r_quad(env: EnvironmentParams, tau: float) -> float:
-    """Frequency-shift coefficient (diagnostic only, never propagated)."""
-    return _running_end(tau, lambda s: np.cos(s) * kernel_sin(env.spectral, s))
-
-
-def gamma_int(env: EnvironmentParams, tau: float, method: str = METHOD_CLOSED) -> float:
-    """Accumulated damping exponent: twice the running integral of gamma."""
-    require_method(method)
-    if method == METHOD_CLOSED:
-        return float(gamma_int_closed(env, _check_tau(tau)))
-    return _running_end(tau, lambda s: 2.0 * _running_integral(
-        np.sin(s) * kernel_sin(env.spectral, s), s))
-
-
-def delta_gamma(env: EnvironmentParams, tau: float, method: str = METHOD_CLOSED) -> float:
-    """Diffusion variance: exp(-Gamma(tau)) * int_0^tau exp(Gamma(s)) delta(s) ds.
-
-    The closed form drops the exponential weights (they are higher order in
-    the short-time regime) and is exactly J0*delta*tau^2/2.
-    """
-    require_method(method)
-    tau = _check_tau(tau)
-    if method == METHOD_CLOSED:
-        return float(delta_gamma_closed(env, tau))
-    return float(build_trace(env, [tau], method).delta_gamma[0])
-
-
-def secular_coeffs(env: EnvironmentParams, tau: float,
-                   method: str = METHOD_CLOSED) -> tuple[float, float, float, float]:
-    """The four oscillatory-weighted integrals feeding the non-secular blocks.
-
-    Returns (delta_co, delta_si, pi_co, pi_si) where e.g.
-    delta_co(tau) = exp(-Gamma(tau)) * int_0^tau exp(Gamma(s)) delta(s)
-    cos(2(tau-s)) ds, and the others swap delta->pi and cos->sin. The method
-    tag selects closed-form or quadrature inputs for the integrands and for
-    Gamma.
-    """
-    tr = build_trace(env, [_check_tau(tau)], method)
-    return (float(tr.sec_delta_co[0]), float(tr.sec_delta_si[0]),
-            float(tr.sec_pi_co[0]), float(tr.sec_pi_si[0]))

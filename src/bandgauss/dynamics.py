@@ -14,20 +14,24 @@ the arbiter for them.
 
 The channel does not depend on the input state, so one coefficient trace
 serves every state: :func:`evolve_covariances` assembles and validates a
-whole trace as one (N, 4, 4) array; :func:`apply_channel` is the same
-assembly at one time. :func:`check_covariances` validates stacks and single
-states alike, and is the gate on every output: Gamma itself may dip below
-zero on the quadrature route, which is the non-Markovian signature.
+whole trace as one (N, 4, 4) array, and the state at a single time is the
+row of a trace over ``[tau]``. :func:`apply_channel` applies one
+:class:`ChannelSnapshot` (a row of :func:`snapshots_from_trace`) to the
+covariance and the mean vector. :func:`check_covariances` validates stacks
+and single states alike, and is the gate on every output: Gamma itself may
+dip below zero on the quadrature route, which is the non-Markovian
+signature.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import (METHOD_CLOSED, CoefficientTrace, EnvironmentParams,
-                           build_trace)
+from .coefficients import CoefficientTrace
 from .errors import DomainError, UnsupportedStateError
 
 _BLOCK_TOL = 1e-10
@@ -104,15 +108,24 @@ def check_covariances(cms: np.ndarray, validate_uncertainty: bool = True) -> Non
         raise DomainError("covariance matrix violates the uncertainty bound")
 
 
+# Largest squeezing whose twin-beam blocks cosh(2r), sinh(2r) are finite.
+R_MAX = 0.5 * math.acosh(sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class TwbSpec:
-    """Twin-beam (two-mode squeezed vacuum) preparation with squeezing r."""
+    """Twin-beam (two-mode squeezed vacuum) preparation with squeezing r.
+
+    The one check of a squeezing value: 0 <= r <= R_MAX (about 355.2),
+    which also refuses NaN.
+    """
 
     r: float
 
     def __post_init__(self):
-        if self.r < 0.0:
-            raise DomainError(f"squeezing parameter must be >= 0, got {self.r}")
+        if not 0.0 <= self.r <= R_MAX:
+            raise DomainError(f"r must be non-negative and at most {R_MAX:.4f} "
+                              f"(cosh(2r) overflows beyond), got {self.r}")
 
 
 def make_twb(spec: TwbSpec | float) -> TwoModeGaussianState:
@@ -144,13 +157,6 @@ class ChannelSnapshot:
     delta_gamma: float
     secular: tuple[float, float, float, float]
     angle: float
-
-
-def channel_snapshot(env: EnvironmentParams, tau: float,
-                     method: str = METHOD_CLOSED) -> ChannelSnapshot:
-    """Evaluate the channel coefficients at one time: the end of a trace
-    over [0, tau]."""
-    return snapshots_from_trace(build_trace(env, [tau], method))[0]
 
 
 def snapshots_from_trace(trace: CoefficientTrace) -> list[ChannelSnapshot]:
@@ -249,17 +255,3 @@ def evolve_covariances(state: TwoModeGaussianState, trace: CoefficientTrace,
                        trace.secular, trace.tau_grid, include_secular)
     check_covariances(cms, validate_uncertainty=False)
     return cms
-
-
-def evolve_cm_full(state: TwoModeGaussianState, env: EnvironmentParams,
-                   tau: float, method: str = METHOD_CLOSED) -> TwoModeGaussianState:
-    """Evolved state with the secular terms included."""
-    return apply_channel(state, channel_snapshot(env, tau, method),
-                         include_secular=True)
-
-
-def evolve_cm_secular(state: TwoModeGaussianState, env: EnvironmentParams,
-                      tau: float, method: str = METHOD_CLOSED) -> TwoModeGaussianState:
-    """Evolved state in the secular approximation (weighted integrals dropped)."""
-    return apply_channel(state, channel_snapshot(env, tau, method),
-                         include_secular=False)

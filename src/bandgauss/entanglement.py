@@ -15,9 +15,10 @@ the vacuum gives:
   37, L21 (2004)).
 
 Every curve over a :class:`CoefficientTrace` comes from one evaluator,
-:func:`_kappa`, which owns the scales and rejects r < 0; one trace per
-environment serves every squeezing value and mode. Negativity uses the
-natural logarithm and the literal threshold kappa = 1.
+:func:`_kappa`, which owns the scales and checks r with
+:class:`~bandgauss.dynamics.TwbSpec`; one trace per environment serves every
+squeezing value and mode. Negativity uses the natural logarithm and the
+literal threshold kappa = 1.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from scipy.interpolate import CubicSpline
 
 from .coefficients import (METHOD_CLOSED, CoefficientTrace, EnvironmentParams,
                            build_trace)
-from .dynamics import (TwoModeGaussianState, _assemble_cm, check_covariances,
-                       symplectic_form)
+from .dynamics import (TwbSpec, TwoModeGaussianState, _assemble_cm,
+                       check_covariances, symplectic_form)
 from .errors import DomainError, NumericError, UsageError, UnsupportedStateError
 from .spectral import SpectralDensity
 
@@ -103,7 +104,7 @@ def kappa_secular(r, j0_delta, omega_lo, tau):
     and bandwidth only through their product.
     """
     for name, val in (("r", r), ("j0_delta", j0_delta), ("omega_lo", omega_lo)):
-        if val < 0.0:
+        if not val >= 0.0:
             raise DomainError(f"{name} must be non-negative, got {val}")
     t = np.asarray(tau, dtype=float)
     if np.any(t < 0.0):
@@ -185,8 +186,7 @@ def _kappa(trace: CoefficientTrace, r: float, scale: str,
     eigensolve, and "paper" is the secular closed form of the channel,
     (a - c)*exp(-Gamma) + DeltaGamma, which has no secular terms.
     """
-    if r < 0.0:
-        raise DomainError(f"r must be non-negative, got {r}")
+    TwbSpec(r)
     block, gain = _SCALES[scale]
     a0, c0 = block * math.cosh(2.0 * r), block * math.sinh(2.0 * r)
     a_minus_c = block * math.exp(-2.0 * r)
@@ -290,7 +290,7 @@ def sudden_death_time(r: float, j0_delta: float, omega_lo: float,
     if kappa_source not in ("secular", "full"):
         raise UsageError(f"unknown kappa source {kappa_source!r}")
     for name, val in (("r", r), ("j0_delta", j0_delta), ("omega_lo", omega_lo)):
-        if val < 0.0:
+        if not val >= 0.0:
             raise DomainError(f"{name} must be non-negative, got {val}")
     if j0_delta == 0.0:
         return None

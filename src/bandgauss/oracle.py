@@ -22,9 +22,10 @@ import numpy as np
 from scipy import integrate
 
 from .coefficients import (METHOD_CLOSED, METHOD_QUADRATURE, EnvironmentParams,
-                           delta_gamma, gamma_int, gamma_int_closed,
-                           delta_closed, pi_closed, require_method)
-from .dynamics import make_twb, rotation
+                           build_trace, delta_closed, delta_gamma_closed,
+                           gamma_int_closed, pi_closed, require_method)
+from .dynamics import (TwoModeGaussianState, evolve_covariances, make_twb,
+                       rotation)
 from .errors import DomainError, NumericError
 from .spectral import (SpectralDensity, kernel_cos, kernel_cos_thermal,
                        kernel_sin)
@@ -252,12 +253,13 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
 
     Covers the kernel closed forms against the Simpson reference, the
     finite-temperature kernel against per-point Gauss-Kronrod, the
+    quadrature trace at beta = 200 against the low-temperature trace, the
     assembled covariance against the direct matrix propagator (low
-    temperature and beta = 2), the invariant
-    kappa against the PT eigensolver, and the damping-exponent derivative
-    identity. Tolerance scale 1 is the shipped contract; 0 fails every row.
+    temperature and beta = 2), the invariant kappa against the PT
+    eigensolver, and the damping-exponent derivative identity. Every
+    primary value is read from a coefficient trace. Tolerance scale 1 is
+    the shipped contract; 0 fails every row.
     """
-    from .dynamics import apply_channel, channel_snapshot
     from .entanglement import invariants, kappa_symmetric, nu_min_pt
 
     reports: list[OracleReport] = []
@@ -297,16 +299,31 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
     env = EnvironmentParams(SpectralDensity(1.0, 1.0, 1e-3), low_t=True)
     env_warm = EnvironmentParams(env.spectral, beta=2.0)
 
+    # low-temperature limit of the thermal route: at beta = 200 the band at
+    # w >= 1 has coth - 1 ~ 1e-87, so the Gauss-Legendre thermal kernel must
+    # reproduce the closed-form low-T kernel; in units of each column's
+    # largest magnitude
+    grid = np.linspace(0.0, 10.0, 101)
+    cold = build_trace(env, grid, METHOD_QUADRATURE)
+    near_cold = build_trace(EnvironmentParams(env.spectral, beta=200.0), grid,
+                            METHOD_QUADRATURE)
+    for column in ("delta_coef", "pi_coef", "delta_gamma", "sec_delta_co"):
+        want = getattr(cold, column)
+        dev = np.max(np.abs(getattr(near_cold, column) - want))
+        reports.append(OracleReport.compare(
+            f"low_t_limit[lo=1.0,delta=0.001,beta=200.0,{column}]",
+            dev / np.max(np.abs(want)), 0.0, 1e-12 * tol_scale, mode="abs"))
+
     # assembled covariance vs direct matrix propagation. With quadrature
     # inputs both sides evaluate the same object, so the match is exact; the
     # closed route keeps the literal unweighted diffusion variance and agrees
     # with the propagator only to leading order, checked at short time.
     state = make_twb(1.0)
     def propagator_dev(env, method, tau):
-        snap = channel_snapshot(env, tau, method)
-        evolved = apply_channel(state, snap)
+        trace = build_trace(env, [tau], method)
+        evolved = evolve_covariances(state, trace)[0]
         w_bar = propagate_w_matrix(env, tau, method=method)
-        decay = math.exp(-snap.gamma_int)
+        decay = math.exp(-trace.gamma_int[0])
         rot = rotation(tau)
         big_rot = np.zeros((4, 4))
         big_rot[:2, :2] = rot
@@ -314,7 +331,7 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
         direct = decay * big_rot @ state.cm @ big_rot.T
         direct[:2, :2] += 2.0 * w_bar
         direct[2:, 2:] += 2.0 * w_bar
-        return float(np.max(np.abs(evolved.cm - direct)))
+        return float(np.max(np.abs(evolved - direct)))
 
     for label, penv, taus in (("", env, (0.5, 1.0, 2.0, 5.0)),
                               ("beta=2,", env_warm, (0.5, 2.0))):
@@ -325,7 +342,7 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
                 primary=dev, oracle=0.0, abs_dev=dev, rel_dev=dev,
                 tol=1e-6 * tol_scale, passed=bool(dev < 1e-6 * tol_scale)))
     dev = propagator_dev(env, METHOD_CLOSED, 0.5)
-    scale = delta_gamma(env, 0.5, METHOD_CLOSED)
+    scale = delta_gamma_closed(env, 0.5)
     reports.append(OracleReport.compare(
         f"cm_vs_propagator_short_time[{METHOD_CLOSED},tau=0.5]",
         dev / scale, 0.0, 0.01 * tol_scale, mode="abs"))
@@ -336,20 +353,22 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
         reports.append(OracleReport.compare(
             f"nu_min_pt[twb r={r}]", nu_min_pt(twb), math.exp(-2.0 * r),
             1e-10 * tol_scale, mode="abs"))
-    evolved = apply_channel(state, channel_snapshot(env, 2.0, METHOD_CLOSED))
+    evolved = TwoModeGaussianState(
+        state.mean, evolve_covariances(state, build_trace(env, [2.0]))[0],
+        validate_uncertainty=False)
     reports.append(OracleReport.compare(
         "kappa_symmetric_vs_pt_eigen[r=1,tau=2]",
         kappa_symmetric(invariants(evolved)) / math.sqrt(2.0),
         nu_min_pt(evolved), 1e-9 * tol_scale))
 
-    # derivative identity: d/dtau Gamma = 2*gamma
-    from .coefficients import gamma_quad
+    # derivative identity: d/dtau Gamma = 2*gamma, both read from one trace
+    h = 1e-4
     for tau in (0.1, 1.0, 5.0, 10.0):
-        deriv = finite_diff(lambda t: gamma_int(env, t, METHOD_QUADRATURE),
-                            tau, 1e-4)
+        trace = build_trace(env, [tau - h, tau, tau + h], METHOD_QUADRATURE)
         reports.append(OracleReport.compare(
-            f"dGamma_dtau_vs_2gamma[tau={tau}]", deriv,
-            2.0 * gamma_quad(env, tau), 1e-4 * tol_scale))
+            f"dGamma_dtau_vs_2gamma[tau={tau}]",
+            (trace.gamma_int[2] - trace.gamma_int[0]) / (2.0 * h),
+            2.0 * trace.gamma[1], 1e-4 * tol_scale))
 
     # diffusion variance: trace identity against the direct propagator
     for tau in (0.5, 2.0):
@@ -357,6 +376,7 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
         reports.append(OracleReport.compare(
             f"trace_2wbar_vs_2delta_gamma[tau={tau}]",
             float(np.trace(2.0 * w_bar)),
-            2.0 * delta_gamma(env, tau, METHOD_QUADRATURE), 1e-2 * tol_scale))
+            2.0 * build_trace(env, [tau], METHOD_QUADRATURE).delta_gamma[0],
+            1e-2 * tol_scale))
 
     return reports

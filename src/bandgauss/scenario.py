@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -51,6 +52,10 @@ class SweepScenario:
     def validate(self) -> "SweepScenario":
         if self.tau_steps < 2:
             raise UsageError(f"tau_steps: must be >= 2, got {self.tau_steps}")
+        for name in ("tau_start", "tau_stop", "beta"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise UsageError(f"{name}: must be finite, got {value}")
         if self.tau_start < 0.0:
             raise UsageError(f"tau_start: must be >= 0, got {self.tau_start}")
         if not self.tau_stop > self.tau_start:
@@ -59,6 +64,8 @@ class SweepScenario:
             values = getattr(self, name)
             if len(values) == 0:
                 raise UsageError(f"{name}: must not be empty")
+            if not all(map(math.isfinite, values)):
+                raise UsageError(f"{name}: must be finite, got {list(values)}")
         if self.low_t and self.beta is not None:
             raise UsageError("beta: conflicts with low_t; set exactly one")
         if not self.low_t and self.beta is None:

@@ -11,10 +11,8 @@ import numpy as np
 
 from bandgauss.cli import main
 from bandgauss.coefficients import (METHOD_CLOSED, METHOD_QUADRATURE,
-                                    EnvironmentParams, build_trace,
-                                    delta_gamma, delta_quad, gamma_int,
-                                    gamma_quad)
-from bandgauss.dynamics import evolve_cm_full, make_twb
+                                    EnvironmentParams, build_trace)
+from bandgauss.dynamics import evolve_covariances, make_twb
 from bandgauss.entanglement import (kappa_full_curve, kappa_secular,
                                     negativity, nu_min_pt, sudden_death_time)
 from bandgauss.oracle import propagate_w_matrix, run_verification
@@ -36,9 +34,9 @@ def env_for(delta, omega_lo=1.0, j0=1.0):
 
 
 def test_c01_closed_form_time_integrals():
-    env = env_for(1e-3)
-    got_gamma = gamma_int(env, 2.0, METHOD_CLOSED)
-    got_dgamma = delta_gamma(env, 2.0, METHOD_CLOSED)
+    trace = build_trace(env_for(1e-3), [2.0], METHOD_CLOSED)
+    got_gamma = trace.gamma_int[0]
+    got_dgamma = trace.delta_gamma[0]
     want_gamma = 1e-3 * 2.0 ** 4 / 6.0
     ok = abs(got_gamma - want_gamma) <= 1e-12 and abs(got_dgamma - 2e-3) <= 1e-12
     report(1, "closed-form damping exponent and diffusion variance at tau=2",
@@ -49,8 +47,8 @@ def test_c02_quadrature_tracks_closed_forms():
     env = env_for(1e-3)
     grid = np.linspace(0.0, 0.3, 100)[1:]  # relative deviation undefined at 0
     start = time.perf_counter()
-    gamma = np.array([gamma_quad(env, float(t)) for t in grid])
-    delta = np.array([delta_quad(env, float(t)) for t in grid])
+    trace = build_trace(env, grid, METHOD_QUADRATURE)
+    gamma, delta = trace.gamma, trace.delta_coef
     elapsed = time.perf_counter() - start
     rel_g = np.abs(gamma - 1e-3 * grid ** 3 / 3.0) / (1e-3 * grid ** 3 / 3.0)
     rel_d = np.abs(delta - 1e-3 * grid) / (1e-3 * grid)
@@ -114,11 +112,12 @@ def test_c06_propagator_equivalence():
     a0 = math.cosh(2.0)
     worst = 0.0
     for tau in (0.5, 1.0, 2.0, 5.0):
-        evolved = evolve_cm_full(state, env, tau, METHOD_QUADRATURE)
+        trace = build_trace(env, [tau], METHOD_QUADRATURE)
+        evolved = evolve_covariances(state, trace)[0]
         w_bar = propagate_w_matrix(env, tau, method=METHOD_QUADRATURE)
-        decay = math.exp(-gamma_int(env, tau, METHOD_QUADRATURE))
+        decay = math.exp(-trace.gamma_int[0])
         direct = a0 * decay * np.eye(2) + 2.0 * w_bar
-        worst = max(worst, float(np.max(np.abs(evolved.cm[:2, :2] - direct))))
+        worst = max(worst, float(np.max(np.abs(evolved[:2, :2] - direct))))
     ok = worst <= 1e-6
     report(6, "assembled diagonal block equals the direct matrix propagator",
            ok, f"max entrywise dev {worst:.2e}")

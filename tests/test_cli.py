@@ -36,6 +36,17 @@ class TestScenario:
         with pytest.raises(UsageError, match="beta"):
             SweepScenario(beta=3.0, low_t=True).validate()
 
+    @pytest.mark.parametrize("field,value", [
+        ("tau_start", math.nan), ("tau_stop", math.inf),
+        ("j0_values", (1.0, math.nan)), ("delta_values", (-math.inf,))])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(UsageError, match=f"{field}: must be finite"):
+            SweepScenario(**{field: value}).validate()
+
+    def test_non_finite_beta_rejected(self):
+        with pytest.raises(UsageError, match="beta: must be finite"):
+            SweepScenario(beta=math.nan, low_t=False).validate()
+
     def test_file_roundtrip(self, tmp_path):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps({"tau_stop": 10.0, "tau_steps": 11,
@@ -384,6 +395,30 @@ class TestErrors:
             args = recipe + ["--config", str(cfg)]
         assert main(args + ["--out", str(out)]) == 2
         assert "beta" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".meta").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--kappa", "symmetric", "--r", "nan", "--tau-steps", "5"],
+        ["sweep", "--kappa", "paper", "--tau-max", "inf"],
+        ["sweep", "--kappa", "symmetric", "--omega", "inf"],
+    ])
+    def test_non_finite_input_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "s.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".meta").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--kappa", "symmetric"], ["sweep", "--kappa", "oracle"],
+        ["sweep", "--kappa", "paper"], ["evolve"]])
+    def test_strong_squeezing_rejected(self, tmp_path, capsys, argv):
+        # cosh(2r) overflows above r = 355.24
+        out = tmp_path / "s.csv"
+        assert main(argv + ["--r", "400", "--tau-steps", "5",
+                            "--out", str(out)]) == 2
+        assert "domain error" in capsys.readouterr().err
         assert not out.exists()
         assert not out.with_suffix(".meta").exists()
 

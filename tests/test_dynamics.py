@@ -6,10 +6,9 @@ import pytest
 
 from bandgauss.coefficients import (METHOD_CLOSED, METHOD_QUADRATURE,
                                     EnvironmentParams, build_trace)
-from bandgauss.dynamics import (ChannelSnapshot, TwbSpec, TwoModeGaussianState,
-                                apply_channel, channel_snapshot,
-                                check_covariances, evolve_cm_full,
-                                evolve_cm_secular, evolve_covariances,
+from bandgauss.dynamics import (R_MAX, ChannelSnapshot, TwbSpec,
+                                TwoModeGaussianState, apply_channel,
+                                check_covariances, evolve_covariances,
                                 evolve_mean, make_twb, rotation,
                                 snapshots_from_trace, symplectic_form)
 from bandgauss.errors import DomainError, UnsupportedStateError
@@ -20,6 +19,12 @@ import per_point
 
 def narrow_env(j0=1.0, omega_lo=1.0, delta=1e-3):
     return EnvironmentParams(SpectralDensity(j0, omega_lo, delta), low_t=True)
+
+
+def evolve_at(state, env, tau, method=METHOD_CLOSED, include_secular=True):
+    """Covariance after the channel at one time: the trace over [tau]."""
+    return evolve_covariances(state, build_trace(env, [tau], method),
+                              include_secular)[0]
 
 
 class TestState:
@@ -67,6 +72,16 @@ class TestMakeTwb:
         with pytest.raises(DomainError):
             TwbSpec(-1.0)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 400.0,
+                                   math.nextafter(R_MAX, math.inf)])
+    def test_non_finite_or_overflowing_squeezing_rejected(self, r):
+        with pytest.raises(DomainError, match="r must be non-negative"):
+            TwbSpec(r)
+
+    def test_largest_squeezing_has_finite_blocks(self):
+        assert TwbSpec(R_MAX).r == R_MAX
+        assert math.isfinite(math.cosh(2.0 * R_MAX))
+
 
 class TestRotation:
     def test_identity_at_zero(self):
@@ -109,31 +124,32 @@ class TestChannel:
         env = narrow_env()
         state = make_twb(0.7)
         for method in (METHOD_CLOSED, METHOD_QUADRATURE):
-            evolved = evolve_cm_full(state, env, 0.0, method)
-            np.testing.assert_allclose(evolved.cm, state.cm, atol=1e-15)
-            np.testing.assert_array_equal(evolved.mean, state.mean)
+            trace = build_trace(env, [0.0], method)
+            np.testing.assert_allclose(evolve_covariances(state, trace)[0],
+                                       state.cm, atol=1e-15)
+            np.testing.assert_array_equal(
+                evolve_mean(state, snapshots_from_trace(trace)[0]), state.mean)
 
     def test_secular_vacuum_diagonal(self):
         # vacuum through the secular channel: diagonal exp(-Gamma) + DeltaGamma
         env = narrow_env()
-        evolved = evolve_cm_secular(make_twb(0.0), env, 2.0, METHOD_CLOSED)
+        evolved = evolve_at(make_twb(0.0), env, 2.0, include_secular=False)
         want = math.exp(-1e-3 * 16.0 / 6.0) + 2e-3
-        np.testing.assert_allclose(np.diag(evolved.cm), want, rtol=1e-14)
+        np.testing.assert_allclose(np.diag(evolved), want, rtol=1e-14)
 
     def test_secular_squeezed_diagonal(self):
         # r = 0.9 at tau = 3: cosh(1.8)*exp(-0.0135) + 0.0045 on the diagonal
         env = narrow_env()
-        evolved = evolve_cm_secular(make_twb(0.9), env, 3.0, METHOD_CLOSED)
+        evolved = evolve_at(make_twb(0.9), env, 3.0, include_secular=False)
         want = math.cosh(1.8) * math.exp(-0.0135) + 0.0045
-        assert evolved.cm[0, 0] == pytest.approx(want, rel=1e-13)
-        assert evolved.cm[1, 1] == pytest.approx(want, rel=1e-13)
+        assert evolved[0, 0] == pytest.approx(want, rel=1e-13)
+        assert evolved[1, 1] == pytest.approx(want, rel=1e-13)
 
     def test_correlation_block_rotation(self):
         # C block entries have magnitudes sinh(2)*exp(-Gamma)*{|cos|,|sin|}(2*tau)
         env = narrow_env()
         tau = 2.0
-        evolved = evolve_cm_full(make_twb(1.0), env, tau, METHOD_CLOSED)
-        c = evolved.cm[:2, 2:]
+        c = evolve_at(make_twb(1.0), env, tau)[:2, 2:]
         scale = math.sinh(2.0) * math.exp(-1e-3 * 16.0 / 6.0)
         assert abs(c[0, 0]) == pytest.approx(scale * abs(math.cos(4.0)), rel=1e-12)
         assert abs(c[0, 1]) == pytest.approx(scale * abs(math.sin(4.0)), rel=1e-12)
@@ -147,15 +163,15 @@ class TestChannel:
         # Frobenius norm of the C block is |c|*exp(-Gamma)*sqrt(2) at any time
         env = narrow_env()
         for tau in (0.3, 1.7, 5.0, 12.0):
-            snap = channel_snapshot(env, tau, METHOD_CLOSED)
-            evolved = apply_channel(make_twb(0.8), snap)
-            want = math.sinh(1.6) * math.exp(-snap.gamma_int) * math.sqrt(2.0)
-            assert np.linalg.norm(evolved.cm[:2, 2:]) == pytest.approx(want, rel=1e-12)
+            trace = build_trace(env, [tau], METHOD_CLOSED)
+            evolved = evolve_covariances(make_twb(0.8), trace)[0]
+            want = math.sinh(1.6) * math.exp(-trace.gamma_int[0]) * math.sqrt(2.0)
+            assert np.linalg.norm(evolved[:2, 2:]) == pytest.approx(want, rel=1e-12)
 
     def test_diagonal_blocks_identical(self):
         env = narrow_env()
-        evolved = evolve_cm_full(make_twb(1.0), env, 3.3, METHOD_CLOSED)
-        np.testing.assert_allclose(evolved.cm[:2, :2], evolved.cm[2:, 2:],
+        evolved = evolve_at(make_twb(1.0), env, 3.3)
+        np.testing.assert_allclose(evolved[:2, :2], evolved[2:, 2:],
                                    atol=1e-12)
 
     def test_positive_semidefinite_along_sweeps(self):
@@ -182,10 +198,10 @@ class TestChannel:
         env = narrow_env()
         state = make_twb(1.0)
         for tau in (0.5, 2.0, 8.0):
-            snap = channel_snapshot(env, tau, METHOD_CLOSED)
-            evolved = apply_channel(state, snap, include_secular=False)
-            floor = np.linalg.det(state.cm) * math.exp(-4.0 * snap.gamma_int)
-            assert np.linalg.det(evolved.cm) > floor
+            trace = build_trace(env, [tau], METHOD_CLOSED)
+            evolved = evolve_covariances(state, trace, include_secular=False)[0]
+            floor = np.linalg.det(state.cm) * math.exp(-4.0 * trace.gamma_int[0])
+            assert np.linalg.det(evolved) > floor
 
     def test_determinant_floor_along_sweeps(self):
         # raw det(cm_t) dips mid-sweep (damping kills the cosh*DeltaGamma
@@ -209,21 +225,21 @@ class TestChannel:
         cm = np.diag([2.0, 2.0, 3.0, 3.0])  # unequal diagonal blocks
         state = TwoModeGaussianState(np.zeros(4), cm)
         with pytest.raises(UnsupportedStateError):
-            evolve_cm_full(state, env, 1.0)
+            evolve_at(state, env, 1.0)
         cm = np.eye(4)
         cm[0, 2] = cm[2, 0] = 0.1
         cm[1, 3] = cm[3, 1] = 0.1  # correlation block not diag(c, -c)
         state = TwoModeGaussianState(np.zeros(4), cm, validate_uncertainty=False)
         with pytest.raises(UnsupportedStateError):
-            evolve_cm_full(state, env, 1.0)
+            evolve_at(state, env, 1.0)
 
     def test_uncertainty_bound_holds_in_validity_window(self):
         # inside the short-time window the channel output stays physical
         env = narrow_env()
         for tau in (0.1, 0.5, 1.0):
-            evolved = evolve_cm_full(make_twb(1.0), env, tau, METHOD_QUADRATURE)
+            evolved = evolve_at(make_twb(1.0), env, tau, METHOD_QUADRATURE)
             omega = symplectic_form()
-            eigs = np.linalg.eigvalsh(evolved.cm + 1j * omega)
+            eigs = np.linalg.eigvalsh(evolved + 1j * omega)
             assert np.min(eigs) >= -1e-8
 
 

@@ -7,7 +7,7 @@ import pytest
 from bandgauss.coefficients import (METHOD_CLOSED, METHOD_QUADRATURE,
                                     EnvironmentParams, build_trace)
 from bandgauss.dynamics import (ChannelSnapshot, TwoModeGaussianState,
-                                apply_channel, channel_snapshot, make_twb,
+                                apply_channel, evolve_covariances, make_twb,
                                 snapshots_from_trace)
 from bandgauss.entanglement import (SymplecticInvariants, find_last_upcrossing,
                                     invariants, kappa_full, kappa_full_curve,
@@ -111,6 +111,8 @@ class TestKappaSecular:
     def test_negative_parameters_rejected(self):
         with pytest.raises(DomainError):
             kappa_secular(-0.1, 0.01, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            kappa_secular(math.nan, 0.01, 1.0, 1.0)
 
     def test_single_minimum_on_comparison_recipes(self):
         # the curve may rise, dip (the revival window) and rise again, but it
@@ -144,8 +146,10 @@ class TestNuMinPt:
     def test_agrees_with_invariant_formula_on_evolved_states(self):
         env = narrow_env()
         for tau in (0.5, 2.0, 7.0):
-            state = apply_channel(make_twb(0.8),
-                                  channel_snapshot(env, tau, METHOD_CLOSED))
+            cm = evolve_covariances(make_twb(0.8),
+                                    build_trace(env, [tau], METHOD_CLOSED))[0]
+            state = TwoModeGaussianState(np.zeros(4), cm,
+                                         validate_uncertainty=False)
             assert nu_min_pt(state) == \
                 pytest.approx(pt_nu_min(invariants(state)), rel=1e-9)
 
@@ -198,9 +202,9 @@ class TestKappaFull:
         half = TwoModeGaussianState(np.zeros(4), 0.5 * make_twb(r).cm,
                                     validate_uncertainty=False)
         for i, tau in enumerate(taus):
-            snap = channel_snapshot(env, float(tau), METHOD_CLOSED)
-            state = apply_channel(half, snap)
-            assert curve[i] == pytest.approx(pt_nu_min(invariants(state)),
+            cm = evolve_covariances(
+                half, build_trace(env, [float(tau)], METHOD_CLOSED))[0]
+            assert curve[i] == pytest.approx(pt_nu_min(invariants(cm)),
                                              rel=1e-9)
 
     def test_scalar_matches_curve(self):

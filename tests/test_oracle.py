@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from bandgauss.coefficients import (METHOD_CLOSED, METHOD_QUADRATURE,
-                                    EnvironmentParams, delta_gamma)
-from bandgauss.dynamics import channel_snapshot, evolve_cm_full, make_twb
+                                    EnvironmentParams, build_trace,
+                                    delta_gamma_closed)
+from bandgauss.dynamics import evolve_covariances, make_twb
 from bandgauss.errors import DomainError
 from bandgauss.oracle import (OracleReport, finite_diff, propagate_w_matrix,
                               quad_reference, run_verification)
@@ -49,7 +50,7 @@ class TestFiniteDiff:
     def test_closed_form_variance_derivative(self):
         # d/dtau of J0*delta*tau^2/2 is J0*delta*tau
         env = narrow_env()
-        got = finite_diff(lambda t: delta_gamma(env, t, METHOD_CLOSED), 2.0, 1e-5)
+        got = finite_diff(lambda t: float(delta_gamma_closed(env, t)), 2.0, 1e-5)
         assert got == pytest.approx(2e-3, rel=1e-8)
 
     def test_bad_step(self):
@@ -71,7 +72,7 @@ class TestPropagateWMatrix:
         env = narrow_env()
         for tau in (0.5, 2.0):
             w_bar = propagate_w_matrix(env, tau, method=METHOD_QUADRATURE)
-            want = 2.0 * delta_gamma(env, tau, METHOD_QUADRATURE)
+            want = 2.0 * build_trace(env, [tau], METHOD_QUADRATURE).delta_gamma[0]
             assert np.trace(2.0 * w_bar) == pytest.approx(want, rel=0.01)
 
     def test_reconstructs_diagonal_block(self):
@@ -80,23 +81,23 @@ class TestPropagateWMatrix:
         env = narrow_env()
         state = make_twb(0.0)
         for tau in (0.5, 2.0):
-            evolved = evolve_cm_full(state, env, tau, METHOD_QUADRATURE)
+            trace = build_trace(env, [tau], METHOD_QUADRATURE)
+            evolved = evolve_covariances(state, trace)[0]
             w_bar = propagate_w_matrix(env, tau, method=METHOD_QUADRATURE)
-            snap = channel_snapshot(env, tau, METHOD_QUADRATURE)
-            direct = math.exp(-snap.gamma_int) * np.eye(2) + 2.0 * w_bar
-            assert np.max(np.abs(evolved.cm[:2, :2] - direct)) < 1e-6
+            direct = math.exp(-trace.gamma_int[0]) * np.eye(2) + 2.0 * w_bar
+            assert np.max(np.abs(evolved[:2, :2] - direct)) < 1e-6
 
     def test_closed_route_matches_propagator_at_short_time(self):
         # the closed route keeps the literal unweighted diffusion variance,
         # so it tracks the propagator only to leading order in Gamma
         env = narrow_env()
         state = make_twb(0.0)
-        evolved = evolve_cm_full(state, env, 0.5, METHOD_CLOSED)
+        trace = build_trace(env, [0.5], METHOD_CLOSED)
+        evolved = evolve_covariances(state, trace)[0]
         w_bar = propagate_w_matrix(env, 0.5, method=METHOD_CLOSED)
-        snap = channel_snapshot(env, 0.5, METHOD_CLOSED)
-        direct = math.exp(-snap.gamma_int) * np.eye(2) + 2.0 * w_bar
-        dev = np.max(np.abs(evolved.cm[:2, :2] - direct))
-        assert dev < 0.01 * snap.delta_gamma
+        direct = math.exp(-trace.gamma_int[0]) * np.eye(2) + 2.0 * w_bar
+        dev = np.max(np.abs(evolved[:2, :2] - direct))
+        assert dev < 0.01 * trace.delta_gamma[0]
 
     def test_symmetric_output(self):
         w_bar = propagate_w_matrix(narrow_env(), 3.0)
@@ -127,6 +128,18 @@ class TestVerificationSuite:
         failed = [r.name for r in reports if not r.passed]
         assert failed == []
         assert elapsed < 60.0
+
+    def test_low_temperature_limit_rows(self):
+        # the beta = 200 quadrature trace against the low-T trace, one row
+        # per checked column
+        rows = {r.name: r for r in run_verification()
+                if r.name.startswith("low_t_limit[")}
+        assert sorted(rows) == [
+            f"low_t_limit[lo=1.0,delta=0.001,beta=200.0,{column}]"
+            for column in ("delta_coef", "delta_gamma", "pi_coef",
+                           "sec_delta_co")]
+        for row in rows.values():
+            assert row.passed and row.tol == 1e-12
 
     def test_zero_tolerance_fails_everything(self):
         reports = run_verification(tol_scale=0.0)
