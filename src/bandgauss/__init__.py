@@ -17,8 +17,8 @@ from .entanglement import (SymplecticInvariants, find_last_upcrossing,
                            state_kappa_curve, sudden_death_time)
 from .errors import (DomainError, NumericError, UnsupportedStateError,
                      UsageError)
-from .oracle import (OracleReport, finite_diff, propagate_w_matrix,
-                     quad_reference, run_verification)
+from .oracle import (OracleReport, propagate_w_matrix, quad_reference,
+                     run_verification)
 from .spectral import SpectralDensity, kernel_cos, kernel_cos_thermal, kernel_sin
 
 __version__ = "0.1.0"
@@ -34,7 +34,7 @@ __all__ = [
     "kappa_secular_channel_curve", "kappa_symmetric", "negativity",
     "nu_min_pt", "pt_nu_min", "state_kappa_curve", "sudden_death_time",
     "DomainError", "NumericError", "UnsupportedStateError", "UsageError",
-    "OracleReport", "finite_diff", "propagate_w_matrix", "quad_reference",
+    "OracleReport", "propagate_w_matrix", "quad_reference",
     "run_verification",
     "SpectralDensity", "kernel_cos", "kernel_cos_thermal", "kernel_sin",
     "__version__",

@@ -17,6 +17,10 @@ delimiter, LF line endings, header row first, rows in sorted parameter
 order, so identical scenarios produce byte-identical files. Every run also
 writes a JSON metadata sidecar (same basename, ``.meta`` suffix) recording
 the scenario, the logarithm-base choice and the library version.
+
+``--beta`` is the one temperature option; omitted, it is the low-temperature
+limit. ``build_trace`` refuses a finite beta on the closed route, and
+``fig1``, ``fig2`` and the ``paper`` kappa source refuse it here.
 """
 
 from __future__ import annotations
@@ -33,8 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coefficients import (METHOD_CLOSED, CoefficientTrace, EnvironmentParams,
-                           build_trace)
+from .coefficients import CoefficientTrace, EnvironmentParams, build_trace
 from .dynamics import evolve_covariances, make_twb
 from .entanglement import (find_last_upcrossing, kappa_full_curve,
                            kappa_secular, negativity, state_kappa_curve)
@@ -98,18 +101,6 @@ def _require_low_t(what: str, scenario: SweepScenario,
         raise UsageError(f"beta: {what} runs at low temperature only; {hint}")
 
 
-def _require_beta_route(command: str, scenario: SweepScenario) -> None:
-    # The closed-form coefficients and the paper kappa are low-temperature
-    # expressions; only the quadrature route reads beta.
-    if scenario.method == METHOD_CLOSED:
-        _require_low_t(f"{command} --method closed", scenario,
-                       "use --method quad for a finite beta")
-    if command == "sweep" and scenario.kappa == "paper":
-        _require_low_t("sweep --kappa paper", scenario,
-                       "use --kappa symmetric or oracle with --method quad "
-                       "for a finite beta")
-
-
 # ---------------------------------------------------------------------------
 # the per-environment engine
 # ---------------------------------------------------------------------------
@@ -117,7 +108,7 @@ def _require_beta_route(command: str, scenario: SweepScenario) -> None:
 def _environment(scenario: SweepScenario, key: tuple) -> EnvironmentParams:
     j0, delta, omega_lo = key
     return EnvironmentParams(SpectralDensity(j0, omega_lo, delta),
-                             beta=scenario.beta, low_t=scenario.low_t)
+                             scenario.beta)
 
 
 def _trace(scenario: SweepScenario, key: tuple) -> CoefficientTrace:
@@ -178,7 +169,6 @@ def _coefficient_rows(scenario: SweepScenario, key: tuple) -> list[list]:
 
 
 def cmd_coefficients(scenario: SweepScenario) -> int:
-    _require_beta_route("coefficients", scenario)
     return _write("coefficients", scenario, COEFF_HEADER,
                   _table(scenario, _coefficient_rows, by_r=False))
 
@@ -208,7 +198,6 @@ def _evolve_rows(scenario: SweepScenario, key: tuple) -> dict:
 
 
 def cmd_evolve(scenario: SweepScenario) -> int:
-    _require_beta_route("evolve", scenario)
     return _write("evolve", scenario, EVOLVE_HEADER,
                   _table(scenario, _evolve_rows))
 
@@ -270,7 +259,10 @@ def _kappa_rows(scenario: SweepScenario, key: tuple) -> dict:
 
 
 def cmd_sweep(scenario: SweepScenario) -> int:
-    _require_beta_route("sweep", scenario)
+    if scenario.kappa == "paper":  # kappa_secular takes no environment
+        _require_low_t("sweep --kappa paper", scenario,
+                       "use --kappa symmetric or oracle with --method quad "
+                       "for a finite beta")
     return _write("sweep", scenario, SWEEP_HEADER,
                   _table(scenario, _kappa_rows))
 
@@ -335,9 +327,7 @@ def _add_common(sp, with_panel=False, with_mode=False, with_kappa=False,
         sp.add_argument("--kappa", choices=list(KAPPA_SOURCES), default=None)
     sp.add_argument("--tau-max", type=float, default=None)
     sp.add_argument("--tau-steps", type=int, default=None)
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--low-t", action="store_const", const=True, default=None)
-    group.add_argument("--beta", type=float, default=None)
+    sp.add_argument("--beta", type=float, help="omit for the low-T limit")
     sp.add_argument("--jobs", type=int, default=None)
     if with_params:
         sp.add_argument("--r", type=_float_list, default=None,
@@ -380,7 +370,6 @@ def _scenario_from_args(args) -> SweepScenario:
         "tau_stop": getattr(args, "tau_max", None),
         "tau_steps": getattr(args, "tau_steps", None),
         "beta": getattr(args, "beta", None),
-        "low_t": getattr(args, "low_t", None),
         "jobs": getattr(args, "jobs", None),
         "mode": getattr(args, "mode", None),
         "kappa": getattr(args, "kappa", None),

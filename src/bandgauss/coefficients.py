@@ -12,6 +12,7 @@ Every quantity is available on two routes selected by a method tag:
 * ``"closed-form"`` -- the low-temperature short-time expressions
   (gamma = J0*delta*Omega*tau^3/3, delta = J0*delta*tau, and their
   integrals Gamma = J0*delta*Omega*tau^4/6, DeltaGamma = J0*delta*tau^2/2);
+  they never read beta, so this route refuses a finite one;
 * ``"quadrature"`` -- cumulative Simpson integrals of the kernels of
   :mod:`bandgauss.spectral` on a dense uniform grid, at any temperature.
 
@@ -42,39 +43,39 @@ METHOD_QUADRATURE = "quadrature"
 GRID_POINTS = 8193
 
 
-def require_method(method: str) -> str:
-    if method not in (METHOD_CLOSED, METHOD_QUADRATURE):
-        raise UsageError(
-            f"unknown method tag {method!r}; use {METHOD_CLOSED!r} or {METHOD_QUADRATURE!r}")
-    return method
-
-
 @dataclass(frozen=True)
 class EnvironmentParams:
-    """Spectral band plus thermal state of the environment.
+    """Spectral band plus temperature of the environment.
 
-    Exactly one of ``beta`` (inverse temperature, units of the mode
-    frequency) or ``low_t`` must be given; ``low_t=True`` replaces the
-    thermal factor coth(beta*w/2) by 1.
+    ``beta`` is the inverse temperature in units of the mode frequency.
+    None, the default, is the low-temperature limit, where the thermal
+    factor coth(beta*w/2) is 1; only the quadrature route reads a finite
+    beta.
     """
 
     spectral: SpectralDensity
     beta: float | None = None
-    low_t: bool = False
 
     def __post_init__(self):
-        if self.low_t and self.beta is not None:
-            raise UsageError("beta and low_t are mutually exclusive")
-        if not self.low_t and self.beta is None:
-            raise UsageError("specify either beta or low_t")
-        if self.beta is not None and self.beta <= 0.0:
+        if self.beta is not None and not self.beta > 0.0:
             raise DomainError(f"beta must be positive, got {self.beta}")
 
     def thermal_cos_kernel(self, s):
         """Thermal cosine kernel at this environment's temperature."""
-        if self.low_t:
+        if self.beta is None:
             return kernel_cos(self.spectral, s)
         return kernel_cos_thermal(self.spectral, s, beta=self.beta)
+
+
+def require_method(env: EnvironmentParams, method: str) -> None:
+    """Refuse an unknown method tag, and a finite beta the route ignores."""
+    if method not in (METHOD_CLOSED, METHOD_QUADRATURE):
+        raise UsageError(
+            f"unknown method tag {method!r}; use {METHOD_CLOSED!r} or {METHOD_QUADRATURE!r}")
+    if method == METHOD_CLOSED and env.beta is not None:
+        raise UsageError(
+            f"beta: the {METHOD_CLOSED} route is the low-temperature limit; "
+            f"use {METHOD_QUADRATURE} (--method quad) for a finite beta")
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +219,7 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
     A dense uniform master grid carries the cumulative integrals; the
     requested grid is filled by cubic interpolation (exact at master nodes).
     """
-    require_method(method)
+    require_method(env, method)
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or len(tau_grid) == 0:
         raise UsageError("tau_grid must be a non-empty 1-d array")
@@ -229,11 +230,8 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
 
     tau_max = float(tau_grid[-1])
     if tau_max == 0.0:
-        zeros = np.zeros_like(tau_grid)
-        return CoefficientTrace(tau_grid, zeros, zeros.copy(), zeros.copy(),
-                                zeros.copy(), zeros.copy(), zeros.copy(),
-                                zeros.copy(), zeros.copy(), zeros.copy(),
-                                zeros.copy(), method)
+        zeros = [np.zeros_like(tau_grid) for _ in range(10)]
+        return CoefficientTrace(tau_grid, *zeros, method)
 
     s = np.linspace(0.0, tau_max, n_dense)
     sd = env.spectral

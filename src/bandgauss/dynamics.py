@@ -71,40 +71,31 @@ class TwoModeGaussianState:
         object.__setattr__(self, "cm", cm)
 
     @staticmethod
-    def min_uncertainty_eig(cm: np.ndarray) -> float:
-        """Smallest eigenvalue of cm + i*Omega; >= 0 for physical states.
-
-        ``cm`` may also be an (N, 4, 4) stack; the minimum is then over all
-        of its matrices.
-        """
-        return float(np.min(np.linalg.eigvalsh(cm + 1j * symplectic_form())))
-
-    @property
-    def block_a(self) -> np.ndarray:
-        return self.cm[:2, :2]
-
-    @property
-    def block_b(self) -> np.ndarray:
-        return self.cm[2:, 2:]
-
-    @property
-    def block_c(self) -> np.ndarray:
-        return self.cm[:2, 2:]
+    def min_uncertainty_eig(cm: np.ndarray):
+        """Smallest eigenvalue of cm + i*Omega, >= 0 for physical states; one
+        per matrix of an (N, 4, 4) stack."""
+        return np.linalg.eigvalsh(cm + 1j * symplectic_form())[..., 0]
 
 
 def check_covariances(cms: np.ndarray, validate_uncertainty: bool = True) -> None:
     """Raise DomainError unless every matrix of the (N, 4, 4) stack ``cms``
     is a covariance matrix: symmetric to 1e-12, positive semidefinite to
     -1e-10 and, when ``validate_uncertainty`` is set, within -1e-8 of the
-    uncertainty bound. One batched eigensolve serves each check.
+    uncertainty bound. Both floors are relative to each matrix's scale,
+    max(1, max|eigenvalue|), because the eigensolve rounds at that scale
+    (about cosh(2r) for a twin beam). One batched eigensolve serves each
+    check.
     """
     if cms.ndim != 3 or cms.shape[1:] != (4, 4):
         raise DomainError(f"covariance matrix must be 4x4, got {cms.shape[1:]}")
     if np.max(np.abs(cms - cms.transpose(0, 2, 1))) > 1e-12:
         raise DomainError("covariance matrix must be symmetric to 1e-12")
-    if np.min(np.linalg.eigvalsh(cms)) < -1e-10:
+    eigs = np.linalg.eigvalsh(cms)
+    scale = np.maximum(1.0, np.max(np.abs(eigs), axis=-1))
+    if np.any(eigs[:, 0] < -1e-10 * scale):
         raise DomainError("covariance matrix must be positive semidefinite")
-    if validate_uncertainty and TwoModeGaussianState.min_uncertainty_eig(cms) < -1e-8:
+    if validate_uncertainty and np.any(
+            TwoModeGaussianState.min_uncertainty_eig(cms) < -1e-8 * scale):
         raise DomainError("covariance matrix violates the uncertainty bound")
 
 

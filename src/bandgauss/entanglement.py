@@ -38,6 +38,11 @@ from .spectral import SpectralDensity
 
 RADICAND_TOL = 1e-12
 
+# Largest eps * max|lambda| / min|lambda| (about eps * exp(4r) for a twin
+# beam: 6.6e-13 at r = 2, 1.5e-8 at r = 4.5), the relative error of the
+# smallest PT eigenvalue, that the eigensolve accepts.
+PT_EIGEN_COND_MAX = 1e-8
+
 # Vacuum scales by name: (factor on the initial covariance blocks, factor
 # on the minimum PT eigenvalue). The 1/2 scale halves the input state only.
 _SCALES = {"1/2": (0.5, 1.0), "1": (1.0, 1.0), "sqrt2": (1.0, math.sqrt(2.0))}
@@ -123,7 +128,16 @@ def _nu_min_pt_stack(cms: np.ndarray) -> np.ndarray:
         eigs = np.linalg.eigvals(1j * symplectic_form() @ sigma_pt)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    return np.min(np.abs(eigs), axis=-1)
+    moduli = np.abs(eigs)
+    nu = np.min(moduli, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.finfo(float).eps * np.max(moduli, axis=-1) / nu
+    if not np.all(cond <= PT_EIGEN_COND_MAX):
+        raise NumericError(
+            f"PT eigensolve too ill-conditioned (eps*max|lambda|/min|lambda| = "
+            f"{np.max(cond):.2g} > {PT_EIGEN_COND_MAX:g}; squeezing too strong "
+            "for the eigensolver); use --kappa symmetric")
+    return nu
 
 
 def nu_min_pt(state: TwoModeGaussianState) -> float:
@@ -301,8 +315,7 @@ def sudden_death_time(r: float, j0_delta: float, omega_lo: float,
         point_fn = lambda t: kappa_secular(r, j0_delta, omega_lo, t)
     else:
         # kappa depends on j0 and delta only through the product: j0 = 1
-        env = EnvironmentParams(SpectralDensity(1.0, omega_lo, j0_delta),
-                                low_t=True)
+        env = EnvironmentParams(SpectralDensity(1.0, omega_lo, j0_delta))
         values = kappa_full_curve(build_trace(env, grid, method), r)
         point_fn = None
     return find_last_upcrossing(grid, values, 1.0, point_fn, xtol)

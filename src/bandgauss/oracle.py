@@ -75,15 +75,6 @@ def quad_reference(f, a: float, b: float, tol: float = 1e-10) -> float:
     raise NumericError(f"Simpson reference did not converge below {tol}")
 
 
-def finite_diff(f, tau: float, h: float) -> float:
-    """Central-difference derivative, falling back to forward at the origin."""
-    if h <= 0.0:
-        raise DomainError("h must be positive")
-    if tau - h < 0.0:
-        return (f(tau + h) - f(tau)) / h
-    return (f(tau + h) - f(tau - h)) / (2.0 * h)
-
-
 def _chunked_quad(f, a: float, b: float, freq: float,
                   epsabs: float = QUAD_EPSABS,
                   epsrel: float = QUAD_EPSREL) -> float:
@@ -176,7 +167,7 @@ def propagate_w_matrix(env: EnvironmentParams, tau: float, grid_n: int = 4096,
     undamps and unrotates. Twice the result reproduces the additive noise
     block of the assembled covariance evolution.
     """
-    require_method(method)
+    require_method(env, method)
     if grid_n < 256:
         raise DomainError("grid_n must be at least 256")
     if tau < 0.0:
@@ -296,7 +287,7 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
                 kernel_cos_thermal_gk(sd, s, beta) / scale,
                 1e-13 * tol_scale, mode="abs"))
 
-    env = EnvironmentParams(SpectralDensity(1.0, 1.0, 1e-3), low_t=True)
+    env = EnvironmentParams(SpectralDensity(1.0, 1.0, 1e-3))
     env_warm = EnvironmentParams(env.spectral, beta=2.0)
 
     # low-temperature limit of the thermal route: at beta = 200 the band at

@@ -41,8 +41,7 @@ class SweepScenario:
     j0_values: tuple = (1.0,)
     delta_values: tuple = (1e-3,)
     omega_values: tuple = (1.0,)
-    beta: float | None = None
-    low_t: bool = True
+    beta: float | None = None  # None: the low-temperature limit
     mode: str = "secular"
     method: str = METHOD_CLOSED
     kappa: str = "paper"
@@ -66,12 +65,6 @@ class SweepScenario:
                 raise UsageError(f"{name}: must not be empty")
             if not all(map(math.isfinite, values)):
                 raise UsageError(f"{name}: must be finite, got {list(values)}")
-        if self.low_t and self.beta is not None:
-            raise UsageError("beta: conflicts with low_t; set exactly one")
-        if not self.low_t and self.beta is None:
-            raise UsageError("beta: required when low_t is off")
-        if self.beta is not None and self.beta <= 0.0:
-            raise UsageError(f"beta: must be positive, got {self.beta}")
         if self.mode not in MODES:
             raise UsageError(f"mode: unknown value {self.mode!r}")
         if self.kappa not in KAPPA_SOURCES:
@@ -93,8 +86,8 @@ class SweepScenario:
 
 _LIST_KEYS = {"r": "r_values", "j0": "j0_values", "delta": "delta_values",
               "omega": "omega_values"}
-_SCALAR_KEYS = {"tau_start", "tau_stop", "tau_steps", "beta", "low_t", "mode",
-                "method", "kappa", "out", "jobs"}
+_SCALAR_KEYS = {"tau_start", "tau_stop", "tau_steps", "beta", "mode", "method",
+                "kappa", "out", "jobs"}
 
 
 def scenario_from_file(path: str) -> SweepScenario:
@@ -118,10 +111,6 @@ def scenario_from_file(path: str) -> SweepScenario:
             raise UsageError(f"config: unknown key {key!r}")
     if "method" in kwargs:
         kwargs["method"] = canonical_method(kwargs["method"])
-    if "beta" in kwargs and kwargs["beta"] is not None:
-        # an explicit beta in the file turns the low-T flag off unless the
-        # file also sets it, in which case validate() reports the conflict
-        kwargs.setdefault("low_t", False)
     return SweepScenario(**kwargs)
 
 
@@ -130,6 +119,4 @@ def apply_overrides(scenario: SweepScenario, **overrides) -> SweepScenario:
     updates = {k: v for k, v in overrides.items() if v is not None}
     if "method" in updates:
         updates["method"] = canonical_method(updates["method"])
-    if updates.get("beta") is not None and "low_t" not in updates:
-        updates["low_t"] = False
     return replace(scenario, **updates)

@@ -30,7 +30,7 @@ def report(num, description, ok, detail=""):
 
 
 def env_for(delta, omega_lo=1.0, j0=1.0):
-    return EnvironmentParams(SpectralDensity(j0, omega_lo, delta), low_t=True)
+    return EnvironmentParams(SpectralDensity(j0, omega_lo, delta))
 
 
 def test_c01_closed_form_time_integrals():

@@ -32,10 +32,6 @@ class TestScenario:
         with pytest.raises(UsageError, match="r_values"):
             SweepScenario(r_values=()).validate()
 
-    def test_thermal_conflict(self):
-        with pytest.raises(UsageError, match="beta"):
-            SweepScenario(beta=3.0, low_t=True).validate()
-
     @pytest.mark.parametrize("field,value", [
         ("tau_start", math.nan), ("tau_stop", math.inf),
         ("j0_values", (1.0, math.nan)), ("delta_values", (-math.inf,))])
@@ -45,7 +41,7 @@ class TestScenario:
 
     def test_non_finite_beta_rejected(self):
         with pytest.raises(UsageError, match="beta: must be finite"):
-            SweepScenario(beta=math.nan, low_t=False).validate()
+            SweepScenario(beta=math.nan).validate()
 
     def test_file_roundtrip(self, tmp_path):
         cfg = tmp_path / "scenario.json"
@@ -55,7 +51,7 @@ class TestScenario:
         sc = scenario_from_file(str(cfg)).validate()
         assert sc.tau_stop == 10.0
         assert sc.r_values == (0.3, 0.7)
-        assert sc.beta == 200.0 and not sc.low_t
+        assert sc.beta == 200.0
         assert sc.method == "quadrature"
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -366,15 +362,26 @@ class TestErrors:
                      str(tmp_path / "x.csv"), "--tau-steps", "1"]) == 2
 
     def test_cli_thermal_conflict_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["coefficients", "--out", str(tmp_path / "x.csv"),
-                  "--low-t", "--beta", "5.0"])
+        # beta is the one temperature setting: the old --low-t switch is
+        # gone, alone or next to --beta
+        out = tmp_path / "x.csv"
+        for extra in ([], ["--beta", "5.0"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["coefficients", "--out", str(out), "--low-t"] + extra)
+            assert exc.value.code == 2
+        assert not out.exists()
 
-    def test_config_thermal_conflict_rejected(self, tmp_path):
+    def test_config_thermal_conflict_rejected(self, tmp_path, capsys):
+        # a config file from before beta became the one temperature setting
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"beta": 5.0, "low_t": True}))
-        assert main(["coefficients", "--config", str(cfg), "--out",
-                     str(tmp_path / "x.csv")]) == 2
+        out = tmp_path / "x.csv"
+        for raw in ({"low_t": True}, {"beta": 5.0, "low_t": False}):
+            cfg.write_text(json.dumps(raw))
+            assert main(["coefficients", "--config", str(cfg), "--out",
+                         str(out)]) == 2
+            assert "unknown key 'low_t'" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".meta").exists()
 
     def test_fig2_both_mode_rejected(self, tmp_path):
         assert main(["fig2", "--panel", "a", "--mode", "both", "--out",
@@ -421,6 +428,41 @@ class TestErrors:
         assert "domain error" in capsys.readouterr().err
         assert not out.exists()
         assert not out.with_suffix(".meta").exists()
+
+    def test_non_positive_beta_rejected(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["coefficients", "--method", "quad", "--beta", "0",
+                     "--tau-steps", "3", "--out", str(out)]) == 2
+        assert "beta must be positive" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".meta").exists()
+
+    def test_oracle_refuses_squeezing_beyond_the_eigensolver(self, tmp_path,
+                                                             capsys):
+        # at r = 10 the PT eigensolve returned kappa(0) = 1.2e-16 for the
+        # true exp(-20) = 2.1e-9; at r = 4 its relative error is 2e-9
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--kappa", "oracle", "--mode", "full", "--delta",
+                "1e-2", "--tau-steps", "5", "--out", str(out)]
+        assert main(argv + ["--r", "10"]) == 3
+        assert "--kappa symmetric" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".meta").exists()
+        assert main(argv + ["--r", "4"]) == 0
+        first = read_lines(out)[1].split(",")
+        assert float(first[-3]) == pytest.approx(math.exp(-8.0), rel=1e-8)
+
+    @pytest.mark.parametrize("r", [20.0, 100.0])
+    def test_evolve_takes_large_finite_squeezing(self, tmp_path, r):
+        # the covariance check's floors scale with the matrix: eigvalsh
+        # rounds at about eps * cosh(2r)
+        out = tmp_path / "e.csv"
+        assert main(["evolve", "--r", str(r), "--tau-steps", "5",
+                     "--out", str(out)]) == 0
+        lines = read_lines(out)
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert float(row["tau"]) == 0.0
+        assert float(row["cm_11"]) == math.cosh(2.0 * r)
 
     def test_invalid_panel(self, tmp_path):
         with pytest.raises(SystemExit):

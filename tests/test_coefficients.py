@@ -5,15 +5,14 @@ import pytest
 
 from bandgauss.coefficients import (METHOD_CLOSED, METHOD_QUADRATURE,
                                     EnvironmentParams, build_trace)
+from bandgauss.entanglement import kappa_full
 from bandgauss.errors import DomainError, UsageError
 from bandgauss.oracle import gamma_int_gk, quad_reference, secular_coeffs_gk
 from bandgauss.spectral import SpectralDensity, kernel_cos, kernel_sin
 
 
-def narrow_env(j0=1.0, omega_lo=1.0, delta=1e-3, **thermal):
-    if not thermal:
-        thermal = dict(low_t=True)
-    return EnvironmentParams(SpectralDensity(j0, omega_lo, delta), **thermal)
+def narrow_env(j0=1.0, omega_lo=1.0, delta=1e-3, beta=None):
+    return EnvironmentParams(SpectralDensity(j0, omega_lo, delta), beta)
 
 
 def at(env, tau, method=METHOD_QUADRATURE):
@@ -22,17 +21,47 @@ def at(env, tau, method=METHOD_QUADRATURE):
 
 
 class TestEnvironmentParams:
-    def test_conflicting_thermal_settings(self):
-        with pytest.raises(UsageError):
-            EnvironmentParams(SpectralDensity(1, 1, 1), beta=2.0, low_t=True)
-
-    def test_missing_thermal_settings(self):
-        with pytest.raises(UsageError):
-            EnvironmentParams(SpectralDensity(1, 1, 1))
-
     def test_bad_beta(self):
-        with pytest.raises(DomainError):
-            EnvironmentParams(SpectralDensity(1, 1, 1), beta=-1.0)
+        for beta in (-1.0, 0.0, math.nan):
+            with pytest.raises(DomainError, match="beta must be positive"):
+                EnvironmentParams(SpectralDensity(1, 1, 1), beta=beta)
+
+    def test_default_is_the_low_temperature_limit(self):
+        # beta omitted is the low-temperature limit, coth -> 1; the columns
+        # below are that limit's quadrature trace
+        env = EnvironmentParams(SpectralDensity(1.0, 1.0, 1e-3))
+        assert env.beta is None
+        s = np.linspace(0.0, 5.0, 11)
+        np.testing.assert_array_equal(env.thermal_cos_kernel(s),
+                                      kernel_cos(env.spectral, s))
+        tr = build_trace(env, [0.5, 2.0, 5.0], METHOD_QUADRATURE)
+        recorded = {
+            "delta_coef": [0.00046034891719655755, 0.0008106832080315425,
+                           0.0023635015626509324],
+            "gamma_int": [1.0080446576184572e-05, 0.0015869846580703541,
+                          0.012040793865551416],
+            "delta_gamma": [0.00011995896473222063, 0.0012051718065817553,
+                            0.006440038778502285],
+            "sec_delta_co": [0.00011005107617931188, 1.78015806442309e-05,
+                             -0.0001066973750633983],
+            "sec_pi_si": [4.8701126414183485e-06, 0.0003952230713167305,
+                          0.0005649966472137175],
+        }
+        for column, want in recorded.items():
+            np.testing.assert_allclose(getattr(tr, column), want, rtol=1e-14,
+                                       atol=0.0, err_msg=column)
+
+
+class TestRouteCheck:
+    """The closed route never reads beta, so it refuses a finite one."""
+
+    def test_closed_route_refuses_finite_beta(self):
+        with pytest.raises(UsageError, match="beta"):
+            build_trace(narrow_env(beta=5.0), [0.0, 1.0], METHOD_CLOSED)
+
+    def test_kappa_full_refuses_finite_beta_on_closed_route(self):
+        with pytest.raises(UsageError, match="beta"):
+            kappa_full(narrow_env(beta=5.0), 0.5, 1.0, METHOD_CLOSED)
 
 
 class TestPointCoefficients:

@@ -18,7 +18,7 @@ import per_point
 
 
 def narrow_env(j0=1.0, omega_lo=1.0, delta=1e-3):
-    return EnvironmentParams(SpectralDensity(j0, omega_lo, delta), low_t=True)
+    return EnvironmentParams(SpectralDensity(j0, omega_lo, delta))
 
 
 def evolve_at(state, env, tau, method=METHOD_CLOSED, include_secular=True):

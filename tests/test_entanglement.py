@@ -23,7 +23,7 @@ import per_point
 
 
 def narrow_env(j0=1.0, omega_lo=1.0, delta=1e-3):
-    return EnvironmentParams(SpectralDensity(j0, omega_lo, delta), low_t=True)
+    return EnvironmentParams(SpectralDensity(j0, omega_lo, delta))
 
 
 class TestInvariants:

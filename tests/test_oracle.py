@@ -8,14 +8,14 @@ from bandgauss.coefficients import (METHOD_CLOSED, METHOD_QUADRATURE,
                                     EnvironmentParams, build_trace,
                                     delta_gamma_closed)
 from bandgauss.dynamics import evolve_covariances, make_twb
-from bandgauss.errors import DomainError
-from bandgauss.oracle import (OracleReport, finite_diff, propagate_w_matrix,
+from bandgauss.errors import DomainError, UsageError
+from bandgauss.oracle import (OracleReport, propagate_w_matrix,
                               quad_reference, run_verification)
 from bandgauss.spectral import SpectralDensity
 
 
 def narrow_env():
-    return EnvironmentParams(SpectralDensity(1.0, 1.0, 1e-3), low_t=True)
+    return EnvironmentParams(SpectralDensity(1.0, 1.0, 1e-3))
 
 
 class TestQuadReference:
@@ -40,22 +40,12 @@ class TestQuadReference:
 
 
 class TestFiniteDiff:
-    def test_parabola(self):
-        assert finite_diff(lambda t: t * t, 1.0, 1e-4) == pytest.approx(2.0, abs=1e-7)
-
-    def test_forward_fallback_at_origin(self):
-        got = finite_diff(lambda t: t * t, 0.0, 1e-4)
-        assert got == pytest.approx(0.0, abs=2e-4)
-
     def test_closed_form_variance_derivative(self):
-        # d/dtau of J0*delta*tau^2/2 is J0*delta*tau
-        env = narrow_env()
-        got = finite_diff(lambda t: float(delta_gamma_closed(env, t)), 2.0, 1e-5)
+        # d/dtau of J0*delta*tau^2/2 is J0*delta*tau; central difference
+        env, tau, h = narrow_env(), 2.0, 1e-5
+        got = (delta_gamma_closed(env, tau + h)
+               - delta_gamma_closed(env, tau - h)) / (2.0 * h)
         assert got == pytest.approx(2e-3, rel=1e-8)
-
-    def test_bad_step(self):
-        with pytest.raises(DomainError):
-            finite_diff(math.sin, 1.0, 0.0)
 
 
 class TestPropagateWMatrix:
@@ -66,6 +56,11 @@ class TestPropagateWMatrix:
     def test_grid_floor(self):
         with pytest.raises(DomainError):
             propagate_w_matrix(narrow_env(), 1.0, grid_n=128)
+
+    def test_closed_route_refuses_finite_beta(self):
+        env = EnvironmentParams(narrow_env().spectral, beta=5.0)
+        with pytest.raises(UsageError, match="beta"):
+            propagate_w_matrix(env, 1.0, method=METHOD_CLOSED)
 
     def test_trace_identity(self):
         # trace(2*W) equals twice the diffusion variance
