@@ -16,7 +16,9 @@ All data output is CSV with a fixed format: 17 significant digits, comma
 delimiter, LF line endings, header row first, rows in sorted parameter
 order, so identical scenarios produce byte-identical files. Every run also
 writes a JSON metadata sidecar (same basename, ``.meta`` suffix) recording
-the scenario, the logarithm-base choice and the library version.
+the logarithm-base choice, the library version and the scenario that ran
+(for ``verify``, its ``tol_scale``). Each option sets the scenario field of
+its own name, so a sidecar's ``scenario`` block reruns it as ``--config``.
 
 ``--beta`` is the one temperature option; omitted, it is the low-temperature
 limit. ``build_trace`` refuses a finite beta on the closed route, and
@@ -29,7 +31,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -48,10 +50,9 @@ from .scenario import (KAPPA_SOURCES, MODES, SweepScenario,
 from .spectral import SpectralDensity
 
 
-def _panel(r_values: tuple, delta_values: tuple, omega_values: tuple) -> dict:
+def _panel(r: tuple, delta: tuple, omega: tuple) -> dict:
     # kappa depends on j0 and delta only through their product: j0 = 1
-    return {"r_values": r_values, "j0_values": (1.0,),
-            "delta_values": delta_values, "omega_values": omega_values}
+    return {"r": r, "j0": (1.0,), "delta": delta, "omega": omega}
 
 
 # The paper's panels, as dataclasses.replace presets of SweepScenario.
@@ -82,13 +83,11 @@ def write_csv(path: str, header: list[str], rows) -> None:
             f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write(command: str, scenario: SweepScenario, header: list[str], rows,
-           extra: dict | None = None) -> int:
+def _write(out: str, header: list[str], rows, **meta) -> int:
     """Write the CSV and its ``.meta`` sidecar; return the exit code 0."""
-    write_csv(scenario.out, header, rows)
-    meta = {"command": command, "log_base": "e", "version": __version__,
-            "scenario": scenario.to_meta(), **(extra or {})}
-    with open(Path(scenario.out).with_suffix(".meta"), "w", newline="") as f:
+    write_csv(out, header, rows)
+    meta = {"log_base": "e", "version": __version__, **meta}
+    with open(Path(out).with_suffix(".meta"), "w", newline="") as f:
         f.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -138,15 +137,14 @@ def _table(scenario: SweepScenario, rows_of, by_r: bool = True) -> list[list]:
     ``--jobs`` runs environments in parallel. Repeated parameter values
     repeat their rows.
     """
-    keys = sorted(product(scenario.j0_values, scenario.delta_values,
-                          scenario.omega_values))
+    keys = sorted(product(scenario.j0, scenario.delta, scenario.omega))
     distinct = sorted(set(keys))
     results = _map_payloads(partial(rows_of, scenario), distinct,
                             scenario.jobs)
     rows_at = dict(zip(distinct, results))
     if not by_r:
         return [row for key in keys for row in rows_at[key]]
-    return [row for r in sorted(scenario.r_values) for key in keys
+    return [row for r in sorted(scenario.r) for key in keys
             for row in rows_at[key][r]]
 
 
@@ -169,8 +167,9 @@ def _coefficient_rows(scenario: SweepScenario, key: tuple) -> list[list]:
 
 
 def cmd_coefficients(scenario: SweepScenario) -> int:
-    return _write("coefficients", scenario, COEFF_HEADER,
-                  _table(scenario, _coefficient_rows, by_r=False))
+    return _write(scenario.out, COEFF_HEADER,
+                  _table(scenario, _coefficient_rows, by_r=False),
+                  command="coefficients", scenario=asdict(scenario))
 
 
 EVOLVE_HEADER = ["tau", "r", "j0", "delta", "omega_lo", "mode", "method",
@@ -185,7 +184,7 @@ def _evolve_rows(scenario: SweepScenario, key: tuple) -> dict:
     lead = (trace.tau_grid.tolist(), trace.gamma_int.tolist(),
             trace.delta_gamma.tolist())
     rows_at = {}
-    for r in sorted(set(scenario.r_values)):
+    for r in sorted(set(scenario.r)):
         state = make_twb(r)
         rows = rows_at[r] = []
         for mode in _modes(scenario):
@@ -198,8 +197,8 @@ def _evolve_rows(scenario: SweepScenario, key: tuple) -> dict:
 
 
 def cmd_evolve(scenario: SweepScenario) -> int:
-    return _write("evolve", scenario, EVOLVE_HEADER,
-                  _table(scenario, _evolve_rows))
+    return _write(scenario.out, EVOLVE_HEADER, _table(scenario, _evolve_rows),
+                  command="evolve", scenario=asdict(scenario))
 
 
 FIG1_HEADER = ["panel", "tau", "r", "j0", "delta", "omega_lo",
@@ -211,7 +210,7 @@ def _fig1_rows(scenario: SweepScenario, key: tuple) -> dict:
     trace = _trace(scenario, key)
     tau = trace.tau_grid.tolist()
     rows_at = {}
-    for r in sorted(set(scenario.r_values)):
+    for r in sorted(set(scenario.r)):
         k_sec = kappa_secular(r, j0 * delta, omega_lo, trace.tau_grid).tolist()
         k_full = kappa_full_curve(trace, r).tolist()
         rows_at[r] = [[t, r, *key, ks, kf, scenario.method]
@@ -219,11 +218,12 @@ def _fig1_rows(scenario: SweepScenario, key: tuple) -> dict:
     return rows_at
 
 
-def cmd_fig1(panel: str, scenario: SweepScenario) -> int:
+def cmd_fig1(scenario: SweepScenario, panel: str) -> int:
     _require_low_t("fig1", scenario)
     scenario = replace(scenario, **FIG1_PANELS[panel])
     rows = ([panel, *row] for row in _table(scenario, _fig1_rows))
-    return _write("fig1", scenario, FIG1_HEADER, rows, {"panel": panel})
+    return _write(scenario.out, FIG1_HEADER, rows, command="fig1",
+                  scenario=asdict(scenario), panel=panel)
 
 
 SWEEP_HEADER = ["kind", "tau", "r", "j0", "delta", "omega_lo", "kappa_source",
@@ -239,7 +239,7 @@ def _kappa_rows(scenario: SweepScenario, key: tuple) -> dict:
     paper = source == "paper"
     trace = None if paper else _trace(scenario, key)
     rows_at = {}
-    for r in sorted(set(scenario.r_values)):
+    for r in sorted(set(scenario.r)):
         rows = rows_at[r] = []
         for mode in ("secular",) if paper else _modes(scenario):
             if paper:
@@ -263,15 +263,15 @@ def cmd_sweep(scenario: SweepScenario) -> int:
         _require_low_t("sweep --kappa paper", scenario,
                        "use --kappa symmetric or oracle with --method quad "
                        "for a finite beta")
-    return _write("sweep", scenario, SWEEP_HEADER,
-                  _table(scenario, _kappa_rows))
+    return _write(scenario.out, SWEEP_HEADER, _table(scenario, _kappa_rows),
+                  command="sweep", scenario=asdict(scenario))
 
 
 FIG2_HEADER = ["kind", "panel", "tau", "r", "j0_delta", "omega_lo",
                "kappa_source", "mode", "method", "kappa", "e_n", "tau_sd"]
 
 
-def cmd_fig2(panel: str, scenario: SweepScenario) -> int:
+def cmd_fig2(scenario: SweepScenario, panel: str) -> int:
     _require_low_t("fig2", scenario)
     if scenario.mode == "both":
         raise UsageError("mode: fig2 emits one curve per combination; "
@@ -280,14 +280,15 @@ def cmd_fig2(panel: str, scenario: SweepScenario) -> int:
     # the sweep rows with the panel for j0 = 1: delta is then j0_delta
     rows = ([kind, panel, tau, r, *rest]
             for kind, tau, r, _, *rest in _table(scenario, _kappa_rows))
-    return _write("fig2", scenario, FIG2_HEADER, rows, {"panel": panel})
+    return _write(scenario.out, FIG2_HEADER, rows, command="fig2",
+                  scenario=asdict(scenario), panel=panel)
 
 
 VERIFY_HEADER = ["name", "primary", "oracle", "abs_dev", "rel_dev", "tol",
                  "passed"]
 
 
-def cmd_verify(scenario: SweepScenario, tol_scale: float) -> int:
+def cmd_verify(out: str | None, tol_scale: float) -> int:
     reports = run_verification(tol_scale)
     for rep in reports:
         tag = "PASS" if rep.passed else "FAIL"
@@ -296,10 +297,11 @@ def cmd_verify(scenario: SweepScenario, tol_scale: float) -> int:
               f"rel={rep.rel_dev:.3e} tol={rep.tol:g}")
     n_pass = sum(r.passed for r in reports)
     print(f"verification: {n_pass}/{len(reports)} checks passed")
-    if scenario.out:
-        _write("verify", scenario, VERIFY_HEADER,
+    if out:
+        _write(out, VERIFY_HEADER,
                [[r.name, r.primary, r.oracle, r.abs_dev, r.rel_dev, r.tol,
-                 r.passed] for r in reports], {"tol_scale": tol_scale})
+                 r.passed] for r in reports],
+               command="verify", tol_scale=tol_scale)
     return 0 if n_pass == len(reports) else 1
 
 
@@ -314,27 +316,37 @@ def _float_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
-def _add_common(sp, with_panel=False, with_mode=False, with_kappa=False,
-                with_params=False):
+def _add_common(sp, extras: str):
+    # the options of every data command, plus any of panel, mode, kappa and
+    # params (the four parameter lists) named in ``extras``
+    extras = extras.split()
     sp.add_argument("--config", help="JSON scenario file")
     sp.add_argument("--out", help="output CSV path")
-    if with_panel:
+    if "panel" in extras:
         sp.add_argument("--panel", choices=["a", "b", "c"], required=True)
-    if with_mode:
+    if "mode" in extras:
         sp.add_argument("--mode", choices=list(MODES), default=None)
     sp.add_argument("--method", choices=["closed", "quad"], default=None)
-    if with_kappa:
+    if "kappa" in extras:
         sp.add_argument("--kappa", choices=list(KAPPA_SOURCES), default=None)
     sp.add_argument("--tau-max", type=float, default=None)
     sp.add_argument("--tau-steps", type=int, default=None)
     sp.add_argument("--beta", type=float, help="omit for the low-T limit")
     sp.add_argument("--jobs", type=int, default=None)
-    if with_params:
-        sp.add_argument("--r", type=_float_list, default=None,
-                        help="comma-separated squeezing values")
-        sp.add_argument("--j0", type=_float_list, default=None)
-        sp.add_argument("--delta", type=_float_list, default=None)
-        sp.add_argument("--omega", type=_float_list, default=None)
+    if "params" in extras:
+        for name in ("r", "j0", "delta", "omega"):
+            sp.add_argument(f"--{name}", type=_float_list,
+                            help=f"comma-separated {name} values")
+
+
+# data command -> (its function, help, the extra options it takes)
+DATA_COMMANDS = {
+    "coefficients": (cmd_coefficients, "channel coefficient tables", "params"),
+    "evolve": (cmd_evolve, "covariance-matrix evolution tables", "mode params"),
+    "fig1": (cmd_fig1, "secular-validity comparison recipe", "panel"),
+    "fig2": (cmd_fig2, "negativity-dynamics recipe", "panel mode kappa"),
+    "sweep": (cmd_sweep, "general parameter-product sweep", "mode kappa params"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,17 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gaussian-state propagation in band-limited environments")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("coefficients", help="channel coefficient tables")
-    _add_common(sp, with_params=True)
-    sp = sub.add_parser("evolve", help="covariance-matrix evolution tables")
-    _add_common(sp, with_mode=True, with_params=True)
-    sp = sub.add_parser("fig1", help="secular-validity comparison recipe")
-    _add_common(sp, with_panel=True)
-    sp = sub.add_parser("fig2", help="negativity-dynamics recipe")
-    _add_common(sp, with_panel=True, with_mode=True, with_kappa=True)
-    sp = sub.add_parser("sweep", help="general parameter-product sweep")
-    _add_common(sp, with_mode=True, with_kappa=True, with_params=True)
+    for name, (_, help_text, extras) in DATA_COMMANDS.items():
+        _add_common(sub.add_parser(name, help=help_text), extras)
     sp = sub.add_parser("verify", help="run the oracle cross-check table")
     sp.add_argument("--out", help="also write the table as CSV")
     sp.add_argument("--tol-scale", type=float, default=1.0,
@@ -361,46 +364,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scenario_from_args(args) -> SweepScenario:
-    base = scenario_from_file(args.config) if getattr(args, "config", None) \
-        else SweepScenario()
-    overrides = {
-        "out": getattr(args, "out", None),
-        "method": getattr(args, "method", None),
-        "tau_stop": getattr(args, "tau_max", None),
-        "tau_steps": getattr(args, "tau_steps", None),
-        "beta": getattr(args, "beta", None),
-        "jobs": getattr(args, "jobs", None),
-        "mode": getattr(args, "mode", None),
-        "kappa": getattr(args, "kappa", None),
-        "r_values": getattr(args, "r", None),
-        "j0_values": getattr(args, "j0", None),
-        "delta_values": getattr(args, "delta", None),
-        "omega_values": getattr(args, "omega", None),
-    }
-    return apply_overrides(base, **overrides).validate()
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            scenario = SweepScenario(out=args.out)
-            return cmd_verify(scenario, args.tol_scale)
-        scenario = _scenario_from_args(args)
+            return cmd_verify(args.out, args.tol_scale)
+        base = scenario_from_file(args.config) if args.config else SweepScenario()
+        # an option's dest is the name of the field it sets
+        scenario = apply_overrides(base, **{
+            f.name: getattr(args, f.name, None)
+            for f in fields(SweepScenario)}).validate()
         if not scenario.out:
             raise UsageError("out: required (use --out or the config file)")
-        if args.command == "coefficients":
-            return cmd_coefficients(scenario)
-        if args.command == "evolve":
-            return cmd_evolve(scenario)
-        if args.command == "fig1":
-            return cmd_fig1(args.panel, scenario)
-        if args.command == "fig2":
-            return cmd_fig2(args.panel, scenario)
-        if args.command == "sweep":
-            return cmd_sweep(scenario)
-        raise UsageError(f"unknown command {args.command!r}")
+        panel = (args.panel,) if "panel" in args else ()
+        return DATA_COMMANDS[args.command][0](scenario, *panel)
     except (UsageError, UnsupportedStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -167,7 +167,7 @@ def snapshots_from_trace(trace: CoefficientTrace) -> list[ChannelSnapshot]:
 def _twb_block_values(state: TwoModeGaussianState) -> tuple[float, float]:
     """Extract (a, c) from a symmetric state with A = B = a*I, C = diag(c, -c)."""
     cm = state.cm
-    a = 0.5 * (cm[0, 0] + cm[1, 1])
+    a = 0.5 * cm[0, 0] + 0.5 * cm[1, 1]  # no overflow up to r = 355.24
     c = cm[0, 2]
     expected = np.diag([a, a, a, a])
     expected[0, 2] = expected[2, 0] = c

@@ -247,11 +247,13 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
     quadrature trace at beta = 200 against the low-temperature trace, the
     assembled covariance against the direct matrix propagator (low
     temperature and beta = 2), the invariant kappa against the PT
-    eigensolver, and the damping-exponent derivative identity. Every
+    eigensolver (per state, and the symmetric trace route against the
+    oracle one), and the damping-exponent derivative identity. Every
     primary value is read from a coefficient trace. Tolerance scale 1 is
     the shipped contract; 0 fails every row.
     """
-    from .entanglement import invariants, kappa_symmetric, nu_min_pt
+    from .entanglement import (invariants, kappa_symmetric, nu_min_pt,
+                               state_kappa_curve)
 
     reports: list[OracleReport] = []
 
@@ -351,6 +353,24 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
         "kappa_symmetric_vs_pt_eigen[r=1,tau=2]",
         kappa_symmetric(invariants(evolved)) / math.sqrt(2.0),
         nu_min_pt(evolved), 1e-9 * tol_scale))
+
+    # the symmetric trace route (the CLI's --kappa symmetric) vs the PT
+    # eigensolve of the same trace's states, largest relative deviation
+    narrow = SpectralDensity(1.0, 1.0, 1e-2)
+    for label, penv, method in (
+            ("closed-form,delta=0.001", env, METHOD_CLOSED),
+            ("quadrature,delta=0.01", EnvironmentParams(narrow),
+             METHOD_QUADRATURE),
+            ("quadrature,delta=0.01,beta=2", EnvironmentParams(narrow, 2.0),
+             METHOD_QUADRATURE)):
+        trace = build_trace(penv, np.linspace(0.0, 10.0, 201), method)
+        for r in (0.5, 2.0):
+            oracle = state_kappa_curve(trace, r, True, "oracle")
+            symmetric = state_kappa_curve(trace, r, True, "symmetric")
+            reports.append(OracleReport.compare(
+                f"kappa_symmetric_route_vs_oracle[{label},r={r}]",
+                np.max(np.abs(symmetric / math.sqrt(2.0) - oracle) / oracle),
+                0.0, 1e-10 * tol_scale, mode="abs"))
 
     # derivative identity: d/dtau Gamma = 2*gamma, both read from one trace
     h = 1e-4

@@ -1,10 +1,12 @@
-"""Sweep configuration: flat JSON files plus command-line overrides."""
+"""Sweep configuration: one name per setting, the ``SweepScenario`` field
+name. It is the config-file key, the sidecar key and, with ``-`` for ``_``,
+the flag (``tau_start`` is config-only), so a sidecar reruns its CSV."""
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, asdict, replace
+import sys
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -13,21 +15,26 @@ from .errors import UsageError
 
 MODES = ("secular", "full", "both")
 KAPPA_SOURCES = ("symmetric", "paper", "oracle")
+_METHOD_ALIASES = {"closed": METHOD_CLOSED, "quad": METHOD_QUADRATURE}
 
-_METHOD_ALIASES = {
-    "closed": METHOD_CLOSED,
-    METHOD_CLOSED: METHOD_CLOSED,
-    "quad": METHOD_QUADRATURE,
-    METHOD_QUADRATURE: METHOD_QUADRATURE,
-}
+# field type -> (accepted Python types, what the error calls it)
+_TYPES = {"float": ((int, float), "a number"), "int": (int, "an integer"),
+          "str": (str, "a string"), "tuple": ((list, tuple), "a list")}
 
 
-def canonical_method(value: str) -> str:
-    try:
-        return _METHOD_ALIASES[value]
-    except KeyError:
-        raise UsageError(f"method: unknown value {value!r} "
-                         f"(use closed or quad)") from None
+def _checked(name: str, value, kind: str):
+    """``value`` as a field of type ``kind``: finite numbers as float, lists
+    as tuples of them; a ``UsageError`` naming ``name`` for anything else."""
+    types, what = _TYPES[kind]
+    # JSON true/false are ints to Python, but not numbers here
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise UsageError(f"{name}: must be {what}, got {value!r}")
+    if kind == "tuple":
+        return tuple(_checked(name, v, "float") for v in value)
+    # also refuses nan, and an int too large for a float (float() raises)
+    if kind == "float" and not abs(value) <= sys.float_info.max:
+        raise UsageError(f"{name}: must be finite, got {value}")
+    return float(value) if kind == "float" else value
 
 
 @dataclass(frozen=True)
@@ -35,12 +42,12 @@ class SweepScenario:
     """Parameter grids and output options for one command run."""
 
     tau_start: float = 0.0
-    tau_stop: float = 30.0
+    tau_max: float = 30.0
     tau_steps: int = 600
-    r_values: tuple = (1.0,)
-    j0_values: tuple = (1.0,)
-    delta_values: tuple = (1e-3,)
-    omega_values: tuple = (1.0,)
+    r: tuple = (1.0,)
+    j0: tuple = (1.0,)
+    delta: tuple = (1e-3,)
+    omega: tuple = (1.0,)
     beta: float | None = None  # None: the low-temperature limit
     mode: str = "secular"
     method: str = METHOD_CLOSED
@@ -48,50 +55,42 @@ class SweepScenario:
     out: str | None = None
     jobs: int = 1
 
+    def __post_init__(self):
+        # the one place a scenario is normalised: every value is checked
+        # against its field's type, and closed/quad become the method tags
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or not f.type.endswith("None"):
+                object.__setattr__(self, f.name, _checked(
+                    f.name, value, f.type.split(" |")[0]))
+        object.__setattr__(self, "method",
+                           _METHOD_ALIASES.get(self.method, self.method))
+
     def validate(self) -> "SweepScenario":
         if self.tau_steps < 2:
             raise UsageError(f"tau_steps: must be >= 2, got {self.tau_steps}")
-        for name in ("tau_start", "tau_stop", "beta"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise UsageError(f"{name}: must be finite, got {value}")
         if self.tau_start < 0.0:
             raise UsageError(f"tau_start: must be >= 0, got {self.tau_start}")
-        if not self.tau_stop > self.tau_start:
-            raise UsageError(f"tau_stop: must exceed tau_start, got {self.tau_stop}")
-        for name in ("r_values", "j0_values", "delta_values", "omega_values"):
-            values = getattr(self, name)
-            if len(values) == 0:
+        if not self.tau_max > self.tau_start:
+            raise UsageError(f"tau_max: must exceed tau_start, got {self.tau_max}")
+        for name in ("r", "j0", "delta", "omega"):
+            if not getattr(self, name):
                 raise UsageError(f"{name}: must not be empty")
-            if not all(map(math.isfinite, values)):
-                raise UsageError(f"{name}: must be finite, got {list(values)}")
-        if self.mode not in MODES:
-            raise UsageError(f"mode: unknown value {self.mode!r}")
-        if self.kappa not in KAPPA_SOURCES:
-            raise UsageError(f"kappa: unknown value {self.kappa!r}")
-        canonical_method(self.method)
+        for name, choices in (("mode", MODES), ("kappa", KAPPA_SOURCES),
+                              ("method", (METHOD_CLOSED, METHOD_QUADRATURE))):
+            if getattr(self, name) not in choices:
+                raise UsageError(f"{name}: unknown value {getattr(self, name)!r}")
         if self.jobs < 1:
             raise UsageError(f"jobs: must be >= 1, got {self.jobs}")
         return self
 
     def tau_grid(self) -> np.ndarray:
-        return np.linspace(self.tau_start, self.tau_stop, self.tau_steps)
-
-    def to_meta(self) -> dict:
-        meta = asdict(self)
-        for key in ("r_values", "j0_values", "delta_values", "omega_values"):
-            meta[key] = list(meta[key])
-        return meta
-
-
-_LIST_KEYS = {"r": "r_values", "j0": "j0_values", "delta": "delta_values",
-              "omega": "omega_values"}
-_SCALAR_KEYS = {"tau_start", "tau_stop", "tau_steps", "beta", "mode", "method",
-                "kappa", "out", "jobs"}
+        return np.linspace(self.tau_start, self.tau_max, self.tau_steps)
 
 
 def scenario_from_file(path: str) -> SweepScenario:
-    """Load a scenario from a flat JSON object; unknown keys are rejected."""
+    """Load a scenario from a flat JSON object keyed by field name; unknown
+    keys are rejected."""
     with open(path) as f:
         try:
             raw = json.load(f)
@@ -99,24 +98,13 @@ def scenario_from_file(path: str) -> SweepScenario:
             raise UsageError(f"config: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise UsageError("config: top level must be a JSON object")
-    kwargs = {}
-    for key, value in raw.items():
-        if key in _LIST_KEYS:
-            if not isinstance(value, (list, tuple)):
-                raise UsageError(f"{key}: must be a list")
-            kwargs[_LIST_KEYS[key]] = tuple(float(v) for v in value)
-        elif key in _SCALAR_KEYS:
-            kwargs[key] = value
-        else:
-            raise UsageError(f"config: unknown key {key!r}")
-    if "method" in kwargs:
-        kwargs["method"] = canonical_method(kwargs["method"])
-    return SweepScenario(**kwargs)
+    unknown = sorted(raw.keys() - {f.name for f in fields(SweepScenario)})
+    if unknown:
+        raise UsageError(f"config: unknown key {unknown[0]!r}")
+    return SweepScenario(**raw)
 
 
 def apply_overrides(scenario: SweepScenario, **overrides) -> SweepScenario:
     """Return a copy with any non-None override applied."""
-    updates = {k: v for k, v in overrides.items() if v is not None}
-    if "method" in updates:
-        updates["method"] = canonical_method(updates["method"])
-    return replace(scenario, **updates)
+    return replace(scenario, **{k: v for k, v in overrides.items()
+                                if v is not None})

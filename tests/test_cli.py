@@ -1,10 +1,13 @@
+import argparse
 import json
 import math
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from bandgauss import cli
-from bandgauss.cli import main
+from bandgauss.cli import build_parser, main
 from bandgauss.scenario import SweepScenario, apply_overrides, scenario_from_file
 from bandgauss.errors import UsageError
 
@@ -25,16 +28,16 @@ class TestScenario:
             SweepScenario(tau_steps=1).validate()
 
     def test_bad_range(self):
-        with pytest.raises(UsageError, match="tau_stop"):
-            SweepScenario(tau_start=2.0, tau_stop=1.0).validate()
+        with pytest.raises(UsageError, match="tau_max"):
+            SweepScenario(tau_start=2.0, tau_max=1.0).validate()
 
     def test_empty_list(self):
-        with pytest.raises(UsageError, match="r_values"):
-            SweepScenario(r_values=()).validate()
+        with pytest.raises(UsageError, match="r"):
+            SweepScenario(r=()).validate()
 
     @pytest.mark.parametrize("field,value", [
-        ("tau_start", math.nan), ("tau_stop", math.inf),
-        ("j0_values", (1.0, math.nan)), ("delta_values", (-math.inf,))])
+        ("tau_start", math.nan), ("tau_max", math.inf),
+        ("j0", (1.0, math.nan)), ("delta", (-math.inf,))])
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(UsageError, match=f"{field}: must be finite"):
             SweepScenario(**{field: value}).validate()
@@ -45,12 +48,12 @@ class TestScenario:
 
     def test_file_roundtrip(self, tmp_path):
         cfg = tmp_path / "scenario.json"
-        cfg.write_text(json.dumps({"tau_stop": 10.0, "tau_steps": 11,
+        cfg.write_text(json.dumps({"tau_max": 10.0, "tau_steps": 11,
                                    "r": [0.3, 0.7], "beta": 200.0,
                                    "method": "quad"}))
         sc = scenario_from_file(str(cfg)).validate()
-        assert sc.tau_stop == 10.0
-        assert sc.r_values == (0.3, 0.7)
+        assert sc.tau_max == 10.0
+        assert sc.r == (0.3, 0.7)
         assert sc.beta == 200.0
         assert sc.method == "quadrature"
 
@@ -61,8 +64,8 @@ class TestScenario:
             scenario_from_file(str(cfg))
 
     def test_overrides_win(self):
-        sc = apply_overrides(SweepScenario(), tau_stop=5.0, method="quad")
-        assert sc.tau_stop == 5.0
+        sc = apply_overrides(SweepScenario(), tau_max=5.0, method="quad")
+        assert sc.tau_max == 5.0
         assert sc.method == "quadrature"
 
 
@@ -224,7 +227,7 @@ class TestSweep:
 
     def test_config_file_with_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tau_stop": 10.0, "tau_steps": 6,
+        cfg.write_text(json.dumps({"tau_max": 10.0, "tau_steps": 6,
                                    "r": [0.5], "out": str(tmp_path / "x.csv")}))
         out = tmp_path / "y.csv"
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
@@ -323,10 +326,51 @@ class TestRecipeSidecars:
         rows = [dict(zip(lines[0].split(","), line.split(",")))
                 for line in lines[1:]]
         ran = lambda column: sorted({float(row[column]) for row in rows})
-        assert scenario["r_values"] == ran("r")
-        assert scenario["delta_values"] == ran(delta_column)
-        assert scenario["omega_values"] == ran("omega_lo")
-        assert scenario["j0_values"] == [1.0]
+        assert scenario["r"] == ran("r")
+        assert scenario["delta"] == ran(delta_column)
+        assert scenario["omega"] == ran("omega_lo")
+        assert scenario["j0"] == [1.0]
+
+
+class TestSidecarRerun:
+    """A sidecar's scenario block, passed back as --config, reruns its
+    command byte for byte."""
+
+    @pytest.mark.parametrize("command,argv", [
+        (["coefficients"], ["--omega", "1,3", "--delta", "1e-2",
+                            "--tau-max", "5", "--tau-steps", "11"]),
+        (["evolve"], ["--method", "quad", "--beta", "2", "--r", "0.5,1",
+                      "--mode", "both", "--tau-max", "3", "--tau-steps", "7"]),
+        (["sweep"], ["--kappa", "oracle", "--mode", "both", "--r", "0.5,2",
+                     "--omega", "1,3", "--delta", "1e-2", "--tau-steps", "24"]),
+        (["fig1", "--panel", "b"], ["--tau-steps", "24"]),
+        (["fig2", "--panel", "c"], ["--kappa", "symmetric", "--mode", "full",
+                                    "--tau-steps", "24"]),
+    ], ids=["coefficients", "evolve", "sweep", "fig1", "fig2"])
+    def test_rerun_from_sidecar(self, tmp_path, command, argv):
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        assert main(command + argv + ["--out", str(first)]) == 0
+        cfg = tmp_path / "cfg.json"
+        meta = json.loads(first.with_suffix(".meta").read_text())
+        cfg.write_text(json.dumps(meta["scenario"]))
+        assert main(command + ["--config", str(cfg), "--out", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
+
+
+class TestVocabulary:
+    def test_every_option_is_a_scenario_field(self):
+        # one name per setting: a data command's option sets the scenario
+        # field of its own name, and sweep offers every field but the
+        # config-only tau_start
+        names = {f.name for f in fields(SweepScenario)}
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for command, sp in subparsers.choices.items():
+            if command != "verify":
+                dests = {a.dest for a in sp._actions}
+                assert dests - {"config", "panel", "help"} <= names, command
+        sweep = {a.dest for a in subparsers.choices["sweep"]._actions}
+        assert names - sweep == {"tau_start"}
 
 
 class TestOneTracePerEnvironment:
@@ -380,6 +424,33 @@ class TestErrors:
             assert main(["coefficients", "--config", str(cfg), "--out",
                          str(out)]) == 2
             assert "unknown key 'low_t'" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".meta").exists()
+
+    def test_config_old_tau_stop_rejected(self, tmp_path, capsys):
+        # the horizon has one name, tau_max, in flags, configs and sidecars
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "x.csv"
+        cfg.write_text(json.dumps({"tau_stop": 5.0}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "unknown key 'tau_stop'" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".meta").exists()
+
+    @pytest.mark.parametrize("raw,key", [
+        ({"r": ["abc"]}, "r"), ({"r": [True]}, "r"), ({"r": 0.5}, "r"),
+        ({"tau_max": "5"}, "tau_max"), ({"beta": "2"}, "beta"),
+        ({"tau_steps": "10"}, "tau_steps"), ({"tau_steps": 10.5}, "tau_steps"),
+        ({"jobs": 1.5, "omega": [1, 2]}, "jobs"), ({"method": 1}, "method"),
+        ({"out": 5}, "out"), ({"tau_max": 10 ** 400}, "tau_max")])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, raw,
+                                                 key):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "o.csv"
+        cfg.write_text(json.dumps(raw))
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--kappa", "paper"]) == 2
+        assert f"error: {key}: must be" in capsys.readouterr().err
         assert not out.exists()
         assert not out.with_suffix(".meta").exists()
 
@@ -452,17 +523,18 @@ class TestErrors:
         first = read_lines(out)[1].split(",")
         assert float(first[-3]) == pytest.approx(math.exp(-8.0), rel=1e-8)
 
-    @pytest.mark.parametrize("r", [20.0, 100.0])
+    @pytest.mark.parametrize("r", [20.0, 100.0, 355.0])
     def test_evolve_takes_large_finite_squeezing(self, tmp_path, r):
         # the covariance check's floors scale with the matrix: eigvalsh
-        # rounds at about eps * cosh(2r)
+        # rounds at about eps * cosh(2r). numpy's cosh is correctly rounded
+        # at 2r = 710, where math.cosh is one ulp high.
         out = tmp_path / "e.csv"
         assert main(["evolve", "--r", str(r), "--tau-steps", "5",
                      "--out", str(out)]) == 0
         lines = read_lines(out)
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(row["tau"]) == 0.0
-        assert float(row["cm_11"]) == math.cosh(2.0 * r)
+        assert float(row["cm_11"]) == np.cosh(2.0 * r)
 
     def test_invalid_panel(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -504,6 +576,9 @@ class TestVerifyCommand:
         assert "[PASS]" in stdout and "[FAIL]" not in stdout
         lines = read_lines(out)
         assert lines[0].startswith("name,primary,oracle")
+        # verify reads no scenario, so its sidecar records none
+        meta = json.loads(out.with_suffix(".meta").read_text())
+        assert "scenario" not in meta and meta["tol_scale"] == 1.0
 
     def test_zero_tolerance_fails(self, capsys):
         assert main(["verify", "--tol-scale", "0"]) == 1
