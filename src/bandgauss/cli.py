@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields, replace
@@ -122,9 +123,11 @@ def _modes(scenario: SweepScenario) -> tuple:
 
 
 def _map_payloads(worker, payloads, jobs: int):
-    if jobs <= 1 or len(payloads) <= 1:
+    # the pool forks all its workers up front: no more than payloads or CPUs
+    workers = min(jobs, len(payloads), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, payloads))
 
 
@@ -220,7 +223,7 @@ def _fig1_rows(scenario: SweepScenario, key: tuple) -> dict:
 
 def cmd_fig1(scenario: SweepScenario, panel: str) -> int:
     _require_low_t("fig1", scenario)
-    scenario = replace(scenario, **FIG1_PANELS[panel])
+    scenario = replace(scenario, **FIG1_PANELS[panel]).validate()
     rows = ([panel, *row] for row in _table(scenario, _fig1_rows))
     return _write(scenario.out, FIG1_HEADER, rows, command="fig1",
                   scenario=asdict(scenario), panel=panel)
@@ -276,7 +279,7 @@ def cmd_fig2(scenario: SweepScenario, panel: str) -> int:
     if scenario.mode == "both":
         raise UsageError("mode: fig2 emits one curve per combination; "
                          "choose secular or full")
-    scenario = replace(scenario, **FIG2_PANELS[panel])
+    scenario = replace(scenario, **FIG2_PANELS[panel]).validate()
     # the sweep rows with the panel for j0 = 1: delta is then j0_delta
     rows = ([kind, panel, tau, r, *rest]
             for kind, tau, r, _, *rest in _table(scenario, _kappa_rows))

@@ -16,6 +16,10 @@ Every quantity is available on two routes selected by a method tag:
 * ``"quadrature"`` -- cumulative Simpson integrals of the kernels of
   :mod:`bandgauss.spectral` on a dense uniform grid, at any temperature.
 
+The running Simpson integral and the interpolation onto the requested grid
+are numpy ports of scipy's ``cumulative_simpson`` and not-a-knot
+``CubicSpline``, bit for bit, so the module needs no scipy at run time.
+
 :func:`build_trace` is the one evaluator of both routes: it returns a
 :class:`CoefficientTrace`, every coefficient as a column over a time grid.
 A value at one time is a trace over ``[tau]``, which integrates ``[0, tau]``
@@ -30,10 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import CubicSpline
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, NumericError, UsageError
 from .spectral import SpectralDensity, kernel_cos, kernel_cos_thermal, kernel_sin
 
 METHOD_CLOSED = "closed-form"
@@ -181,35 +183,149 @@ def _weighted_cumulative(s: np.ndarray, x: np.ndarray,
     Simpson-order accurate on a uniform grid while the exponent changes
     slowly; pairs where it jumps by more than ``_STIFF_PAIR_GAP`` switch to
     an exponential-integrator step, so arbitrarily large damping exponents
-    neither overflow nor blow up the quadrature error.
+    neither overflow nor blow up the quadrature error. It runs on Python
+    floats: ``np.exp`` rounds some arguments differently from ``math.exp``.
     """
     n = len(s)
     if n % 2 == 0:
         raise ValueError("weighted cumulative needs an odd number of points")
-    h = s[1] - s[0]
-    y = np.empty(n)
-    y[0] = 0.0
-    for k in range(0, n - 2, 2):
-        g0, g1, g2 = big_gamma[k], big_gamma[k + 1], big_gamma[k + 2]
+    h = float(s[1] - s[0])
+    g, x, y = big_gamma.tolist(), x.tolist(), [0.0]
+    for g0, g1, g2, x0, x1, x2 in zip(g[:-2:2], g[1::2], g[2::2],
+                                      x[:-2:2], x[1::2], x[2::2]):
+        yk = y[-1]
         if abs(g2 - g0) > _STIFF_PAIR_GAP:
-            y[k + 1] = _etd_step(y[k], x[k], x[k + 1], g1 - g0, h)
-            y[k + 2] = _etd_step(y[k + 1], x[k + 1], x[k + 2], g2 - g1, h)
+            y1 = _etd_step(yk, x0, x1, g1 - g0, h)
+            y += (y1, _etd_step(y1, x1, x2, g2 - g1, h))
             continue
         w0 = math.exp(g0 - g1)
         w2 = math.exp(g2 - g1)
         # parabola through the triple, integrated over the first half-panel
-        y[k + 1] = y[k] * w0 + h / 12.0 * (5.0 * w0 * x[k] + 8.0 * x[k + 1]
-                                           - w2 * x[k + 2])
+        y1 = yk * w0 + h / 12.0 * (5.0 * w0 * x0 + 8.0 * x1 - w2 * x2)
         v0 = math.exp(g0 - g2)
         v1 = math.exp(g1 - g2)
-        y[k + 2] = y[k] * v0 + h / 3.0 * (v0 * x[k] + 4.0 * v1 * x[k + 1]
-                                          + x[k + 2])
-    return y
+        y += (y1, yk * v0 + h / 3.0 * (v0 * x0 + 4.0 * v1 * x1 + x2))
+    return np.array(y)
 
 
 def _running_integral(y: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Cumulative Simpson integral of ``y`` from 0 on the uniform grid ``s``."""
-    return integrate.cumulative_simpson(y, x=s, initial=0.0)
+    """Cumulative Simpson integral of ``y`` from 0 on the ascending grid ``s``.
+
+    scipy 1.17's ``cumulative_simpson(y, x=s, initial=0.0)``, bit for bit:
+    Cartwright's three-point formula gives each first half-interval of the
+    forward and of the flipped samples, the two interleave, and one running
+    sum adds them (``+ 0.0`` is scipy's ``initial``, which folds -0.0).
+    """
+    def first_halves(f, dx):
+        x21, x32 = dx[:-1], dx[1:]
+        x21_x31 = x21 / (x21 + x32)
+        x21x21_x31x32 = x21_x31 * (x21 / x32)
+        return x21 / 6 * ((3 - x21_x31) * f[:-2]
+                          + (3 + x21x21_x31x32 + x21_x31) * f[1:-1]
+                          + -x21x21_x31x32 * f[2:])
+
+    dx = np.diff(s)
+    forward = first_halves(y, dx)
+    backward = first_halves(y[::-1], dx[::-1])[::-1]
+    pieces = np.empty(len(y) - 1)
+    pieces[:-1:2] = forward[::2]
+    pieces[1::2] = backward[::2]
+    pieces[-1] = backward[-1]
+    return np.concatenate(([0.0], np.cumsum(pieces) + 0.0))
+
+
+class _NotAKnot:
+    """scipy 1.17's not-a-knot ``CubicSpline`` on the abscissae ``x``, bit
+    for bit; three points give its parabola to rounding (scipy solves that
+    system densely). The system for the knot slopes depends on ``x`` alone:
+    it is factored once, in the operation order of LAPACK's dgtsv (what
+    ``solve_banded`` calls), row interchanges included."""
+
+    def __init__(self, x: np.ndarray):
+        dx, n = np.diff(x), len(x)
+        self.x, self.dx = x, dx
+        # interior rows, then the end rows (diagonal, off-diagonal); scipy's
+        # line (n = 2) and parabola (n = 3) have ends of their own
+        d = [0.0, *(2 * (dx[:-1] + dx[1:])).tolist(), 0.0]
+        du, dl = [0.0, *dx[:-1].tolist()], [*dx[1:].tolist(), 0.0]
+        ends = ((1, n - 2),) * 2 if n <= 3 else (
+            (dx[1], x[2] - x[0]), (dx[-2], x[-1] - x[-3]))
+        (d[0], du[0]), (d[-1], dl[-1]) = [map(float, e) for e in ends]
+        # dgtsv's elimination; dl becomes U's second superdiagonal, which
+        # only an interchange fills. du's dummy last entry takes that fill-in
+        # in the last row, which dgtsv skips and nothing reads.
+        du.append(0.0)
+        self._steps = []  # (interchanged, factor) per row
+        for i in range(n - 1):
+            swapped = abs(d[i]) < abs(dl[i])
+            if swapped:
+                fact = d[i] / dl[i]
+                d[i], temp = dl[i], d[i + 1]
+                d[i + 1] = du[i] - fact * temp
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+                du[i] = temp
+            else:
+                fact = dl[i] / d[i]
+                d[i + 1] = d[i + 1] - fact * du[i]
+                dl[i] = 0.0
+            self._steps.append((swapped, fact))
+        # the back substitution's rows, last first; the zeros dgtsv leaves
+        # out of its last two rows subtract +0.0, which changes no value
+        self._back = list(zip(du[:n - 1] + [0.0], dl[:n - 2] + [0.0, 0.0],
+                              d))[::-1]
+
+    def fit(self, y: np.ndarray, name: str):
+        """The spline through ``(x, y)`` as a function of time; a
+        ``NumericError`` naming ``name`` when ``y`` is not finite."""
+        if not np.isfinite(y).all():
+            raise NumericError(f"{name}: not finite on the grid up to "
+                               f"tau = {self.x[-1]:g}")
+        x, dx, n = self.x, self.dx, len(y)
+        slope = np.diff(y) / dx
+        if n <= 3:
+            first, last = (n - 1) * slope[0], (n - 1) * slope[-1]
+        else:
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            first = ((dx[0] + 2 * d0) * dx[1] * slope[0]
+                     + dx[0] ** 2 * slope[1]) / d0
+            last = (dx[-1] ** 2 * slope[-2]
+                    + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        b = [float(first),
+             *(3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist(),
+             float(last)]
+        # forward sweep: ``lo`` is row i, which step i finishes
+        lo, rows = b[0], []
+        for (swapped, fact), nxt in zip(self._steps, b[1:]):
+            if swapped:
+                rows.append(nxt)
+                lo = lo - fact * nxt
+            else:
+                rows.append(lo)
+                lo = nxt - fact * lo
+        rows.append(lo)
+        s, x1, x2 = [], 0.0, 0.0
+        for bi, (du_i, dl_i, d_i) in zip(reversed(rows), self._back):
+            x1, x2 = (bi - du_i * x1 - dl_i * x2) / d_i, x1
+            s.append(x1)
+        # CubicHermiteSpline's coefficients from the knot slopes
+        s = np.array(s[::-1])
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        c0, c1, c2, c3 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+
+        def at(xi):
+            i = np.clip(np.searchsorted(x, xi, "right") - 1, 0, n - 2)
+            h = xi - x[i]
+            return (0.0 + c3[i] + c2[i] * h + c1[i] * (h * h)
+                    + c0[i] * (h * h * h))
+        return at
+
+
+# The fitted dense columns, in CoefficientTrace order; the last four are the
+# weighted integrals before the rotation by 2*tau that gives sec_*.
+_DENSE_NAMES = ("gamma", "delta_coef", "pi_coef", "r_shift", "gamma_int",
+                "delta_gamma", "sec_delta (cos 2s)", "sec_delta (sin 2s)",
+                "sec_pi (cos 2s)", "sec_pi (sin 2s)")
 
 
 def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
@@ -217,12 +333,16 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
     """Evaluate every coefficient of the channel on ``tau_grid``.
 
     A dense uniform master grid carries the cumulative integrals; the
-    requested grid is filled by cubic interpolation (exact at master nodes).
+    requested grid is filled by a port of scipy's not-a-knot spline, bit for
+    bit (exact at master nodes). A non-finite ``tau_grid``, or a dense
+    column that overflows, raises ``NumericError`` naming it.
     """
     require_method(env, method)
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or len(tau_grid) == 0:
         raise UsageError("tau_grid must be a non-empty 1-d array")
+    if not np.isfinite(tau_grid).all():
+        raise NumericError("tau_grid: not finite")
     if np.any(tau_grid < 0.0):
         raise DomainError("tau_grid must be non-negative")
     if np.any(np.diff(tau_grid) <= 0.0) and len(tau_grid) > 1:
@@ -258,23 +378,11 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
 
     dense += [_weighted_cumulative(s, x * trig(2.0 * s), big_gamma_s)
               for x in (delta_s, pi_s) for trig in (np.cos, np.sin)]
-    # one spline per column: a single fit of the stacked columns gives the
-    # same bits but holds about 5x the memory at once
-    fitted = [CubicSpline(s, y)(tau_grid) for y in dense]
-    gamma, delta, pi, r, g_int, d_gamma, d_c, d_s, p_c, p_s = on_grid + fitted
+    spline = _NotAKnot(s)
+    fitted = [spline.fit(y, name)(tau_grid)
+              for name, y in zip(_DENSE_NAMES[-len(dense):], dense)]
+    *first_stage, d_c, d_s, p_c, p_s = on_grid + fitted
     c2, s2 = np.cos(2.0 * tau_grid), np.sin(2.0 * tau_grid)
-
-    return CoefficientTrace(
-        tau_grid=tau_grid,
-        gamma=np.asarray(gamma, dtype=float),
-        delta_coef=np.asarray(delta, dtype=float),
-        pi_coef=np.asarray(pi, dtype=float),
-        r_shift=np.asarray(r, dtype=float),
-        gamma_int=np.asarray(g_int, dtype=float),
-        delta_gamma=np.asarray(d_gamma, dtype=float),
-        sec_delta_co=c2 * d_c + s2 * d_s,
-        sec_delta_si=s2 * d_c - c2 * d_s,
-        sec_pi_co=c2 * p_c + s2 * p_s,
-        sec_pi_si=s2 * p_c - c2 * p_s,
-        method=method,
-    )
+    return CoefficientTrace(tau_grid, *first_stage,
+                            c2 * d_c + s2 * d_s, s2 * d_c - c2 * d_s,
+                            c2 * p_c + s2 * p_s, s2 * p_c - c2 * p_s, method)

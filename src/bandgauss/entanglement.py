@@ -27,10 +27,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .coefficients import (METHOD_CLOSED, CoefficientTrace, EnvironmentParams,
-                           build_trace)
+                           _NotAKnot, build_trace)
 from .dynamics import (TwbSpec, TwoModeGaussianState, _assemble_cm,
                        check_covariances, symplectic_form)
 from .errors import DomainError, NumericError, UsageError, UnsupportedStateError
@@ -277,14 +276,14 @@ def _bisect(f, a: float, b: float, xtol: float) -> float:
 def find_last_upcrossing(tau, values, threshold, point_fn=None, xtol=1e-6):
     """Time of the last upward crossing of ``threshold`` after which the
     sampled curve stays above it; None when there is no such crossing.
-    Bisects ``point_fn``, or by default a cubic spline of the samples, whose
-    error is orders of magnitude below the time tolerance."""
+    Bisects ``point_fn``, or by default one cubic spline fit of the samples,
+    whose error is orders of magnitude below the time tolerance."""
     below = values < threshold
     if not below[0] or below[-1]:
         return None
     idx = int(np.nonzero(below)[0][-1])
     if point_fn is None:
-        spline = CubicSpline(tau, values)
+        spline = _NotAKnot(np.asarray(tau, float)).fit(values, "kappa")
         point_fn = lambda t: float(spline(t))
     return _bisect(lambda t: point_fn(t) - threshold,
                    float(tau[idx]), float(tau[idx + 1]), xtol)

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .coefficients import (METHOD_CLOSED, METHOD_QUADRATURE, EnvironmentParams,
                            build_trace, delta_closed, delta_gamma_closed,
@@ -79,6 +78,7 @@ def _chunked_quad(f, a: float, b: float, freq: float,
                   epsabs: float = QUAD_EPSABS,
                   epsrel: float = QUAD_EPSREL) -> float:
     """Adaptive quadrature of f over [a, b], split per oscillation half-period."""
+    from scipy import integrate  # only the references need scipy
     if a == b:
         return 0.0
     n_chunks = max(1, int(math.ceil((b - a) * max(freq, 1e-12) / math.pi)))
@@ -98,6 +98,7 @@ def kernel_cos_thermal_gk(spectral: SpectralDensity, s: float,
     Integrates j0*coth(beta*w/2)*cos(w*s) over the band adaptively, one
     point at a time, split into equal pieces of at most half an oscillation.
     """
+    from scipy import integrate
     lo, hi = spectral.omega_lo, spectral.omega_hi
     coth = lambda w: spectral.j0 / math.tanh(0.5 * beta * w)
     scale, _ = integrate.quad(coth, lo, hi, epsabs=0.0, epsrel=THERMAL_EPSREL,

@@ -17,6 +17,10 @@ MODES = ("secular", "full", "both")
 KAPPA_SOURCES = ("symmetric", "paper", "oracle")
 _METHOD_ALIASES = {"closed": METHOD_CLOSED, "quad": METHOD_QUADRATURE}
 
+# Most output rows (tau_steps times the number of curves) a run may ask for.
+# A row held in memory costs about 0.9 kB (evolve), so this is about 1 GB.
+MAX_ROWS = 10 ** 6
+
 # field type -> (accepted Python types, what the error calls it)
 _TYPES = {"float": ((int, float), "a number"), "int": (int, "an integer"),
           "str": (str, "a string"), "tuple": ((list, tuple), "a list")}
@@ -82,6 +86,11 @@ class SweepScenario:
                 raise UsageError(f"{name}: unknown value {getattr(self, name)!r}")
         if self.jobs < 1:
             raise UsageError(f"jobs: must be >= 1, got {self.jobs}")
+        curves = (len(self.r) * len(self.j0) * len(self.delta)
+                  * len(self.omega) * (2 if self.mode == "both" else 1))
+        if self.tau_steps * curves > MAX_ROWS:
+            raise UsageError(f"tau_steps: {self.tau_steps} x {curves} "
+                             f"curve(s) exceeds the ceiling of {MAX_ROWS} rows")
         return self
 
     def tau_grid(self) -> np.ndarray:

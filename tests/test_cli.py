@@ -1,14 +1,15 @@
 import argparse
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from bandgauss import cli
 from bandgauss.cli import build_parser, main
-from bandgauss.scenario import SweepScenario, apply_overrides, scenario_from_file
+from bandgauss.scenario import (MAX_ROWS, SweepScenario, apply_overrides,
+                                scenario_from_file)
 from bandgauss.errors import UsageError
 
 
@@ -34,6 +35,17 @@ class TestScenario:
     def test_empty_list(self):
         with pytest.raises(UsageError, match="r"):
             SweepScenario(r=()).validate()
+
+    def test_row_ceiling(self):
+        # validate counts rows without building a grid: no allocation here
+        at_ceiling = SweepScenario(tau_steps=MAX_ROWS // 4, r=(1.0, 2.0),
+                                   mode="both")
+        assert at_ceiling.validate() is at_ceiling
+        for over in (replace(at_ceiling, tau_steps=MAX_ROWS // 4 + 1),
+                     replace(at_ceiling, omega=(1.0, 3.0)),
+                     SweepScenario(tau_steps=10 ** 11)):
+            with pytest.raises(UsageError, match="tau_steps: .* ceiling"):
+                over.validate()
 
     @pytest.mark.parametrize("field,value", [
         ("tau_start", math.nan), ("tau_max", math.inf),
@@ -294,6 +306,34 @@ class TestEngine:
                      for l in read_lines(out)[1:]]
         assert min(gamma_int) < 0.0
 
+    @pytest.mark.parametrize("jobs,payloads,cpus,workers", [
+        (64, 3, 8, 3), (64, 5, 2, 2), (2, 5, 8, 2), (64, 5, None, None),
+        (1, 5, 8, None)])
+    def test_worker_count_is_bounded(self, monkeypatch, jobs, payloads, cpus,
+                                     workers):
+        # the pool forks all its workers up front, so it gets no more than
+        # there are payloads or processors; one worker runs in process
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, worker, items):
+                return map(worker, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        items = list(range(payloads))
+        assert cli._map_payloads(str, items, jobs) == [str(i) for i in items]
+        assert started == ([] if workers is None else [workers])
+
     def test_negative_squeezing_rejected_by_evolve(self, tmp_path, capsys):
         out = tmp_path / "e.csv"
         assert main(["evolve", "--r=-1", "--out", str(out),
@@ -404,6 +444,27 @@ class TestErrors:
     def test_bad_tau_steps(self, tmp_path):
         assert main(["fig1", "--panel", "a", "--out",
                      str(tmp_path / "x.csv"), "--tau-steps", "1"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--tau-steps", "100000000000"],
+        # five panel curves: refused once the preset is applied
+        ["fig1", "--panel", "a", "--tau-steps", str(MAX_ROWS // 5 + 1)]])
+    def test_unallocatable_tau_steps_refused(self, tmp_path, capsys, argv):
+        out = tmp_path / "s.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "exceeds the ceiling" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_column_refused(self, tmp_path, capsys):
+        # tau^4 overflows the closed-form damping exponent
+        out = tmp_path / "c.csv"
+        assert main(["coefficients", "--tau-max", "1e80", "--tau-steps", "5",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numeric error: sec_delta (cos 2s): not finite" in err
+        assert not out.exists()
+        assert not out.with_suffix(".meta").exists()
 
     def test_cli_thermal_conflict_rejected(self, tmp_path):
         # beta is the one temperature setting: the old --low-t switch is
