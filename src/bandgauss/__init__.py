@@ -7,35 +7,26 @@ and quadrature routes, entanglement negativity, and sudden-death detection.
 
 from .coefficients import (METHOD_CLOSED, METHOD_QUADRATURE, CoefficientTrace,
                            EnvironmentParams, build_trace)
-from .dynamics import (ChannelSnapshot, TwbSpec, TwoModeGaussianState,
-                       apply_channel, check_covariances, evolve_covariances,
-                       evolve_mean, make_twb, rotation, snapshots_from_trace)
-from .entanglement import (SymplecticInvariants, find_last_upcrossing,
-                           invariants, kappa_full, kappa_full_curve,
-                           kappa_secular, kappa_secular_channel_curve,
-                           kappa_symmetric, negativity, nu_min_pt, pt_nu_min,
-                           state_kappa_curve, sudden_death_time)
+from .dynamics import (TwbSpec, TwoModeGaussianState, evolve_covariances,
+                       make_twb)
+from .entanglement import (kappa_full_curve, kappa_secular, negativity,
+                           nu_min_pt, state_kappa_curve, sudden_death_time)
 from .errors import (DomainError, NumericError, UnsupportedStateError,
                      UsageError)
-from .oracle import (OracleReport, propagate_w_matrix, quad_reference,
-                     run_verification)
-from .spectral import SpectralDensity, kernel_cos, kernel_cos_thermal, kernel_sin
+from .oracle import OracleReport, propagate_w_matrix, run_verification
+from .spectral import SpectralDensity
 
 __version__ = "0.1.0"
 
+# what the quickstart and the acceptance gate reach (tests/test_readme.py)
 __all__ = [
     "METHOD_CLOSED", "METHOD_QUADRATURE", "CoefficientTrace",
     "EnvironmentParams", "build_trace",
-    "ChannelSnapshot", "TwbSpec", "TwoModeGaussianState", "apply_channel",
-    "check_covariances", "evolve_covariances", "evolve_mean",
-    "make_twb", "rotation", "snapshots_from_trace",
-    "SymplecticInvariants", "find_last_upcrossing", "invariants",
-    "kappa_full", "kappa_full_curve", "kappa_secular",
-    "kappa_secular_channel_curve", "kappa_symmetric", "negativity",
-    "nu_min_pt", "pt_nu_min", "state_kappa_curve", "sudden_death_time",
+    "TwbSpec", "TwoModeGaussianState", "evolve_covariances", "make_twb",
+    "kappa_full_curve", "kappa_secular", "negativity", "nu_min_pt",
+    "state_kappa_curve", "sudden_death_time",
     "DomainError", "NumericError", "UnsupportedStateError", "UsageError",
-    "OracleReport", "propagate_w_matrix", "quad_reference",
-    "run_verification",
-    "SpectralDensity", "kernel_cos", "kernel_cos_thermal", "kernel_sin",
+    "OracleReport", "propagate_w_matrix", "run_verification",
+    "SpectralDensity",
     "__version__",
 ]

@@ -46,7 +46,7 @@ from .entanglement import (find_last_upcrossing, kappa_full_curve,
                            kappa_secular, negativity, state_kappa_curve)
 from .errors import DomainError, NumericError, UnsupportedStateError, UsageError
 from .oracle import run_verification
-from .scenario import (KAPPA_SOURCES, MODES, SweepScenario,
+from .scenario import (KAPPA_SOURCES, MAX_ROWS, MODES, SweepScenario,
                        apply_overrides, scenario_from_file)
 from .spectral import SpectralDensity
 
@@ -138,9 +138,14 @@ def _table(scenario: SweepScenario, rows_of, by_r: bool = True) -> list[list]:
     (j0, delta, omega_lo)``; with ``by_r`` it gives a dict from each
     squeezing value to its rows. It runs once per distinct environment, and
     ``--jobs`` runs environments in parallel. Repeated parameter values
-    repeat their rows.
+    repeat their rows. Over ``MAX_ROWS`` rows, it refuses before any work.
     """
     keys = sorted(product(scenario.j0, scenario.delta, scenario.omega))
+    curves = len(keys) * (len(scenario.r) * len(_modes(scenario))
+                          if by_r else 1)
+    if scenario.tau_steps * curves > MAX_ROWS:
+        raise UsageError(f"tau_steps: {scenario.tau_steps} x {curves} "
+                         f"curve(s) exceeds the ceiling of {MAX_ROWS} rows")
     distinct = sorted(set(keys))
     results = _map_payloads(partial(rows_of, scenario), distinct,
                             scenario.jobs)

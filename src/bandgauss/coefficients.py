@@ -357,12 +357,16 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
     sd = env.spectral
 
     if method == METHOD_CLOSED:
-        on_grid = [f(env, tau_grid) for f in (
-            gamma_closed, delta_closed, pi_closed, r_closed, gamma_int_closed,
-            delta_gamma_closed)]
-        big_gamma_s = gamma_int_closed(env, s)
-        delta_s = delta_closed(env, s)
-        pi_s = pi_closed(env, s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            on_grid = [f(env, tau_grid) for f in (
+                gamma_closed, delta_closed, pi_closed, r_closed,
+                gamma_int_closed, delta_gamma_closed)]
+            big_gamma_s = gamma_int_closed(env, s)
+            delta_s = delta_closed(env, s)
+            pi_s = pi_closed(env, s)
+        for name, y in zip(_DENSE_NAMES, on_grid):
+            if not np.isfinite(y).all():
+                raise NumericError(f"{name}: not finite at tau <= {tau_max:g}")
         dense = []
     else:
         ks = kernel_sin(sd, s)

@@ -9,10 +9,9 @@ the vacuum gives:
   (tau^2*J0*delta + exp(-2r - tau^4*J0*delta*Omega/6))/2, and the full
   channel :func:`kappa_full_curve`, so the two coincide at tau = 0;
 * ``"1"`` -- the eigensolver :func:`nu_min_pt` and the ``oracle`` source;
-* ``"sqrt2"`` -- the symmetric-state invariant formula
-  sqrt(2)*sqrt(I1 - I3 - sqrt((I1 - I3)^2 - I4)) of :func:`kappa_symmetric`
-  and the ``symmetric`` source (Serafini, Illuminati & De Siena, J. Phys. B
-  37, L21 (2004)).
+* ``"sqrt2"`` -- the ``symmetric`` source, the symmetric-state invariant
+  formula sqrt(2)*sqrt(I1 - I3 - sqrt((I1 - I3)^2 - I4)) evaluated along a
+  trace (Serafini, Illuminati & De Siena, J. Phys. B 37, L21 (2004)).
 
 Every curve over a :class:`CoefficientTrace` comes from one evaluator,
 :func:`_kappa`, which owns the scales and checks r with
@@ -24,7 +23,6 @@ literal threshold kappa = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +30,7 @@ from .coefficients import (METHOD_CLOSED, CoefficientTrace, EnvironmentParams,
                            _NotAKnot, build_trace)
 from .dynamics import (TwbSpec, TwoModeGaussianState, _assemble_cm,
                        check_covariances, symplectic_form)
-from .errors import DomainError, NumericError, UsageError, UnsupportedStateError
+from .errors import DomainError, NumericError, UsageError
 from .spectral import SpectralDensity
 
 RADICAND_TOL = 1e-12
@@ -45,29 +43,6 @@ PT_EIGEN_COND_MAX = 1e-8
 # Vacuum scales by name: (factor on the initial covariance blocks, factor
 # on the minimum PT eigenvalue). The 1/2 scale halves the input state only.
 _SCALES = {"1/2": (0.5, 1.0), "1": (1.0, 1.0), "sqrt2": (1.0, math.sqrt(2.0))}
-
-
-@dataclass(frozen=True)
-class SymplecticInvariants:
-    """det of the diagonal block, the correlation block, and the full matrix."""
-
-    i1: float
-    i3: float
-    i4: float
-
-
-def invariants(state: TwoModeGaussianState | np.ndarray) -> SymplecticInvariants:
-    """Symplectic invariants of a symmetric two-mode covariance matrix."""
-    cm = state.cm if isinstance(state, TwoModeGaussianState) else np.asarray(state, float)
-    if cm.shape != (4, 4):
-        raise UnsupportedStateError("need a 4x4 covariance matrix")
-    if np.max(np.abs(cm[:2, :2] - cm[2:, 2:])) > 1e-10:
-        raise UnsupportedStateError("diagonal blocks differ; state is not symmetric")
-    return SymplecticInvariants(
-        i1=float(np.linalg.det(cm[:2, :2])),
-        i3=float(np.linalg.det(cm[:2, 2:])),
-        i4=float(np.linalg.det(cm)),
-    )
 
 
 def _nu_sq(x, i4):
@@ -89,16 +64,6 @@ def _clamp_radicand(value, scale=1.0):
         raise NumericError(f"radicand {np.min(value)} is negative beyond tolerance; "
                            "covariance matrix is unphysical")
     return np.maximum(value, 0.0)
-
-
-def pt_nu_min(inv: SymplecticInvariants) -> float:
-    """Minimum PT symplectic eigenvalue from the symmetric-state invariants."""
-    return float(np.sqrt(_nu_sq(inv.i1 - inv.i3, inv.i4)))
-
-
-def kappa_symmetric(inv: SymplecticInvariants) -> float:
-    """Invariant-formula kappa, sqrt(2) times the minimum PT eigenvalue."""
-    return _SCALES["sqrt2"][1] * pt_nu_min(inv)
 
 
 def kappa_secular(r, j0_delta, omega_lo, tau):

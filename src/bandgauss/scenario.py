@@ -86,11 +86,6 @@ class SweepScenario:
                 raise UsageError(f"{name}: unknown value {getattr(self, name)!r}")
         if self.jobs < 1:
             raise UsageError(f"jobs: must be >= 1, got {self.jobs}")
-        curves = (len(self.r) * len(self.j0) * len(self.delta)
-                  * len(self.omega) * (2 if self.mode == "both" else 1))
-        if self.tau_steps * curves > MAX_ROWS:
-            raise UsageError(f"tau_steps: {self.tau_steps} x {curves} "
-                             f"curve(s) exceeds the ceiling of {MAX_ROWS} rows")
         return self
 
     def tau_grid(self) -> np.ndarray:

@@ -2,10 +2,11 @@
 
 The environment couples only through a rectangular band of height ``j0``
 on ``[omega_lo, omega_lo + delta)``. Everything downstream (damping and
-diffusion coefficients) consumes the two kernels defined here: the sine
-transform of the band (closed form) and the thermally weighted cosine
-transform (closed form at low temperature, a fixed graded Gauss-Legendre
-rule evaluated as one matrix product at finite temperature).
+diffusion coefficients) reads the band only through the two kernels
+defined here, never at one frequency: the sine transform of the band
+(closed form) and the thermally weighted cosine transform (closed form at
+low temperature, a fixed graded Gauss-Legendre rule evaluated as one
+matrix product at finite temperature).
 All frequencies and times are dimensionless (mode frequency = 1).
 """
 
@@ -27,8 +28,7 @@ SERIES_CROSSOVER = 1e-4
 class SpectralDensity:
     """Rectangular spectral band: j0 on [omega_lo, omega_lo + delta), else 0.
 
-    Parameters are in units of the system mode frequency. The band edges are
-    half-open (left-closed) so that evaluation is deterministic on the edges.
+    Parameters are in units of the system mode frequency.
     """
 
     j0: float
@@ -47,15 +47,6 @@ class SpectralDensity:
     def omega_hi(self) -> float:
         """Upper band edge."""
         return self.omega_lo + self.delta
-
-    def evaluate(self, omega):
-        """Density value at frequency ``omega`` (scalar or array, >= 0)."""
-        w = np.asarray(omega, dtype=float)
-        if np.any(w < 0.0):
-            raise DomainError("frequencies must be non-negative")
-        inside = (w >= self.omega_lo) & (w < self.omega_hi)
-        out = np.where(inside, self.j0, 0.0)
-        return float(out) if np.isscalar(omega) or w.ndim == 0 else out
 
 
 def _check_times(s) -> np.ndarray:

@@ -1,7 +1,8 @@
 import argparse
 import json
 import math
-from dataclasses import fields, replace
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -36,16 +37,28 @@ class TestScenario:
         with pytest.raises(UsageError, match="r"):
             SweepScenario(r=()).validate()
 
-    def test_row_ceiling(self):
-        # validate counts rows without building a grid: no allocation here
-        at_ceiling = SweepScenario(tau_steps=MAX_ROWS // 4, r=(1.0, 2.0),
-                                   mode="both")
-        assert at_ceiling.validate() is at_ceiling
-        for over in (replace(at_ceiling, tau_steps=MAX_ROWS // 4 + 1),
-                     replace(at_ceiling, omega=(1.0, 3.0)),
-                     SweepScenario(tau_steps=10 ** 11)):
-            with pytest.raises(UsageError, match="tau_steps: .* ceiling"):
-                over.validate()
+    def test_row_ceiling(self, tmp_path, monkeypatch, capsys):
+        # the engine counts the rows of the command that runs before it
+        # builds a trace; a ceiling of 40 stands in for MAX_ROWS, so nothing
+        # large is allocated here
+        monkeypatch.setattr(cli, "MAX_ROWS", 40)
+        out = tmp_path / "x.csv"
+        short = ["--tau-max", "1", "--out", str(out)]
+        at_ceiling = ["evolve", "--r", "1,2", "--mode", "both", *short]
+        assert main(at_ceiling + ["--tau-steps", "10"]) == 0
+        # coefficients writes one curve per environment, whatever r is
+        assert main(["coefficients", "--r", "1,2", "--tau-steps", "40",
+                     *short]) == 0
+        assert len(read_lines(out)) == 41
+        out.unlink()
+        monkeypatch.setattr(cli, "_trace", None)  # any trace would fail
+        for over in (at_ceiling + ["--tau-steps", "11"],
+                     at_ceiling + ["--tau-steps", "10", "--omega", "1,3"],
+                     ["sweep", "--r", "1,2", "--tau-steps", "40", *short],
+                     ["sweep", "--tau-steps", str(10 ** 11), *short]):
+            assert main(over) == 2
+            assert re.search("tau_steps: .* ceiling", capsys.readouterr().err)
+            assert not out.exists()
 
     @pytest.mark.parametrize("field,value", [
         ("tau_start", math.nan), ("tau_max", math.inf),
@@ -455,14 +468,13 @@ class TestErrors:
         assert "exceeds the ceiling" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_column_refused(self, tmp_path, capsys):
         # tau^4 overflows the closed-form damping exponent
         out = tmp_path / "c.csv"
         assert main(["coefficients", "--tau-max", "1e80", "--tau-steps", "5",
                      "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert "numeric error: sec_delta (cos 2s): not finite" in err
+        assert "numeric error: gamma_int: not finite" in err
         assert not out.exists()
         assert not out.with_suffix(".meta").exists()
 

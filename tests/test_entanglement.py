@@ -9,14 +9,12 @@ from bandgauss.coefficients import (METHOD_CLOSED, METHOD_QUADRATURE,
 from bandgauss.dynamics import (ChannelSnapshot, TwoModeGaussianState,
                                 apply_channel, evolve_covariances, make_twb,
                                 snapshots_from_trace)
-from bandgauss.entanglement import (SymplecticInvariants, find_last_upcrossing,
-                                    invariants, kappa_full, kappa_full_curve,
-                                    kappa_secular, kappa_secular_channel_curve,
-                                    kappa_symmetric, negativity, nu_min_pt,
-                                    pt_nu_min, state_kappa_curve,
+from bandgauss.entanglement import (_nu_sq, find_last_upcrossing, kappa_full,
+                                    kappa_full_curve, kappa_secular,
+                                    kappa_secular_channel_curve, negativity,
+                                    nu_min_pt, state_kappa_curve,
                                     sudden_death_time)
-from bandgauss.errors import (DomainError, NumericError, UnsupportedStateError,
-                              UsageError)
+from bandgauss.errors import DomainError, NumericError, UsageError
 from bandgauss.spectral import SpectralDensity
 
 import per_point
@@ -26,58 +24,37 @@ def narrow_env(j0=1.0, omega_lo=1.0, delta=1e-3):
     return EnvironmentParams(SpectralDensity(j0, omega_lo, delta))
 
 
-class TestInvariants:
-    def test_vacuum(self):
-        inv = invariants(make_twb(0.0))
-        assert (inv.i1, inv.i3) == (1.0, 0.0)
-        assert inv.i4 == pytest.approx(1.0, abs=1e-14)
-
-    def test_twb_values(self):
-        for r in (0.3, 1.0, 2.0):
-            inv = invariants(make_twb(r))
-            assert inv.i1 == pytest.approx(math.cosh(2 * r) ** 2, rel=1e-13)
-            assert inv.i3 == pytest.approx(-math.sinh(2 * r) ** 2, rel=1e-13)
-            assert inv.i4 == pytest.approx(1.0, abs=1e-9 * math.cosh(2 * r) ** 2)
-
-    def test_twb_unit_squeezing(self):
-        inv = invariants(make_twb(1.0))
-        assert inv.i1 == pytest.approx(14.154116418008243, rel=1e-12)
-        assert inv.i3 == pytest.approx(-13.154116418008245, rel=1e-12)
-
-    def test_rejects_asymmetric_blocks(self):
-        cm = np.diag([2.0, 2.0, 3.0, 3.0])
-        with pytest.raises(UnsupportedStateError):
-            invariants(cm)
+def symmetric_kappa(i1, i3, i4):
+    # the sqrt(2)-scale invariant formula on the evaluator's own radicand
+    return math.sqrt(2.0 * _nu_sq(i1 - i3, i4))
 
 
 class TestKappaSymmetric:
     def test_vacuum_is_sqrt2(self):
-        assert kappa_symmetric(invariants(make_twb(0.0))) == \
-            pytest.approx(math.sqrt(2.0), rel=1e-14)
+        got = state_kappa_curve(build_trace(narrow_env(), [0.0]), 0.0)[0]
+        assert got == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
     def test_twb_closed_value(self):
         # I1 - I3 = cosh(4r), radicand = exp(-4r): kappa = sqrt(2)*exp(-2r)
-        got = kappa_symmetric(invariants(make_twb(1.0)))
+        got = state_kappa_curve(build_trace(narrow_env(), [0.0]), 1.0)[0]
         assert got == pytest.approx(math.sqrt(2.0) * math.exp(-2.0), rel=1e-12)
         assert got == pytest.approx(0.19139, abs=1e-5)
 
     def test_inner_root_vanishing_edge(self):
-        inv = SymplecticInvariants(i1=2.0, i3=-1.0, i4=9.0)
-        assert kappa_symmetric(inv) == pytest.approx(math.sqrt(2.0 * 3.0), rel=1e-14)
+        assert symmetric_kappa(2.0, -1.0, 9.0) == \
+            pytest.approx(math.sqrt(2.0 * 3.0), rel=1e-14)
 
     def test_unphysical_radicand_raises(self):
         with pytest.raises(NumericError):
-            kappa_symmetric(SymplecticInvariants(i1=1.0, i3=0.0, i4=1.0 + 1e-6))
+            symmetric_kappa(1.0, 0.0, 1.0 + 1e-6)
 
     def test_tiny_negative_radicand_clamped(self):
-        kappa_symmetric(SymplecticInvariants(i1=1.0, i3=0.0, i4=1.0 + 1e-13))
+        symmetric_kappa(1.0, 0.0, 1.0 + 1e-13)
 
     def test_stable_at_strong_squeezing(self):
         # the naive x - sqrt(x^2 - i4) form loses everything here; from exact
-        # invariants the rearranged formula stays exact
-        inv = SymplecticInvariants(math.cosh(20.0) ** 2,
-                                   -math.sinh(20.0) ** 2, 1.0)
-        got = kappa_symmetric(inv)
+        # I1, I3 and I4 the rearranged formula stays exact
+        got = symmetric_kappa(math.cosh(20.0) ** 2, -math.sinh(20.0) ** 2, 1.0)
         assert got == pytest.approx(math.sqrt(2.0) * math.exp(-20.0), rel=1e-12)
 
     def test_curve_route_stable_at_strong_squeezing(self):
@@ -144,14 +121,15 @@ class TestNuMinPt:
         assert nu_min_pt(make_twb(0.5)) == pytest.approx(math.exp(-1.0), abs=1e-10)
 
     def test_agrees_with_invariant_formula_on_evolved_states(self):
+        # the symmetric trace curve is the invariant formula, sqrt(2) scale
         env = narrow_env()
         for tau in (0.5, 2.0, 7.0):
-            cm = evolve_covariances(make_twb(0.8),
-                                    build_trace(env, [tau], METHOD_CLOSED))[0]
+            trace = build_trace(env, [tau], METHOD_CLOSED)
+            cm = evolve_covariances(make_twb(0.8), trace)[0]
             state = TwoModeGaussianState(np.zeros(4), cm,
                                          validate_uncertainty=False)
-            assert nu_min_pt(state) == \
-                pytest.approx(pt_nu_min(invariants(state)), rel=1e-9)
+            assert nu_min_pt(state) == pytest.approx(
+                state_kappa_curve(trace, 0.8)[0] / math.sqrt(2.0), rel=1e-9)
 
 
 class TestNegativity:
@@ -204,8 +182,9 @@ class TestKappaFull:
         for i, tau in enumerate(taus):
             cm = evolve_covariances(
                 half, build_trace(env, [float(tau)], METHOD_CLOSED))[0]
-            assert curve[i] == pytest.approx(pt_nu_min(invariants(cm)),
-                                             rel=1e-9)
+            state = TwoModeGaussianState(np.zeros(4), cm,
+                                         validate_uncertainty=False)
+            assert curve[i] == pytest.approx(nu_min_pt(state), rel=1e-9)
 
     def test_scalar_matches_curve(self):
         env = narrow_env()
@@ -219,12 +198,11 @@ class TestKappaFull:
         # zero-coupling snapshot: kappa of the evolved state equals its
         # initial value at any angle
         state = make_twb(0.6)
-        base = kappa_symmetric(invariants(state))
+        base = nu_min_pt(state)
         for tau in (0.7, 2.0, 11.3):
             snap = ChannelSnapshot(tau, 0.0, 0.0, (0.0, 0.0, 0.0, 0.0), tau)
             rotated = apply_channel(state, snap)
-            assert kappa_symmetric(invariants(rotated)) == \
-                pytest.approx(base, rel=1e-12)
+            assert nu_min_pt(rotated) == pytest.approx(base, rel=1e-12)
 
     def test_oracle_source_matches_symmetric_source(self):
         env = narrow_env()

@@ -11,33 +11,6 @@ from bandgauss.spectral import (SpectralDensity, kernel_cos,
 
 
 class TestSpectralDensity:
-    def test_inside_band(self):
-        sd = SpectralDensity(1.0, 1.0, 0.5)
-        assert sd.evaluate(1.25) == 1.0
-
-    def test_below_band(self):
-        sd = SpectralDensity(1.0, 1.0, 0.5)
-        assert sd.evaluate(0.5) == 0.0
-
-    def test_narrow_band_midpoint(self):
-        sd = SpectralDensity(2.0, 3.0, 1e-3)
-        assert sd.evaluate(3.0005) == 2.0
-
-    def test_edges_left_closed_right_open(self):
-        sd = SpectralDensity(1.0, 1.0, 0.5)
-        assert sd.evaluate(1.0) == 1.0
-        assert sd.evaluate(1.5) == 0.0
-
-    def test_negative_frequency_rejected(self):
-        sd = SpectralDensity(1.0, 1.0, 0.5)
-        with pytest.raises(DomainError):
-            sd.evaluate(-0.1)
-
-    def test_vectorized(self):
-        sd = SpectralDensity(1.0, 1.0, 0.5)
-        np.testing.assert_array_equal(sd.evaluate(np.array([0.5, 1.2, 2.0])),
-                                      [0.0, 1.0, 0.0])
-
     @pytest.mark.parametrize("kwargs", [
         dict(j0=0.0, omega_lo=1.0, delta=1.0),
         dict(j0=-1.0, omega_lo=1.0, delta=1.0),
