@@ -31,7 +31,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields, replace
 from functools import partial
 from itertools import product
@@ -77,11 +76,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
+class _Cells(dict):
+    """The text of each cell value, formatted on first use."""
+
+    def __missing__(self, value):
+        text = self[value] = _fmt(value)
+        return text
+
+
+# Cell types that share one memo keyed by value: no float equals a string,
+# and equal floats print alike. True == 1 == 1.0 would share a key, so a row
+# holding any other type is formatted cell by cell.
+_MEMO_TYPES = frozenset((float, str))
+
+
 def write_csv(path: str, header: list[str], rows) -> None:
+    # most cells repeat a value (a grid time, a parameter, a saturated
+    # curve), so each distinct value is formatted once per file
+    cells = _Cells()
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+            text = (cells.__getitem__ if _MEMO_TYPES.issuperset(map(type, row))
+                    else _fmt)
+            f.write(",".join(map(text, row)) + "\n")
 
 
 def _write(out: str, header: list[str], rows, **meta) -> int:
@@ -122,27 +140,35 @@ def _modes(scenario: SweepScenario) -> tuple:
     return ("secular", "full") if scenario.mode == "both" else (scenario.mode,)
 
 
+def _kappa_modes(scenario: SweepScenario) -> tuple:
+    # the paper source reads no trace and has no mode: one curve, secular
+    return ("secular",) if scenario.kappa == "paper" else _modes(scenario)
+
+
 def _map_payloads(worker, payloads, jobs: int):
     # the pool forks all its workers up front: no more than payloads or CPUs
     workers = min(jobs, len(payloads), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(p) for p in payloads]
+    # imported here: it loads multiprocessing, which a run in process skips
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, payloads))
 
 
-def _table(scenario: SweepScenario, rows_of, by_r: bool = True) -> list[list]:
+def _table(scenario: SweepScenario, rows_of,
+           per_r: int | None) -> list[list]:
     """Rows of every parameter combination of ``scenario``, sorted.
 
     ``rows_of(scenario, key)`` gives the rows of one environment ``key =
-    (j0, delta, omega_lo)``; with ``by_r`` it gives a dict from each
-    squeezing value to its rows. It runs once per distinct environment, and
-    ``--jobs`` runs environments in parallel. Repeated parameter values
-    repeat their rows. Over ``MAX_ROWS`` rows, it refuses before any work.
+    (j0, delta, omega_lo)``: a dict from each squeezing value to the rows of
+    its ``per_r`` curves, or with ``per_r`` None the rows of one curve. It
+    runs once per distinct environment, and ``--jobs`` runs environments in
+    parallel. Repeated parameter values repeat their rows. Over
+    ``MAX_ROWS`` rows, it refuses before any work.
     """
     keys = sorted(product(scenario.j0, scenario.delta, scenario.omega))
-    curves = len(keys) * (len(scenario.r) * len(_modes(scenario))
-                          if by_r else 1)
+    curves = len(keys) * (1 if per_r is None else len(scenario.r) * per_r)
     if scenario.tau_steps * curves > MAX_ROWS:
         raise UsageError(f"tau_steps: {scenario.tau_steps} x {curves} "
                          f"curve(s) exceeds the ceiling of {MAX_ROWS} rows")
@@ -150,7 +176,7 @@ def _table(scenario: SweepScenario, rows_of, by_r: bool = True) -> list[list]:
     results = _map_payloads(partial(rows_of, scenario), distinct,
                             scenario.jobs)
     rows_at = dict(zip(distinct, results))
-    if not by_r:
+    if per_r is None:
         return [row for key in keys for row in rows_at[key]]
     return [row for r in sorted(scenario.r) for key in keys
             for row in rows_at[key][r]]
@@ -176,7 +202,7 @@ def _coefficient_rows(scenario: SweepScenario, key: tuple) -> list[list]:
 
 def cmd_coefficients(scenario: SweepScenario) -> int:
     return _write(scenario.out, COEFF_HEADER,
-                  _table(scenario, _coefficient_rows, by_r=False),
+                  _table(scenario, _coefficient_rows, per_r=None),
                   command="coefficients", scenario=asdict(scenario))
 
 
@@ -205,7 +231,8 @@ def _evolve_rows(scenario: SweepScenario, key: tuple) -> dict:
 
 
 def cmd_evolve(scenario: SweepScenario) -> int:
-    return _write(scenario.out, EVOLVE_HEADER, _table(scenario, _evolve_rows),
+    return _write(scenario.out, EVOLVE_HEADER,
+                  _table(scenario, _evolve_rows, len(_modes(scenario))),
                   command="evolve", scenario=asdict(scenario))
 
 
@@ -229,7 +256,7 @@ def _fig1_rows(scenario: SweepScenario, key: tuple) -> dict:
 def cmd_fig1(scenario: SweepScenario, panel: str) -> int:
     _require_low_t("fig1", scenario)
     scenario = replace(scenario, **FIG1_PANELS[panel]).validate()
-    rows = ([panel, *row] for row in _table(scenario, _fig1_rows))
+    rows = ([panel, *row] for row in _table(scenario, _fig1_rows, per_r=1))
     return _write(scenario.out, FIG1_HEADER, rows, command="fig1",
                   scenario=asdict(scenario), panel=panel)
 
@@ -240,8 +267,7 @@ SWEEP_HEADER = ["kind", "tau", "r", "j0", "delta", "omega_lo", "kappa_source",
 
 def _kappa_rows(scenario: SweepScenario, key: tuple) -> dict:
     """Kappa curves of one environment: per r and mode, the point rows and
-    a sudden_death row. The paper source reads no trace and has no mode;
-    it gives one curve tagged secular."""
+    a sudden_death row."""
     j0, delta, omega_lo = key
     source, grid = scenario.kappa, scenario.tau_grid()
     paper = source == "paper"
@@ -249,7 +275,7 @@ def _kappa_rows(scenario: SweepScenario, key: tuple) -> dict:
     rows_at = {}
     for r in sorted(set(scenario.r)):
         rows = rows_at[r] = []
-        for mode in ("secular",) if paper else _modes(scenario):
+        for mode in _kappa_modes(scenario):
             if paper:
                 kappa = kappa_secular(r, j0 * delta, omega_lo, grid)
                 point_fn = lambda t: kappa_secular(r, j0 * delta, omega_lo, t)
@@ -271,7 +297,8 @@ def cmd_sweep(scenario: SweepScenario) -> int:
         _require_low_t("sweep --kappa paper", scenario,
                        "use --kappa symmetric or oracle with --method quad "
                        "for a finite beta")
-    return _write(scenario.out, SWEEP_HEADER, _table(scenario, _kappa_rows),
+    return _write(scenario.out, SWEEP_HEADER,
+                  _table(scenario, _kappa_rows, len(_kappa_modes(scenario))),
                   command="sweep", scenario=asdict(scenario))
 
 
@@ -287,7 +314,8 @@ def cmd_fig2(scenario: SweepScenario, panel: str) -> int:
     scenario = replace(scenario, **FIG2_PANELS[panel]).validate()
     # the sweep rows with the panel for j0 = 1: delta is then j0_delta
     rows = ([kind, panel, tau, r, *rest]
-            for kind, tau, r, _, *rest in _table(scenario, _kappa_rows))
+            for kind, tau, r, _, *rest
+            in _table(scenario, _kappa_rows, len(_kappa_modes(scenario))))
     return _write(scenario.out, FIG2_HEADER, rows, command="fig2",
                   scenario=asdict(scenario), panel=panel)
 

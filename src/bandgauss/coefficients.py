@@ -158,54 +158,87 @@ class CoefficientTrace:
 _STIFF_PAIR_GAP = 0.05
 
 
-def _etd_step(y: float, x0: float, x1: float, a: float, h: float) -> float:
-    """One step of y' = x - Gamma'*y with x linear and Gamma' constant.
+def _exp(a: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """exp(a) where asked and 0 elsewhere, by ``math.exp``: ``np.exp``
+    rounds some arguments differently."""
+    out = np.zeros(a.shape)
+    out[where] = list(map(math.exp, a[where].tolist()))
+    return out
 
-    ``a`` is the damping-exponent change over the step. Exact for that local
-    model; only exp(-a) appears, so growing exponents cannot overflow.
-    Steeply decreasing exponents are outside the model and get clamped.
+
+def _etd_weights(a: np.ndarray, where: np.ndarray):
+    """exp(-a) and the two phi-functions of the exponential-integrator step
+    over a damping-exponent change ``a``, where asked and 0 elsewhere.
+
+    The step solves y' = x - Gamma'*y with x linear and Gamma' constant
+    (Hochbruck & Ostermann, Acta Numerica 2010): exact for that local model,
+    and only exp(-a) appears, so growing exponents cannot overflow. Steeply
+    decreasing exponents are outside the model and get clamped.
     """
-    a = max(a, -600.0)
-    ema = math.exp(-a)
-    if abs(a) < 1e-4:
-        phi0 = 0.5 - a / 3.0 + a * a / 8.0
-        phi1 = 0.5 - a / 6.0 + a * a / 24.0
-    else:
-        phi0 = (1.0 - ema * (1.0 + a)) / (a * a)
-        phi1 = (a - 1.0 + ema) / (a * a)
-    return y * ema + h * (x0 * phi0 + x1 * phi1)
+    a = np.maximum(a, -600.0)
+    ema = _exp(-a, where)
+    phi0, phi1 = np.zeros(a.shape), np.zeros(a.shape)
+    series = where & (np.abs(a) < 1e-4)
+    closed = where & ~series
+    s, c, e = a[series], a[closed], ema[closed]
+    phi0[series] = 0.5 - s / 3.0 + s * s / 8.0
+    phi1[series] = 0.5 - s / 6.0 + s * s / 24.0
+    phi0[closed] = (1.0 - e * (1.0 + c)) / (c * c)
+    phi1[closed] = (c - 1.0 + e) / (c * c)
+    return ema, phi0, phi1
 
 
-def _weighted_cumulative(s: np.ndarray, x: np.ndarray,
+def _weighted_cumulative(s: np.ndarray, xs,
                          big_gamma: np.ndarray) -> np.ndarray:
-    """Running y(t) = exp(-Gamma(t)) * int_0^t exp(Gamma(s)) x(s) ds.
+    """Running y(t) = exp(-Gamma(t)) * int_0^t exp(Gamma(s)) x(s) ds, for
+    each column x along the last axis of ``xs``.
 
     Simpson-order accurate on a uniform grid while the exponent changes
     slowly; pairs where it jumps by more than ``_STIFF_PAIR_GAP`` switch to
-    an exponential-integrator step, so arbitrarily large damping exponents
-    neither overflow nor blow up the quadrature error. It runs on Python
-    floats: ``np.exp`` rounds some arguments differently from ``math.exp``.
+    two exponential-integrator steps, so arbitrarily large damping exponents
+    neither overflow nor blow up the quadrature error.
+
+    A pair of steps from y is y1 = y*m1 + c1, then y2 = y1*m2 + c2 (stiff)
+    or y*m2 + c2 (Simpson). The multipliers depend on Gamma alone, so the
+    columns share them; the increments are vectorised in the operation order
+    of one scalar step, and only the chain through the even nodes runs on
+    Python floats. The result is the step-by-step loop's, bit for bit.
     """
-    n = len(s)
+    xs = np.asarray(xs, dtype=float)
+    n = xs.shape[-1]
     if n % 2 == 0:
         raise ValueError("weighted cumulative needs an odd number of points")
     h = float(s[1] - s[0])
-    g, x, y = big_gamma.tolist(), x.tolist(), [0.0]
-    for g0, g1, g2, x0, x1, x2 in zip(g[:-2:2], g[1::2], g[2::2],
-                                      x[:-2:2], x[1::2], x[2::2]):
-        yk = y[-1]
-        if abs(g2 - g0) > _STIFF_PAIR_GAP:
-            y1 = _etd_step(yk, x0, x1, g1 - g0, h)
-            y += (y1, _etd_step(y1, x1, x2, g2 - g1, h))
-            continue
-        w0 = math.exp(g0 - g1)
-        w2 = math.exp(g2 - g1)
-        # parabola through the triple, integrated over the first half-panel
-        y1 = yk * w0 + h / 12.0 * (5.0 * w0 * x0 + 8.0 * x1 - w2 * x2)
-        v0 = math.exp(g0 - g2)
-        v1 = math.exp(g1 - g2)
-        y += (y1, yk * v0 + h / 3.0 * (v0 * x0 + 4.0 * v1 * x1 + x2))
-    return np.array(y)
+    x = xs.reshape(-1, n)
+    x0, x1, x2 = x[:, :-2:2], x[:, 1::2], x[:, 2::2]
+    g0, g1, g2 = big_gamma[:-2:2], big_gamma[1::2], big_gamma[2::2]
+    # each exp only where its step takes it, since math.exp raises on
+    # overflow; a non-finite exponent gives NaN, as on Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        stiff = np.abs(g2 - g0) > _STIFF_PAIR_GAP
+        smooth = ~stiff
+        # Simpson: the parabola through the triple, integrated over the
+        # first half-panel and over the pair
+        w0, w2, v0, v1 = (_exp(d, smooth) for d in (g0 - g1, g2 - g1,
+                                                    g0 - g2, g1 - g2))
+        e1, phi0, phi1 = _etd_weights(g1 - g0, stiff)
+        m1 = np.where(stiff, e1, w0)
+        c1 = np.where(stiff, h * (x0 * phi0 + x1 * phi1),
+                      h / 12.0 * (5.0 * w0 * x0 + 8.0 * x1 - w2 * x2))
+        e2, phi0, phi1 = _etd_weights(g2 - g1, stiff)
+        m2 = np.where(stiff, e2, v0)
+        c2 = np.where(stiff, h * (x1 * phi0 + x2 * phi1),
+                      h / 3.0 * (v0 * x0 + 4.0 * v1 * x1 + x2))
+    y = np.empty(x.shape)
+    pairs = list(zip(stiff.tolist(), m1.tolist(), m2.tolist()))
+    for col, inc1, inc2 in zip(y, c1.tolist(), c2.tolist()):
+        yk, even = 0.0, [0.0]
+        for (st, a1, a2), b1, b2 in zip(pairs, inc1, inc2):
+            yk = ((yk * a1 + b1) if st else yk) * a2 + b2
+            even.append(yk)
+        col[::2] = even
+    y[:, 1::2] = y[:, :-2:2] * m1 + c1
+    return y.reshape(xs.shape)
 
 
 def _running_integral(y: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -234,12 +267,33 @@ def _running_integral(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(pieces) + 0.0))
 
 
+def _factor_plain(d: list, du: list, dl: list):
+    """dgtsv's elimination of the tridiagonal system (diagonal ``d``,
+    superdiagonal ``du``, subdiagonal ``dl``) while no row needs an
+    interchange: the factor of each row and the pivots of U. None at the
+    first row whose subdiagonal outweighs its pivot."""
+    pivot = d[0]
+    facts, pivots = [], [pivot]
+    for dl_i, du_i, d_next in zip(dl, du, d[1:]):
+        if abs(pivot) < abs(dl_i):
+            return None
+        fact = dl_i / pivot
+        pivot = d_next - fact * du_i
+        facts.append(fact)
+        pivots.append(pivot)
+    return facts, pivots
+
+
 class _NotAKnot:
     """scipy 1.17's not-a-knot ``CubicSpline`` on the abscissae ``x``, bit
     for bit; three points give its parabola to rounding (scipy solves that
     system densely). The system for the knot slopes depends on ``x`` alone:
     it is factored once, in the operation order of LAPACK's dgtsv (what
-    ``solve_banded`` calls), row interchanges included."""
+    ``solve_banded`` calls), row interchanges included.
+
+    ``interchanged`` flags the rows whose elimination swapped; it is empty
+    when none does, as on every uniform grid, and then each row costs one
+    factor and one pivot."""
 
     def __init__(self, x: np.ndarray):
         dx, n = np.diff(x), len(x)
@@ -251,29 +305,39 @@ class _NotAKnot:
         ends = ((1, n - 2),) * 2 if n <= 3 else (
             (dx[1], x[2] - x[0]), (dx[-2], x[-1] - x[-3]))
         (d[0], du[0]), (d[-1], dl[-1]) = [map(float, e) for e in ends]
-        # dgtsv's elimination; dl becomes U's second superdiagonal, which
-        # only an interchange fills. du's dummy last entry takes that fill-in
-        # in the last row, which dgtsv skips and nothing reads.
-        du.append(0.0)
-        self._steps = []  # (interchanged, factor) per row
-        for i in range(n - 1):
-            swapped = abs(d[i]) < abs(dl[i])
-            if swapped:
-                fact = d[i] / dl[i]
-                d[i], temp = dl[i], d[i + 1]
-                d[i + 1] = du[i] - fact * temp
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-                du[i] = temp
-            else:
-                fact = dl[i] / d[i]
-                d[i + 1] = d[i + 1] - fact * du[i]
-                dl[i] = 0.0
-            self._steps.append((swapped, fact))
+        plain = _factor_plain(d, du, dl)
+        if plain:
+            self.facts, d = plain
+            # dgtsv zeroes the subdiagonal of every row it does not swap
+            dl = [0.0] * (n - 1)
+            self.interchanged = ()
+        else:
+            # dl becomes U's second superdiagonal, which only an interchange
+            # fills. du's dummy last entry takes that fill-in in the last
+            # row, which dgtsv skips and nothing reads.
+            du.append(0.0)
+            self.facts, swaps = [], []
+            for i in range(n - 1):
+                swapped = abs(d[i]) < abs(dl[i])
+                if swapped:
+                    fact = d[i] / dl[i]
+                    d[i], temp = dl[i], d[i + 1]
+                    d[i + 1] = du[i] - fact * temp
+                    dl[i] = du[i + 1]
+                    du[i + 1] = -fact * dl[i]
+                    du[i] = temp
+                else:
+                    fact = dl[i] / d[i]
+                    d[i + 1] = d[i + 1] - fact * du[i]
+                    dl[i] = 0.0
+                self.facts.append(fact)
+                swaps.append(swapped)
+            self.interchanged = tuple(swaps)
         # the back substitution's rows, last first; the zeros dgtsv leaves
         # out of its last two rows subtract +0.0, which changes no value
-        self._back = list(zip(du[:n - 1] + [0.0], dl[:n - 2] + [0.0, 0.0],
-                              d))[::-1]
+        self.du = (du[:n - 1] + [0.0])[::-1]
+        self.dl = (dl[:n - 2] + [0.0, 0.0])[::-1]
+        self.d = d[::-1]
 
     def fit(self, y: np.ndarray, name: str):
         """The spline through ``(x, y)`` as a function of time; a
@@ -296,16 +360,25 @@ class _NotAKnot:
              float(last)]
         # forward sweep: ``lo`` is row i, which step i finishes
         lo, rows = b[0], []
-        for (swapped, fact), nxt in zip(self._steps, b[1:]):
-            if swapped:
-                rows.append(nxt)
-                lo = lo - fact * nxt
-            else:
+        if not self.interchanged:
+            for fact, nxt in zip(self.facts, b[1:]):
                 rows.append(lo)
                 lo = nxt - fact * lo
+        else:
+            for swapped, fact, nxt in zip(self.interchanged, self.facts,
+                                          b[1:]):
+                if swapped:
+                    rows.append(nxt)
+                    lo = lo - fact * nxt
+                else:
+                    rows.append(lo)
+                    lo = nxt - fact * lo
         rows.append(lo)
+        # back substitution, dgtsv's; ``- dl_i * x2`` stays where dl_i is
+        # 0.0, because against a negative x2 it turns -0.0 into +0.0
         s, x1, x2 = [], 0.0, 0.0
-        for bi, (du_i, dl_i, d_i) in zip(reversed(rows), self._back):
+        for bi, du_i, dl_i, d_i in zip(reversed(rows), self.du, self.dl,
+                                       self.d):
             x1, x2 = (bi - du_i * x1 - dl_i * x2) / d_i, x1
             s.append(x1)
         # CubicHermiteSpline's coefficients from the knot slopes
@@ -367,7 +440,7 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
         for name, y in zip(_DENSE_NAMES, on_grid):
             if not np.isfinite(y).all():
                 raise NumericError(f"{name}: not finite at tau <= {tau_max:g}")
-        dense = []
+        dense, weighted = [], []
     else:
         ks = kernel_sin(sd, s)
         kc = np.asarray(env.thermal_cos_kernel(s), dtype=float)
@@ -377,11 +450,13 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
         r_s = _running_integral(np.cos(s) * ks, s)
         big_gamma_s = _running_integral(2.0 * gamma_s, s)
         on_grid = []
-        dense = [gamma_s, delta_s, pi_s, r_s, big_gamma_s,
-                 _weighted_cumulative(s, delta_s, big_gamma_s)]
+        dense = [gamma_s, delta_s, pi_s, r_s, big_gamma_s]
+        weighted = [delta_s]  # delta_gamma
 
-    dense += [_weighted_cumulative(s, x * trig(2.0 * s), big_gamma_s)
-              for x in (delta_s, pi_s) for trig in (np.cos, np.sin)]
+    # one recurrence for every integrand weighted by exp(Gamma)
+    weighted += [x * trig(2.0 * s) for x in (delta_s, pi_s)
+                 for trig in (np.cos, np.sin)]
+    dense += list(_weighted_cumulative(s, weighted, big_gamma_s))
     spline = _NotAKnot(s)
     fitted = [spline.fit(y, name)(tau_grid)
               for name, y in zip(_DENSE_NAMES[-len(dense):], dense)]

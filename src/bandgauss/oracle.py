@@ -231,7 +231,10 @@ class OracleReport:
     def compare(cls, name: str, primary: float, oracle: float, tol: float,
                 mode: str = "rel") -> "OracleReport":
         abs_dev = abs(primary - oracle)
-        rel_dev = abs_dev / max(abs(oracle), 1e-300)
+        # against a zero oracle a deviation is relatively infinite; 0 and NaN
+        # stay as they are
+        rel_dev = (abs_dev / abs(oracle) if oracle != 0.0
+                   else math.inf if abs_dev > 0.0 else abs_dev)
         dev = rel_dev if mode == "rel" else abs_dev
         # strict comparison so a zero tolerance fails every row by contract
         return cls(name=name, primary=float(primary), oracle=float(oracle),

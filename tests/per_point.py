@@ -1,13 +1,14 @@
 """Per-point references for the array forms of the channel and the PT
-eigensolver, and for the weighted recurrence: the scalar arithmetic, one
-matrix or one indexed element at a time, that the library code must
-reproduce bit for bit."""
+eigensolver, for the weighted recurrence and for the CSV writer: the scalar
+arithmetic, one matrix, one indexed element or one cell at a time, that the
+library code must reproduce bit for bit."""
 
 import math
 
 import numpy as np
 
-from bandgauss.coefficients import _STIFF_PAIR_GAP, _etd_step
+from bandgauss.cli import _fmt
+from bandgauss.coefficients import _STIFF_PAIR_GAP
 from bandgauss.dynamics import symplectic_form
 
 
@@ -41,6 +42,20 @@ def nu_min_pt(cm):
     return float(np.min(np.abs(eigs)))
 
 
+def _etd_step(y, x0, x1, a, h):
+    """One exponential-integrator step of y' = x - Gamma'*y with x linear and
+    Gamma' constant; ``a`` is the damping-exponent change over the step."""
+    a = max(a, -600.0)
+    ema = math.exp(-a)
+    if abs(a) < 1e-4:
+        phi0 = 0.5 - a / 3.0 + a * a / 8.0
+        phi1 = 0.5 - a / 6.0 + a * a / 24.0
+    else:
+        phi0 = (1.0 - ema * (1.0 + a)) / (a * a)
+        phi1 = (a - 1.0 + ema) / (a * a)
+    return y * ema + h * (x0 * phi0 + x1 * phi1)
+
+
 def weighted_cumulative(s, x, big_gamma):
     """The weighted recurrence y' = x - Gamma'*y, indexing the numpy arrays
     element by element: Simpson pairs, and exponential-integrator steps
@@ -64,3 +79,11 @@ def weighted_cumulative(s, x, big_gamma):
         y[k + 2] = y[k] * v0 + h / 3.0 * (v0 * x[k] + 4.0 * v1 * x[k + 1]
                                           + x[k + 2])
     return y
+
+
+def write_csv(path, header, rows):
+    """The CSV writer formatting every cell as it comes."""
+    with open(path, "w", newline="") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(_fmt(v) for v in row) + "\n")

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import json
 import math
 import re
@@ -7,6 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import per_point
 from bandgauss import cli
 from bandgauss.cli import build_parser, main
 from bandgauss.scenario import (MAX_ROWS, SweepScenario, apply_overrides,
@@ -57,6 +59,30 @@ class TestScenario:
                      ["sweep", "--r", "1,2", "--tau-steps", "40", *short],
                      ["sweep", "--tau-steps", str(10 ** 11), *short]):
             assert main(over) == 2
+            assert re.search("tau_steps: .* ceiling", capsys.readouterr().err)
+            assert not out.exists()
+
+    def test_row_ceiling_counts_only_modes_that_run(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # fig1 has no modes and the paper source writes one curve per r, so
+        # mode "both" doubles neither; a ceiling of 40 stands in for
+        # MAX_ROWS
+        monkeypatch.setattr(cli, "MAX_ROWS", 40)
+        out = tmp_path / "x.csv"
+        cfg = tmp_path / "both.json"
+        cfg.write_text(json.dumps({"mode": "both", "tau_max": 1.0}))
+        fig1 = ["fig1", "--panel", "a", "--config", str(cfg), "--out",
+                str(out)]
+        paper = ["sweep", "--kappa", "paper", "--mode", "both", "--r", "1,2",
+                 "--tau-max", "1", "--out", str(out)]
+        symmetric = ["sweep", "--kappa", "symmetric", "--mode", "both",
+                     "--r", "1,2", "--tau-max", "1", "--out", str(out)]
+        for argv, steps, rows in ((fig1, 8, 5 * 8), (paper, 20, 2 * 21),
+                                  (symmetric, 10, 4 * 11)):
+            assert main(argv + ["--tau-steps", str(steps)]) == 0
+            assert len(read_lines(out)) == 1 + rows
+            out.unlink()
+            assert main(argv + ["--tau-steps", str(steps + 1)]) == 2
             assert re.search("tau_steps: .* ceiling", capsys.readouterr().err)
             assert not out.exists()
 
@@ -181,6 +207,42 @@ class TestCsvContract:
         assert float(row["cm_13"]) == pytest.approx(math.sinh(1.0), rel=1e-15)
         modes = {l.split(",")[5] for l in lines[1:]}
         assert modes == {"secular", "full"}
+
+
+class TestCsvWriter:
+    ROWS = [
+        [1.0, True, 1, "1", -0.0],
+        [True, 1.0, 1, "x", 0.0],
+        [-0.0, 0.0, False, 0, "0"],
+        [math.nan, math.inf, -math.inf, 1e-300, 1e300],
+        [1e300, -1e300, "", "none", -1e-300],
+        [0.0, -0.0, 1e-300, 1e300, math.nan],
+        [0.1, 0.1, np.float64(0.1), 1, 1.0],
+        [1.0, 1.0, 0.0, 0.0, True],
+        [1, 1.0, True, False, 0.0],
+        [np.float64(-0.0), 2.5, 2.5, "2.5", 10 ** 17],
+        [1e17, 1e17, 10 ** 17, float(10 ** 17), "1e+17"],
+    ]
+
+    def test_same_bytes_as_per_cell_formatting(self, tmp_path):
+        # True == 1 == 1.0 would share one memo key: the bools and ints
+        # must print as themselves wherever they come
+        header = ["a", "b", "c", "d", "e"]
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        cli.write_csv(str(ours), header, self.ROWS)
+        per_point.write_csv(str(theirs), header, self.ROWS)
+        assert ours.read_bytes() == theirs.read_bytes()
+        lines = read_lines(ours)
+        assert lines[1] == "1,True,1,1,0"
+        assert lines[2] == "True,1,1,x,0"
+        assert lines[8] == "1,1,0,0,True"
+        assert lines[11] == "1e+17,1e+17,100000000000000000,1e+17,1e+17"
+
+    def test_rows_are_streamed(self, tmp_path):
+        # a generator is written as it is consumed, one row at a time
+        out = tmp_path / "g.csv"
+        cli.write_csv(str(out), ["x"], ([float(i % 3)] for i in range(7)))
+        assert read_lines(out) == ["x", "0", "1", "2", "0", "1", "2", "0"]
 
 
 class TestFig2:
@@ -341,7 +403,7 @@ class TestEngine:
             def map(self, worker, items):
                 return map(worker, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         items = list(range(payloads))
         assert cli._map_payloads(str, items, jobs) == [str(i) for i in items]

@@ -1,7 +1,7 @@
 """scipy is off the runtime import path: the CLI and every data command run
 on numpy alone, and only ``verify`` (its oracle references) imports scipy.
-Each check starts a fresh interpreter, since the test process has scipy
-loaded already."""
+Nor does a run in process load the worker pool's modules. Each check starts
+a fresh interpreter, since the test process has these loaded already."""
 
 import json
 import os
@@ -22,25 +22,28 @@ DATA_RUNS = [
     ["sweep", "--kappa", "oracle", "--mode", "both", "--tau-steps", "5"],
 ]
 
-# prints the exit codes and the scipy modules loaded after each stage
+# prints the exit codes and the modules of the given top-level packages
+# (scipy by default) loaded after each stage
 PROBE = """
 import json, sys
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+runs, packages = json.loads(sys.argv[1]), sys.argv[2:] or ["scipy"]
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in packages)
 from bandgauss.cli import main
-report = {"import": scipy_modules(), "codes": []}
-for argv in json.loads(sys.argv[1]):
+report = {"import": loaded(), "codes": []}
+for argv in runs:
     report["codes"].append(main(argv))
-report["after"] = scipy_modules()
+report["after"] = loaded()
 print(json.dumps(report))
 """
 
 
-def probe(runs):
+def probe(runs, *packages):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, "-c", PROBE, json.dumps(runs)],
+    done = subprocess.run([sys.executable, "-c", PROBE, json.dumps(runs),
+                           *packages],
                           env=env, capture_output=True, text=True,
                           timeout=300, check=True)
     return json.loads(done.stdout.splitlines()[-1])
@@ -60,3 +63,14 @@ def test_verify_imports_scipy_and_passes():
     assert report["import"] == []
     assert report["codes"] == [0]
     assert "scipy.integrate" in report["after"]
+
+
+def test_runs_in_process_load_no_worker_pool(tmp_path):
+    # --jobs 1 runs every environment in process: the pool's import, and
+    # with it multiprocessing, is left for a run that starts one
+    runs = [argv + ["--jobs", "1", "--out", str(tmp_path / f"{i}.csv")]
+            for i, argv in enumerate(DATA_RUNS)]
+    report = probe(runs, "concurrent", "multiprocessing")
+    assert report["import"] == []
+    assert report["codes"] == [0] * len(runs)
+    assert report["after"] == []

@@ -114,6 +114,17 @@ class TestOracleReport:
         rep = OracleReport.compare("x", 1e-12, 0.0, 1e-10, mode="abs")
         assert rep.passed
 
+    def test_zero_oracle_relative_deviation(self):
+        # relative to 0, a deviation is infinite and none is 0
+        rep = OracleReport.compare("x", 1e-12, 0.0, 1e-10, mode="abs")
+        assert rep.rel_dev == math.inf and rep.passed
+        rep = OracleReport.compare("x", 0.0, 0.0, 1e-10)
+        assert rep.rel_dev == 0.0 and rep.passed
+        rep = OracleReport.compare("x", 1e-300, 0.0, 1e-9)
+        assert rep.rel_dev == math.inf and not rep.passed
+        assert math.isnan(OracleReport.compare("x", math.nan, 0.0,
+                                               1e-9).rel_dev)
+
 
 class TestVerificationSuite:
     def test_all_pass_within_budget(self):

@@ -10,6 +10,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 import per_point
+from bandgauss import coefficients
 from bandgauss.coefficients import (_STIFF_PAIR_GAP, GRID_POINTS,
                                     EnvironmentParams, _NotAKnot,
                                     _running_integral, _weighted_cumulative,
@@ -64,10 +65,31 @@ class TestNotAKnotSpline:
         interchanged = 0
         for x, y, xi in random_grids(seed=3, count=300):
             spline = _NotAKnot(x)
-            interchanged += any(sw for sw, _ in spline._steps)
+            interchanged += any(spline.interchanged)
             xi = np.concatenate([x, xi])
             assert_same_bits(spline.fit(y, "y")(xi), CubicSpline(x, y)(xi))
         assert interchanged > 200
+
+    @pytest.mark.parametrize("n", [4, 5, 600, GRID_POINTS])
+    def test_plain_elimination_is_the_general_one(self, monkeypatch, n):
+        # a uniform grid needs no interchange, so it takes the plain path;
+        # forced through dgtsv's general loop it gives the same bits
+        for tau_max in TAU_MAXES:
+            x = np.linspace(0.0, tau_max, n)
+            xi = np.linspace(-1.0, tau_max + 1.0, 997)
+            plain = _NotAKnot(x)
+            assert plain.interchanged == ()
+            with monkeypatch.context() as m:
+                m.setattr(coefficients, "_factor_plain", lambda *a: None)
+                general = _NotAKnot(x)
+            assert len(general.interchanged) == n - 1
+            assert not any(general.interchanged)
+            for attr in ("facts", "d", "du", "dl"):
+                assert_same_bits(np.array(getattr(plain, attr)),
+                                 np.array(getattr(general, attr)))
+            for y in columns(x) + [np.where(x < 0.5 * tau_max, -0.0, 0.0)]:
+                assert_same_bits(plain.fit(y, "y")(xi),
+                                 general.fit(y, "y")(xi))
 
     def test_two_points_are_scipys_straight_line(self):
         x, y = np.array([0.5, 2.0]), np.array([1.0, -3.0])
@@ -149,6 +171,79 @@ class TestWeightedCumulative:
             assert_same_bits(
                 _weighted_cumulative(s, weighted, big_gamma),
                 per_point.weighted_cumulative(s, weighted, big_gamma))
+
+
+def closed_columns(omega, delta):
+    """The closed route's Gamma and its four secular integrands at tau = 30."""
+    env = EnvironmentParams(SpectralDensity(1.0, omega, delta))
+    s = np.linspace(0.0, 30.0, GRID_POINTS)
+    return s, gamma_int_closed(env, s), [
+        x * trig(2.0 * s) for x in (delta_closed(env, s), pi_closed(env, s))
+        for trig in (np.cos, np.sin)]
+
+
+def quadrature_columns():
+    """A non-monotone quadrature Gamma (Omega = 10, delta = 1, tau = 3) and
+    the five integrands it weights."""
+    sd = SpectralDensity(1.0, 10.0, 1.0)
+    s = np.linspace(0.0, 3.0, GRID_POINTS)
+    gamma = _running_integral(np.sin(s) * kernel_sin(sd, s), s)
+    delta = _running_integral(np.cos(s) * kernel_cos(sd, s), s)
+    pi = _running_integral(np.sin(s) * kernel_cos(sd, s), s)
+    return s, _running_integral(2.0 * gamma, s), [delta] + [
+        x * trig(2.0 * s) for x in (delta, pi) for trig in (np.cos, np.sin)]
+
+
+def hand_columns():
+    """A hand-built Gamma whose stiff pairs take the series phi-functions
+    (|a| < 1e-4, and a = 0 exactly), a clamped drop (a < -600) and an
+    underflowing exp(-a), with smooth pairs between them; the integrands
+    carry zeros of both signs."""
+    s = np.linspace(0.0, 1.0, 13)
+    big_gamma = np.array([0.0, 5e-5, 1.0, 1.00001, 1.00002, 3.0, 3.0, 800.0,
+                          -100.0, -100.0, -100.0, -99.99, -99.98])
+    x = np.array([-0.0, -0.0, -0.0, 0.0, -0.0, 1.0, -2.0, 0.5, -0.0, -0.0,
+                  -0.0, 3.0, -1.0])
+    return s, big_gamma, [x, -x, np.cos(7.0 * s) * x, np.full(13, -0.0)]
+
+
+# case -> (its grid, Gamma and integrands; its stiff pairs of 4,096, where
+# pinned)
+BATCH_CASES = {
+    "stiff": (lambda: closed_columns(10.0, 1e-2), 3457),
+    "mixed": (lambda: closed_columns(1.0, 1e-3), 1131),
+    "smooth": (lambda: closed_columns(1.0, 1e-4), 0),
+    "non-monotone": (quadrature_columns, None),
+    "series-phi": (hand_columns, None),
+}
+
+
+class TestBatchedRecurrence:
+    """One call for all columns that share Gamma gives each column the
+    step-by-step loop's bits, zeros' signs included."""
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_each_column_matches_the_loop(self, case):
+        make, stiff_pairs = BATCH_CASES[case]
+        s, big_gamma, cols = make()
+        stiff = np.abs(big_gamma[2::2] - big_gamma[:-2:2]) > _STIFF_PAIR_GAP
+        if stiff_pairs is not None:
+            assert stiff.sum() == stiff_pairs
+        batch = _weighted_cumulative(s, np.array(cols), big_gamma)
+        assert batch.shape == (len(cols), len(s))
+        for got, x in zip(batch, cols):
+            want = per_point.weighted_cumulative(s, x, big_gamma)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_hand_case_reaches_every_branch(self):
+        s, big_gamma, cols = hand_columns()
+        g0, g1, g2 = big_gamma[:-2:2], big_gamma[1::2], big_gamma[2::2]
+        stiff = np.abs(g2 - g0) > _STIFF_PAIR_GAP
+        steps = np.concatenate([(g1 - g0)[stiff], (g2 - g1)[stiff]])
+        assert 0 < stiff.sum() < len(stiff)
+        assert np.any(np.abs(steps) < 1e-4) and np.any(steps == 0.0)
+        assert np.any(steps < -600.0) and np.any(steps > 745.0)
 
 
 class TestTraceRefusesNonFinite:
