@@ -11,8 +11,7 @@ from .dynamics import (TwbSpec, TwoModeGaussianState, evolve_covariances,
                        make_twb)
 from .entanglement import (kappa_full_curve, kappa_secular, negativity,
                            nu_min_pt, state_kappa_curve, sudden_death_time)
-from .errors import (DomainError, NumericError, UnsupportedStateError,
-                     UsageError)
+from .errors import DomainError, NumericError, UsageError
 from .oracle import OracleReport, propagate_w_matrix, run_verification
 from .spectral import SpectralDensity
 
@@ -25,7 +24,7 @@ __all__ = [
     "TwbSpec", "TwoModeGaussianState", "evolve_covariances", "make_twb",
     "kappa_full_curve", "kappa_secular", "negativity", "nu_min_pt",
     "state_kappa_curve", "sudden_death_time",
-    "DomainError", "NumericError", "UnsupportedStateError", "UsageError",
+    "DomainError", "NumericError", "UsageError",
     "OracleReport", "propagate_w_matrix", "run_verification",
     "SpectralDensity",
     "__version__",

@@ -43,7 +43,7 @@ from .coefficients import CoefficientTrace, EnvironmentParams, build_trace
 from .dynamics import evolve_covariances, make_twb
 from .entanglement import (find_last_upcrossing, kappa_full_curve,
                            kappa_secular, negativity, state_kappa_curve)
-from .errors import DomainError, NumericError, UnsupportedStateError, UsageError
+from .errors import DomainError, NumericError, UsageError
 from .oracle import run_verification
 from .scenario import (KAPPA_SOURCES, MAX_ROWS, MODES, SweepScenario,
                        apply_overrides, scenario_from_file)
@@ -123,17 +123,12 @@ def _require_low_t(what: str, scenario: SweepScenario,
 # the per-environment engine
 # ---------------------------------------------------------------------------
 
-def _environment(scenario: SweepScenario, key: tuple) -> EnvironmentParams:
-    j0, delta, omega_lo = key
-    return EnvironmentParams(SpectralDensity(j0, omega_lo, delta),
-                             scenario.beta)
-
-
 def _trace(scenario: SweepScenario, key: tuple) -> CoefficientTrace:
     # the one call of build_trace: a row function makes it once per
     # environment, and only if it reads the channel
-    return build_trace(_environment(scenario, key), scenario.tau_grid(),
-                       scenario.method)
+    j0, delta, omega_lo = key
+    env = EnvironmentParams(SpectralDensity(j0, omega_lo, delta), scenario.beta)
+    return build_trace(env, scenario.tau_grid(), scenario.method)
 
 
 def _modes(scenario: SweepScenario) -> tuple:
@@ -414,7 +409,7 @@ def main(argv=None) -> int:
             raise UsageError("out: required (use --out or the config file)")
         panel = (args.panel,) if "panel" in args else ()
         return DATA_COMMANDS[args.command][0](scenario, *panel)
-    except (UsageError, UnsupportedStateError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -16,9 +16,10 @@ Every quantity is available on two routes selected by a method tag:
 * ``"quadrature"`` -- cumulative Simpson integrals of the kernels of
   :mod:`bandgauss.spectral` on a dense uniform grid, at any temperature.
 
-The running Simpson integral and the interpolation onto the requested grid
-are numpy ports of scipy's ``cumulative_simpson`` and not-a-knot
-``CubicSpline``, bit for bit, so the module needs no scipy at run time.
+The running integrals are a uniform Simpson rule, scipy's
+``cumulative_simpson`` bit for bit where the spacing is exact; the
+interpolation is a bit-exact numpy port of scipy's not-a-knot
+``CubicSpline``. The module needs no scipy at run time.
 
 :func:`build_trace` is the one evaluator of both routes: it returns a
 :class:`CoefficientTrace`, every coefficient as a column over a time grid.
@@ -206,8 +207,6 @@ def _weighted_cumulative(s: np.ndarray, xs,
     """
     xs = np.asarray(xs, dtype=float)
     n = xs.shape[-1]
-    if n % 2 == 0:
-        raise ValueError("weighted cumulative needs an odd number of points")
     h = float(s[1] - s[0])
     x = xs.reshape(-1, n)
     x0, x1, x2 = x[:, :-2:2], x[:, 1::2], x[:, 2::2]
@@ -242,28 +241,19 @@ def _weighted_cumulative(s: np.ndarray, xs,
 
 
 def _running_integral(y: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Cumulative Simpson integral of ``y`` from 0 on the ascending grid ``s``.
+    """Cumulative Simpson integral of ``y`` from 0 on the uniform grid ``s``
+    of an odd number of points.
 
-    scipy 1.17's ``cumulative_simpson(y, x=s, initial=0.0)``, bit for bit:
-    Cartwright's three-point formula gives each first half-interval of the
-    forward and of the flipped samples, the two interleave, and one running
-    sum adds them (``+ 0.0`` is scipy's ``initial``, which folds -0.0).
+    Each half of a Simpson pair integrates the parabola through its three
+    samples, and one running sum adds them (``+ 0.0`` folds -0.0). With exact
+    spacing (8,193 nodes over an integer span) this is scipy's
+    ``cumulative_simpson(y, x=s, initial=0.0)`` bit for bit.
     """
-    def first_halves(f, dx):
-        x21, x32 = dx[:-1], dx[1:]
-        x21_x31 = x21 / (x21 + x32)
-        x21x21_x31x32 = x21_x31 * (x21 / x32)
-        return x21 / 6 * ((3 - x21_x31) * f[:-2]
-                          + (3 + x21x21_x31x32 + x21_x31) * f[1:-1]
-                          + -x21x21_x31x32 * f[2:])
-
-    dx = np.diff(s)
-    forward = first_halves(y, dx)
-    backward = first_halves(y[::-1], dx[::-1])[::-1]
+    h = s[1] - s[0]
+    f0, f1, f2 = y[:-2:2], y[1::2], y[2::2]
     pieces = np.empty(len(y) - 1)
-    pieces[:-1:2] = forward[::2]
-    pieces[1::2] = backward[::2]
-    pieces[-1] = backward[-1]
+    pieces[::2] = h / 12.0 * (5.0 * f0 + 8.0 * f1 - f2)
+    pieces[1::2] = h / 12.0 * (5.0 * f2 + 8.0 * f1 - f0)
     return np.concatenate(([0.0], np.cumsum(pieces) + 0.0))
 
 
@@ -411,6 +401,9 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
     column that overflows, raises ``NumericError`` naming it.
     """
     require_method(env, method)
+    if not isinstance(n_dense, (int, np.integer)) or n_dense < 3 \
+            or n_dense % 2 == 0:
+        raise UsageError(f"n_dense must be an odd integer >= 3, got {n_dense!r}")
     tau_grid = np.asarray(tau_grid, dtype=float)
     if tau_grid.ndim != 1 or len(tau_grid) == 0:
         raise UsageError("tau_grid must be a non-empty 1-d array")
@@ -453,6 +446,11 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
         dense = [gamma_s, delta_s, pi_s, r_s, big_gamma_s]
         weighted = [delta_s]  # delta_gamma
 
+    # the exponential-integrator weights divide by the square of a step's
+    # rise in Gamma: past about 1.3e154 it overflows and they read 0
+    if np.any(np.diff(big_gamma_s) > 1e154):
+        raise NumericError(f"gamma_int: rises by more than 1e154 in one dense "
+                           f"step at tau <= {tau_max:g}")
     # one recurrence for every integrand weighted by exp(Gamma)
     weighted += [x * trig(2.0 * s) for x in (delta_s, pi_s)
                  for trig in (np.cos, np.sin)]

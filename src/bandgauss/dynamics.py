@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import CoefficientTrace
-from .errors import DomainError, UnsupportedStateError
+from .errors import DomainError
 
 _BLOCK_TOL = 1e-10
 
@@ -173,7 +173,7 @@ def _twb_block_values(state: TwoModeGaussianState) -> tuple[float, float]:
     expected[0, 2] = expected[2, 0] = c
     expected[1, 3] = expected[3, 1] = -c
     if np.max(np.abs(cm - expected)) > _BLOCK_TOL:
-        raise UnsupportedStateError(
+        raise DomainError(
             "channel needs a symmetric state with equal diagonal blocks a*I "
             "and correlation block diag(c, -c)")
     return float(a), float(c)

@@ -9,9 +9,5 @@ class UsageError(ValueError):
     """A configuration or option value is not recognised."""
 
 
-class UnsupportedStateError(ValueError):
-    """The state does not have the symmetric two-mode form the channel handles."""
-
-
 class NumericError(RuntimeError):
     """A numerical routine failed to converge or produced an unphysical value."""

@@ -319,10 +319,7 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
         evolved = evolve_covariances(state, trace)[0]
         w_bar = propagate_w_matrix(env, tau, method=method)
         decay = math.exp(-trace.gamma_int[0])
-        rot = rotation(tau)
-        big_rot = np.zeros((4, 4))
-        big_rot[:2, :2] = rot
-        big_rot[2:, 2:] = rot
+        big_rot = np.kron(np.eye(2), rotation(tau))
         direct = decay * big_rot @ state.cm @ big_rot.T
         direct[:2, :2] += 2.0 * w_bar
         direct[2:, 2:] += 2.0 * w_bar

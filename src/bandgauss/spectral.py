@@ -56,44 +56,33 @@ def _check_times(s) -> np.ndarray:
     return s_arr
 
 
-def kernel_sin(spectral: SpectralDensity, s):
-    """Sine transform of the band: integral of J(w)*sin(w*s) over w.
-
-    Closed form j0*(cos(lo*s) - cos(hi*s))/s, evaluated in the product form
-    2*j0*sin(s*(lo+hi)/2)*sin(s*delta/2)/s which is free of subtractive
-    cancellation; a series branch covers the s -> 0 division.
-    """
+def _band_transform(spectral: SpectralDensity, s, trig, series):
+    """The band's transform by ``trig`` in the product form
+    2*j0*trig(s*(lo+hi)/2)*sin(s*delta/2)/s, which is free of subtractive
+    cancellation. ``series(s, lo, hi, j0)`` replaces the s -> 0 division,
+    and is evaluated only where s*hi < SERIES_CROSSOVER."""
     s_arr = _check_times(s)
     lo, hi, j0 = spectral.omega_lo, spectral.omega_hi, spectral.j0
-
     small = s_arr * hi < SERIES_CROSSOVER
     s_safe = np.where(small, 1.0, s_arr)
-    exact = 2.0 * j0 * np.sin(0.5 * s_arr * (lo + hi)) \
-        * np.sin(0.5 * s_arr * spectral.delta) / s_safe
-    series = j0 * s_arr * ((hi * hi - lo * lo) / 2.0
-                           - s_arr * s_arr * (hi ** 4 - lo ** 4) / 24.0)
-    out = np.where(small, series, exact)
+    out = np.where(small, 0.0, 2.0 * j0 * trig(0.5 * s_arr * (lo + hi))
+                   * np.sin(0.5 * s_arr * spectral.delta) / s_safe)
+    out[small] = series(s_arr[small], lo, hi, j0)
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
+
+
+def kernel_sin(spectral: SpectralDensity, s):
+    """Sine transform of the band: integral of J(w)*sin(w*s) over w, in
+    closed form j0*(cos(lo*s) - cos(hi*s))/s."""
+    return _band_transform(spectral, s, np.sin, lambda x, lo, hi, j0: j0 * x * (
+        (hi * hi - lo * lo) / 2.0 - x * x * (hi ** 4 - lo ** 4) / 24.0))
 
 
 def kernel_cos(spectral: SpectralDensity, s):
-    """Zero-temperature cosine transform: integral of J(w)*cos(w*s) over w.
-
-    Closed form j0*(sin(hi*s) - sin(lo*s))/s with limit j0*delta at s = 0,
-    evaluated as the cancellation-free product
-    2*j0*cos(s*(lo+hi)/2)*sin(s*delta/2)/s.
-    """
-    s_arr = _check_times(s)
-    lo, hi, j0 = spectral.omega_lo, spectral.omega_hi, spectral.j0
-
-    small = s_arr * hi < SERIES_CROSSOVER
-    s_safe = np.where(small, 1.0, s_arr)
-    exact = 2.0 * j0 * np.cos(0.5 * s_arr * (lo + hi)) \
-        * np.sin(0.5 * s_arr * spectral.delta) / s_safe
-    series = j0 * (spectral.delta
-                   - s_arr * s_arr * (hi ** 3 - lo ** 3) / 6.0)
-    out = np.where(small, series, exact)
-    return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
+    """Zero-temperature cosine transform: integral of J(w)*cos(w*s) over w,
+    in closed form j0*(sin(hi*s) - sin(lo*s))/s with limit j0*delta at 0."""
+    return _band_transform(spectral, s, np.cos, lambda x, lo, hi, j0: j0 * (
+        spectral.delta - x * x * (hi ** 3 - lo ** 3) / 6.0))
 
 
 # Row-block budget of the thermal kernel: elements of one cos(s*w) block

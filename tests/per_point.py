@@ -1,7 +1,8 @@
 """Per-point references for the array forms of the channel and the PT
 eigensolver, for the weighted recurrence and for the CSV writer: the scalar
 arithmetic, one matrix, one indexed element or one cell at a time, that the
-library code must reproduce bit for bit."""
+library code must reproduce bit for bit. The two band kernels are kept in
+their separate forms, each evaluating both branches everywhere."""
 
 import math
 
@@ -10,6 +11,35 @@ import numpy as np
 from bandgauss.cli import _fmt
 from bandgauss.coefficients import _STIFF_PAIR_GAP
 from bandgauss.dynamics import symplectic_form
+from bandgauss.spectral import SERIES_CROSSOVER
+
+
+def kernel_sin(spectral, s):
+    """Sine transform of the band, product form with a series near 0."""
+    s_arr = np.asarray(s, dtype=float)
+    lo, hi, j0 = spectral.omega_lo, spectral.omega_hi, spectral.j0
+    small = s_arr * hi < SERIES_CROSSOVER
+    s_safe = np.where(small, 1.0, s_arr)
+    exact = 2.0 * j0 * np.sin(0.5 * s_arr * (lo + hi)) \
+        * np.sin(0.5 * s_arr * spectral.delta) / s_safe
+    series = j0 * s_arr * ((hi * hi - lo * lo) / 2.0
+                           - s_arr * s_arr * (hi ** 4 - lo ** 4) / 24.0)
+    out = np.where(small, series, exact)
+    return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
+
+
+def kernel_cos(spectral, s):
+    """Zero-temperature cosine transform of the band, likewise."""
+    s_arr = np.asarray(s, dtype=float)
+    lo, hi, j0 = spectral.omega_lo, spectral.omega_hi, spectral.j0
+    small = s_arr * hi < SERIES_CROSSOVER
+    s_safe = np.where(small, 1.0, s_arr)
+    exact = 2.0 * j0 * np.cos(0.5 * s_arr * (lo + hi)) \
+        * np.sin(0.5 * s_arr * spectral.delta) / s_safe
+    series = j0 * (spectral.delta
+                   - s_arr * s_arr * (hi ** 3 - lo ** 3) / 6.0)
+    out = np.where(small, series, exact)
+    return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
 
 
 def assemble_cm(a, c, snap, include_secular):

@@ -540,6 +540,19 @@ class TestErrors:
         assert not out.exists()
         assert not out.with_suffix(".meta").exists()
 
+    def test_overflowing_weights_refused(self, tmp_path, capsys):
+        # Gamma rises by more than 1e154 per dense step, so the squared rise
+        # in the exponential-integrator weights would overflow and zero them;
+        # in process, so that a numpy RuntimeWarning would fail the test
+        out = tmp_path / "c.csv"
+        assert main(["coefficients", "--method", "quad", "--j0", "1e307",
+                     "--tau-steps", "5", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: gamma_int: rises by more than")
+        assert "Warning" not in err
+        assert not out.exists()
+        assert not out.with_suffix(".meta").exists()
+
     def test_cli_thermal_conflict_rejected(self, tmp_path):
         # beta is the one temperature setting: the old --low-t switch is
         # gone, alone or next to --beta

@@ -279,6 +279,12 @@ class TestTrace:
         with pytest.raises(DomainError):
             build_trace(env, [-1.0, 1.0], METHOD_CLOSED)
 
+    @pytest.mark.parametrize("method", [METHOD_CLOSED, METHOD_QUADRATURE])
+    @pytest.mark.parametrize("n_dense", [8192, 2, 1, 0, -5])
+    def test_dense_count_must_be_odd(self, method, n_dense):
+        with pytest.raises(UsageError, match="n_dense must be an odd integer"):
+            build_trace(narrow_env(), [0.0, 1.0], method, n_dense)
+
     def test_zero_start_invariants(self):
         env = narrow_env()
         tr = build_trace(env, np.linspace(0.0, 5.0, 11), METHOD_QUADRATURE)

@@ -11,10 +11,13 @@ from bandgauss.dynamics import (R_MAX, ChannelSnapshot, TwbSpec,
                                 check_covariances, evolve_covariances,
                                 evolve_mean, make_twb, rotation,
                                 snapshots_from_trace, symplectic_form)
-from bandgauss.errors import DomainError, UnsupportedStateError
+from bandgauss.errors import DomainError
 from bandgauss.spectral import SpectralDensity
 
 import per_point
+
+# the refusal of every state outside the twin-beam form the channel handles
+SYMMETRIC_ONLY = "channel needs a symmetric state with equal diagonal blocks"
 
 
 def narrow_env(j0=1.0, omega_lo=1.0, delta=1e-3):
@@ -224,13 +227,13 @@ class TestChannel:
         env = narrow_env()
         cm = np.diag([2.0, 2.0, 3.0, 3.0])  # unequal diagonal blocks
         state = TwoModeGaussianState(np.zeros(4), cm)
-        with pytest.raises(UnsupportedStateError):
+        with pytest.raises(DomainError, match=SYMMETRIC_ONLY):
             evolve_at(state, env, 1.0)
         cm = np.eye(4)
         cm[0, 2] = cm[2, 0] = 0.1
         cm[1, 3] = cm[3, 1] = 0.1  # correlation block not diag(c, -c)
         state = TwoModeGaussianState(np.zeros(4), cm, validate_uncertainty=False)
-        with pytest.raises(UnsupportedStateError):
+        with pytest.raises(DomainError, match=SYMMETRIC_ONLY):
             evolve_at(state, env, 1.0)
 
     def test_uncertainty_bound_holds_in_validity_window(self):
@@ -244,7 +247,7 @@ class TestChannel:
 
 
 def _raised(fn):
-    with pytest.raises((DomainError, UnsupportedStateError)) as info:
+    with pytest.raises(DomainError) as info:
         fn()
     return type(info.value), str(info.value)
 

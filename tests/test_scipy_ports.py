@@ -1,8 +1,9 @@
-"""The numpy ports against what they replace: scipy's not-a-knot
-``CubicSpline`` and ``cumulative_simpson``, bit for bit, and the Python-float
-weighted recurrence against its numpy-indexed loop in ``per_point``. scipy
-stays installed for these tests and for ``verify``; no data command imports
-it."""
+"""The numpy forms against what they replace: the not-a-knot spline port
+against scipy's ``CubicSpline``, bit for bit; the uniform running Simpson
+rule against ``cumulative_simpson``, bit for bit where the grid spacing is
+exact and to rounding elsewhere; and the Python-float weighted recurrence
+against its numpy-indexed loop in ``per_point``. scipy stays installed for
+these tests and for ``verify``; no data command imports it."""
 
 import numpy as np
 import pytest
@@ -139,11 +140,21 @@ class TestRunningIntegral:
         assert_same_bits(_running_integral(y, x),
                          cumulative_simpson(y, x=x, initial=0.0))
 
-    def test_random_grids_bit_for_bit(self):
-        for x, y, _ in random_grids(seed=5, count=100):
-            assert_same_bits(
-                _running_integral(y, x),
-                cumulative_simpson(y, x=x, initial=0.0))
+    @pytest.mark.parametrize("tau_max", [7.3, 12.345, 29.9, 1.0 / 3.0, 0.7,
+                                         1000.0 / 7.0])
+    def test_inexact_spacing_to_rounding(self, tau_max):
+        # linspace's spacings differ in the last bits here, which scipy's
+        # per-interval ratios read and the uniform rule does not. A running
+        # sum's rounding grows with the integral of |y|, which is the
+        # column's largest value where y keeps one sign.
+        s = np.linspace(0.0, tau_max, GRID_POINTS)
+        sd = SpectralDensity(1.0, 10.0, 1e-2)
+        ks, kc = kernel_sin(sd, s), kernel_cos(sd, s)
+        for y in columns(s) + [np.sin(s) * ks, np.cos(s) * kc,
+                               np.sin(s) * kc, np.cos(s) * ks]:
+            want = cumulative_simpson(y, x=s, initial=0.0)
+            assert np.max(np.abs(_running_integral(y, s) - want)) \
+                <= 2e-14 * _running_integral(np.abs(y), s)[-1]
 
 
 class TestWeightedCumulative:

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from bandgauss.errors import DomainError
 from bandgauss.oracle import kernel_cos_thermal_gk, quad_reference
-from bandgauss.spectral import (SpectralDensity, kernel_cos,
-                                kernel_cos_thermal, kernel_sin)
+from bandgauss.spectral import (SERIES_CROSSOVER, SpectralDensity,
+                                kernel_cos, kernel_cos_thermal, kernel_sin)
+
+import per_point
 
 
 class TestSpectralDensity:
@@ -20,6 +22,28 @@ class TestSpectralDensity:
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(DomainError):
             SpectralDensity(**kwargs)
+
+
+class TestOneBandTransform:
+    """Both kernels share one evaluator; each keeps the bits of its own
+    separate form, signed zeros and return types included."""
+
+    @pytest.mark.parametrize("j0,omega_lo,delta", [
+        (1.0, 1.0, 1e-3), (1.0, 0.0, 0.5), (2.5, 10.0, 1.0), (1e-3, 3.0, 1e-2)])
+    @pytest.mark.parametrize("ours,ref", [
+        (kernel_sin, per_point.kernel_sin), (kernel_cos, per_point.kernel_cos)],
+        ids=["sin", "cos"])
+    def test_same_bits_as_separate_forms(self, ours, ref, j0, omega_lo, delta):
+        sd = SpectralDensity(j0, omega_lo, delta)
+        edge = SERIES_CROSSOVER / sd.omega_hi
+        times = [0.0, np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0),
+                 *10.0 ** np.arange(-3.0, 4.0)]
+        for s in [*times, *map(np.asarray, times), np.array(times),
+                  np.array(times)[:, None]]:
+            got, want = ours(sd, s), ref(sd, s)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestKernelSin:
