@@ -17,9 +17,10 @@ Every quantity is available on two routes selected by a method tag:
   :mod:`bandgauss.spectral` on a dense uniform grid, at any temperature.
 
 The running integrals are a uniform Simpson rule, scipy's
-``cumulative_simpson`` bit for bit where the spacing is exact; the
-interpolation is a bit-exact numpy port of scipy's not-a-knot
-``CubicSpline``. The module needs no scipy at run time.
+``cumulative_simpson`` bit for bit where the spacing is exact. The
+interpolation ports scipy's not-a-knot ``CubicSpline``: bit for bit on every
+grid where LAPACK's dgtsv swaps no row, which includes every uniform grid,
+and no less accurate elsewhere. The module needs no scipy at run time.
 
 :func:`build_trace` is the one evaluator of both routes: it returns a
 :class:`CoefficientTrace`, every coefficient as a column over a time grid.
@@ -257,33 +258,16 @@ def _running_integral(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(pieces) + 0.0))
 
 
-def _factor_plain(d: list, du: list, dl: list):
-    """dgtsv's elimination of the tridiagonal system (diagonal ``d``,
-    superdiagonal ``du``, subdiagonal ``dl``) while no row needs an
-    interchange: the factor of each row and the pivots of U. None at the
-    first row whose subdiagonal outweighs its pivot."""
-    pivot = d[0]
-    facts, pivots = [], [pivot]
-    for dl_i, du_i, d_next in zip(dl, du, d[1:]):
-        if abs(pivot) < abs(dl_i):
-            return None
-        fact = dl_i / pivot
-        pivot = d_next - fact * du_i
-        facts.append(fact)
-        pivots.append(pivot)
-    return facts, pivots
-
-
 class _NotAKnot:
     """scipy 1.17's not-a-knot ``CubicSpline`` on the abscissae ``x``, bit
-    for bit; three points give its parabola to rounding (scipy solves that
-    system densely). The system for the knot slopes depends on ``x`` alone:
-    it is factored once, in the operation order of LAPACK's dgtsv (what
-    ``solve_banded`` calls), row interchanges included.
+    for bit on every grid where LAPACK's dgtsv (what scipy's ``solve_banded``
+    calls) swaps no row, which includes every uniform grid; three points give
+    its parabola to rounding (scipy solves that system densely).
 
-    ``interchanged`` flags the rows whose elimination swapped; it is empty
-    when none does, as on every uniform grid, and then each row costs one
-    factor and one pivot."""
+    The system for the knot slopes depends on ``x`` alone: it is factored
+    once, in dgtsv's operation order but with no row swapped. Every
+    interior row is strictly diagonally dominant; on grids where dgtsv
+    swaps, the slopes are no less accurate than scipy's."""
 
     def __init__(self, x: np.ndarray):
         dx, n = np.diff(x), len(x)
@@ -295,48 +279,21 @@ class _NotAKnot:
         ends = ((1, n - 2),) * 2 if n <= 3 else (
             (dx[1], x[2] - x[0]), (dx[-2], x[-1] - x[-3]))
         (d[0], du[0]), (d[-1], dl[-1]) = [map(float, e) for e in ends]
-        plain = _factor_plain(d, du, dl)
-        if plain:
-            self.facts, d = plain
-            # dgtsv zeroes the subdiagonal of every row it does not swap
-            dl = [0.0] * (n - 1)
-            self.interchanged = ()
-        else:
-            # dl becomes U's second superdiagonal, which only an interchange
-            # fills. du's dummy last entry takes that fill-in in the last
-            # row, which dgtsv skips and nothing reads.
-            du.append(0.0)
-            self.facts, swaps = [], []
-            for i in range(n - 1):
-                swapped = abs(d[i]) < abs(dl[i])
-                if swapped:
-                    fact = d[i] / dl[i]
-                    d[i], temp = dl[i], d[i + 1]
-                    d[i + 1] = du[i] - fact * temp
-                    dl[i] = du[i + 1]
-                    du[i + 1] = -fact * dl[i]
-                    du[i] = temp
-                else:
-                    fact = dl[i] / d[i]
-                    d[i + 1] = d[i + 1] - fact * du[i]
-                    dl[i] = 0.0
-                self.facts.append(fact)
-                swaps.append(swapped)
-            self.interchanged = tuple(swaps)
-        # the back substitution's rows, last first; the zeros dgtsv leaves
-        # out of its last two rows subtract +0.0, which changes no value
-        self.du = (du[:n - 1] + [0.0])[::-1]
-        self.dl = (dl[:n - 2] + [0.0, 0.0])[::-1]
-        self.d = d[::-1]
+        # each row's factor and the pivots of U
+        pivot = d[0]
+        self.facts, pivots = [], [pivot]
+        for dl_i, du_i, d_next in zip(dl, du, d[1:]):
+            fact = dl_i / pivot
+            pivot = d_next - fact * du_i
+            self.facts.append(fact)
+            pivots.append(pivot)
+        # the back substitution's rows, last first
+        self.du, self.d = (du + [0.0])[::-1], pivots[::-1]
 
-    def fit(self, y: np.ndarray, name: str):
-        """The spline through ``(x, y)`` as a function of time; a
-        ``NumericError`` naming ``name`` when ``y`` is not finite."""
-        if not np.isfinite(y).all():
-            raise NumericError(f"{name}: not finite on the grid up to "
-                               f"tau = {self.x[-1]:g}")
-        x, dx, n = self.x, self.dx, len(y)
-        slope = np.diff(y) / dx
+    def slopes(self, slope: np.ndarray) -> np.ndarray:
+        """The knot slopes of the spline whose secants have slopes
+        ``slope``."""
+        x, dx, n = self.x, self.dx, len(self.x)
         if n <= 3:
             first, last = (n - 1) * slope[0], (n - 1) * slope[-1]
         else:
@@ -348,31 +305,29 @@ class _NotAKnot:
         b = [float(first),
              *(3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist(),
              float(last)]
-        # forward sweep: ``lo`` is row i, which step i finishes
         lo, rows = b[0], []
-        if not self.interchanged:
-            for fact, nxt in zip(self.facts, b[1:]):
-                rows.append(lo)
-                lo = nxt - fact * lo
-        else:
-            for swapped, fact, nxt in zip(self.interchanged, self.facts,
-                                          b[1:]):
-                if swapped:
-                    rows.append(nxt)
-                    lo = lo - fact * nxt
-                else:
-                    rows.append(lo)
-                    lo = nxt - fact * lo
+        for fact, nxt in zip(self.facts, b[1:]):
+            rows.append(lo)
+            lo = nxt - fact * lo
         rows.append(lo)
-        # back substitution, dgtsv's; ``- dl_i * x2`` stays where dl_i is
-        # 0.0, because against a negative x2 it turns -0.0 into +0.0
+        # back substitution, dgtsv's; its zero subdiagonal still subtracts
+        # ``0.0 * x2``, which against a negative x2 turns -0.0 into +0.0
         s, x1, x2 = [], 0.0, 0.0
-        for bi, du_i, dl_i, d_i in zip(reversed(rows), self.du, self.dl,
-                                       self.d):
-            x1, x2 = (bi - du_i * x1 - dl_i * x2) / d_i, x1
+        for bi, du_i, d_i in zip(reversed(rows), self.du, self.d):
+            x1, x2 = (bi - du_i * x1 - 0.0 * x2) / d_i, x1
             s.append(x1)
+        return np.array(s[::-1])
+
+    def fit(self, y: np.ndarray, name: str):
+        """The spline through ``(x, y)`` as a function of time; a
+        ``NumericError`` naming ``name`` when ``y`` is not finite."""
+        if not np.isfinite(y).all():
+            raise NumericError(f"{name}: not finite on the grid up to "
+                               f"tau = {self.x[-1]:g}")
+        x, dx, n = self.x, self.dx, len(y)
+        slope = np.diff(y) / dx
+        s = self.slopes(slope)
         # CubicHermiteSpline's coefficients from the knot slopes
-        s = np.array(s[::-1])
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         c0, c1, c2, c3 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
 
@@ -420,32 +375,31 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
         return CoefficientTrace(tau_grid, *zeros, method)
 
     s = np.linspace(0.0, tau_max, n_dense)
-    sd = env.spectral
 
-    if method == METHOD_CLOSED:
-        with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow is refused below, naming its column, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == METHOD_CLOSED:
             on_grid = [f(env, tau_grid) for f in (
                 gamma_closed, delta_closed, pi_closed, r_closed,
                 gamma_int_closed, delta_gamma_closed)]
             big_gamma_s = gamma_int_closed(env, s)
             delta_s = delta_closed(env, s)
             pi_s = pi_closed(env, s)
-        for name, y in zip(_DENSE_NAMES, on_grid):
-            if not np.isfinite(y).all():
-                raise NumericError(f"{name}: not finite at tau <= {tau_max:g}")
-        dense, weighted = [], []
-    else:
-        ks = kernel_sin(sd, s)
-        kc = np.asarray(env.thermal_cos_kernel(s), dtype=float)
-        gamma_s = _running_integral(np.sin(s) * ks, s)
-        delta_s = _running_integral(np.cos(s) * kc, s)
-        pi_s = _running_integral(np.sin(s) * kc, s)
-        r_s = _running_integral(np.cos(s) * ks, s)
-        big_gamma_s = _running_integral(2.0 * gamma_s, s)
-        on_grid = []
-        dense = [gamma_s, delta_s, pi_s, r_s, big_gamma_s]
-        weighted = [delta_s]  # delta_gamma
-
+            dense, weighted = [], []
+        else:
+            ks = kernel_sin(env.spectral, s)
+            kc = np.asarray(env.thermal_cos_kernel(s), dtype=float)
+            gamma_s = _running_integral(np.sin(s) * ks, s)
+            delta_s = _running_integral(np.cos(s) * kc, s)
+            pi_s = _running_integral(np.sin(s) * kc, s)
+            r_s = _running_integral(np.cos(s) * ks, s)
+            big_gamma_s = _running_integral(2.0 * gamma_s, s)
+            on_grid = []
+            dense = [gamma_s, delta_s, pi_s, r_s, big_gamma_s]
+            weighted = [delta_s]  # delta_gamma
+    for name, y in zip(_DENSE_NAMES, on_grid + dense):
+        if not np.isfinite(y).all():
+            raise NumericError(f"{name}: not finite at tau <= {tau_max:g}")
     # the exponential-integrator weights divide by the square of a step's
     # rise in Gamma: past about 1.3e154 it overflows and they read 0
     if np.any(np.diff(big_gamma_s) > 1e154):

@@ -553,6 +553,20 @@ class TestErrors:
         assert not out.exists()
         assert not out.with_suffix(".meta").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["coefficients", "--tau-steps", "5"],
+        ["sweep", "--kappa", "symmetric"]])
+    def test_overflowing_kernels_refused(self, tmp_path, capsys, argv):
+        # 2 * j0 overflows in the band transforms; in process, so that a
+        # numpy RuntimeWarning would fail the test
+        out = tmp_path / "k.csv"
+        assert main(argv + ["--method", "quad", "--j0", "1e308",
+                            "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric error: gamma: not finite at tau <= 30\n"
+        assert not out.exists()
+        assert not out.with_suffix(".meta").exists()
+
     def test_cli_thermal_conflict_rejected(self, tmp_path):
         # beta is the one temperature setting: the old --low-t switch is
         # gone, alone or next to --beta

@@ -1,9 +1,13 @@
 """The numpy forms against what they replace: the not-a-knot spline port
-against scipy's ``CubicSpline``, bit for bit; the uniform running Simpson
-rule against ``cumulative_simpson``, bit for bit where the grid spacing is
-exact and to rounding elsewhere; and the Python-float weighted recurrence
-against its numpy-indexed loop in ``per_point``. scipy stays installed for
-these tests and for ``verify``; no data command imports it."""
+against scipy's ``CubicSpline``, bit for bit on every grid where LAPACK's
+dgtsv swaps no row, which includes every uniform grid, and no less accurate
+against the exact knot slopes elsewhere; the uniform running Simpson rule against
+``cumulative_simpson``, bit for bit where the grid spacing is exact and to
+rounding elsewhere; and the Python-float weighted recurrence against its
+numpy-indexed loop in ``per_point``. scipy stays installed for these tests
+and for ``verify``; no data command imports it."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +15,6 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 import per_point
-from bandgauss import coefficients
 from bandgauss.coefficients import (_STIFF_PAIR_GAP, GRID_POINTS,
                                     EnvironmentParams, _NotAKnot,
                                     _running_integral, _weighted_cumulative,
@@ -39,8 +42,8 @@ def columns(s):
 
 def random_grids(seed, count):
     """Strictly ascending grids with spacings spread over decades, so that
-    dgtsv meets rows whose subdiagonal outweighs the diagonal; samples
-    include -0.0, whose sign scipy's evaluation drops."""
+    dgtsv meets rows whose subdiagonal outweighs the diagonal, samples that
+    include -0.0, and points to evaluate up to one unit past either end."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         n = int(rng.integers(4, 60))
@@ -51,46 +54,63 @@ def random_grids(seed, count):
             yield x, y, rng.uniform(x[0] - 1, x[-1] + 1, 40)
 
 
+def exact_slopes(x, y):
+    """The not-a-knot spline's knot slopes for the samples as exact
+    rationals, by Thomas elimination on ``Fraction``s, which needs no
+    pivoting; the system is scipy's (and the port's) for n >= 4."""
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    h = [b - a for a, b in zip(x, x[1:])]
+    m = [(b - a) / dx for a, b, dx in zip(y, y[1:], h)]
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    diag = [h[1], *(2 * (a + b) for a, b in zip(h, h[1:])), h[-2]]
+    upper, lower = [d0, *h[:-1]], [*h[1:], d1]
+    rhs = [((h[0] + 2 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0,
+           *(3 * (b * ma + a * mb)
+             for a, b, ma, mb in zip(h, h[1:], m, m[1:])),
+           (h[-1] ** 2 * m[-2] + (2 * d1 + h[-1]) * h[-2] * m[-1]) / d1]
+    for i, low in enumerate(lower):
+        fact = low / diag[i]
+        diag[i + 1] -= fact * upper[i]
+        rhs[i + 1] -= fact * rhs[i]
+    s = [rhs[-1] / diag[-1]]
+    for i in range(len(x) - 2, -1, -1):
+        s.append((rhs[i] - upper[i] * s[-1]) / diag[i])
+    return s[::-1]
+
+
+def max_slope_error(slopes, exact):
+    """Largest knot-slope error relative to the largest exact slope."""
+    return max(abs(Fraction(a) - b) for a, b in zip(slopes, exact)) \
+        / max(abs(b) for b in exact)
+
+
 class TestNotAKnotSpline:
-    @pytest.mark.parametrize("tau_max", TAU_MAXES)
+    @pytest.mark.parametrize("tau_max", TAU_MAXES + (7.3, 1.0 / 3.0))
     def test_dense_grid_bit_for_bit(self, tau_max):
-        s = np.linspace(0.0, tau_max, GRID_POINTS)
-        spline = _NotAKnot(s)
         # the requested grid, points between nodes, and extrapolated points
         xi = np.concatenate([np.linspace(0.0, tau_max, 600),
                              np.linspace(-1.0, tau_max + 1.0, 997)])
-        for y in columns(s):
-            assert_same_bits(spline.fit(y, "y")(xi), CubicSpline(s, y)(xi))
+        for n in (4, 5, 600, 1500, GRID_POINTS):
+            s = np.linspace(0.0, tau_max, n)
+            spline = _NotAKnot(s)
+            for y in columns(s) + [np.where(s < 0.5 * tau_max, -0.0, 0.0)]:
+                assert_same_bits(spline.fit(y, "y")(xi),
+                                 CubicSpline(s, y)(xi))
 
-    def test_random_grids_with_row_interchanges(self):
-        interchanged = 0
-        for x, y, xi in random_grids(seed=3, count=300):
+    def test_random_grids_to_exact_slopes(self):
+        # without interchanges the port leaves dgtsv's path on these grids,
+        # and scipy's bits with it, but it is no less accurate
+        swapping, ours, scipys = 0, 0, 0
+        for x, y, _ in random_grids(seed=3, count=300):
             spline = _NotAKnot(x)
-            interchanged += any(spline.interchanged)
-            xi = np.concatenate([x, xi])
-            assert_same_bits(spline.fit(y, "y")(xi), CubicSpline(x, y)(xi))
-        assert interchanged > 200
-
-    @pytest.mark.parametrize("n", [4, 5, 600, GRID_POINTS])
-    def test_plain_elimination_is_the_general_one(self, monkeypatch, n):
-        # a uniform grid needs no interchange, so it takes the plain path;
-        # forced through dgtsv's general loop it gives the same bits
-        for tau_max in TAU_MAXES:
-            x = np.linspace(0.0, tau_max, n)
-            xi = np.linspace(-1.0, tau_max + 1.0, 997)
-            plain = _NotAKnot(x)
-            assert plain.interchanged == ()
-            with monkeypatch.context() as m:
-                m.setattr(coefficients, "_factor_plain", lambda *a: None)
-                general = _NotAKnot(x)
-            assert len(general.interchanged) == n - 1
-            assert not any(general.interchanged)
-            for attr in ("facts", "d", "du", "dl"):
-                assert_same_bits(np.array(getattr(plain, attr)),
-                                 np.array(getattr(general, attr)))
-            for y in columns(x) + [np.where(x < 0.5 * tau_max, -0.0, 0.0)]:
-                assert_same_bits(plain.fit(y, "y")(xi),
-                                 general.fit(y, "y")(xi))
+            swapping += any(abs(fact) > 1.0 for fact in spline.facts)
+            exact = exact_slopes(x, y)
+            ours = max(ours, max_slope_error(
+                spline.slopes(np.diff(y) / np.diff(x)), exact))
+            scipys = max(scipys, max_slope_error(
+                CubicSpline(x, y).derivative()(x), exact))
+        assert swapping >= 200
+        assert ours <= scipys
 
     def test_two_points_are_scipys_straight_line(self):
         x, y = np.array([0.5, 2.0]), np.array([1.0, -3.0])
