@@ -193,7 +193,7 @@ def _etd_weights(a: np.ndarray, where: np.ndarray):
 def _weighted_cumulative(s: np.ndarray, xs,
                          big_gamma: np.ndarray) -> np.ndarray:
     """Running y(t) = exp(-Gamma(t)) * int_0^t exp(Gamma(s)) x(s) ds, for
-    each column x along the last axis of ``xs``.
+    one column x, or for each column x of a sequence ``xs``.
 
     Simpson-order accurate on a uniform grid while the exponent changes
     slowly; pairs where it jumps by more than ``_STIFF_PAIR_GAP`` switch to
@@ -201,16 +201,14 @@ def _weighted_cumulative(s: np.ndarray, xs,
     neither overflow nor blow up the quadrature error.
 
     A pair of steps from y is y1 = y*m1 + c1, then y2 = y1*m2 + c2 (stiff)
-    or y*m2 + c2 (Simpson). The multipliers depend on Gamma alone, so the
-    columns share them; the increments are vectorised in the operation order
-    of one scalar step, and only the chain through the even nodes runs on
-    Python floats. The result is the step-by-step loop's, bit for bit.
+    or y*m2 + c2 (Simpson). The multipliers depend on Gamma alone and are
+    shared; each column's increments are vectorised in the operation order
+    of one scalar step, then its chain through the even nodes runs on Python
+    floats, so the working set does not grow with the number of columns.
+    The result is the step-by-step loop's, bit for bit.
     """
-    xs = np.asarray(xs, dtype=float)
-    n = xs.shape[-1]
+    cols = [xs] if np.ndim(xs[0]) == 0 else xs
     h = float(s[1] - s[0])
-    x = xs.reshape(-1, n)
-    x0, x1, x2 = x[:, :-2:2], x[:, 1::2], x[:, 2::2]
     g0, g1, g2 = big_gamma[:-2:2], big_gamma[1::2], big_gamma[2::2]
     # each exp only where its step takes it, since math.exp raises on
     # overflow; a non-finite exponent gives NaN, as on Python floats
@@ -222,23 +220,26 @@ def _weighted_cumulative(s: np.ndarray, xs,
         w0, w2, v0, v1 = (_exp(d, smooth) for d in (g0 - g1, g2 - g1,
                                                     g0 - g2, g1 - g2))
         e1, phi0, phi1 = _etd_weights(g1 - g0, stiff)
+        e2, psi0, psi1 = _etd_weights(g2 - g1, stiff)
         m1 = np.where(stiff, e1, w0)
-        c1 = np.where(stiff, h * (x0 * phi0 + x1 * phi1),
-                      h / 12.0 * (5.0 * w0 * x0 + 8.0 * x1 - w2 * x2))
-        e2, phi0, phi1 = _etd_weights(g2 - g1, stiff)
         m2 = np.where(stiff, e2, v0)
-        c2 = np.where(stiff, h * (x1 * phi0 + x2 * phi1),
-                      h / 3.0 * (v0 * x0 + 4.0 * v1 * x1 + x2))
-    y = np.empty(x.shape)
-    pairs = list(zip(stiff.tolist(), m1.tolist(), m2.tolist()))
-    for col, inc1, inc2 in zip(y, c1.tolist(), c2.tolist()):
+    stiff_l, m1_l, m2_l = stiff.tolist(), m1.tolist(), m2.tolist()
+    y = np.empty((len(cols), len(s)))
+    for col, x in zip(y, cols):
+        x0, x1, x2 = x[:-2:2], x[1::2], x[2::2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            c1 = np.where(stiff, h * (x0 * phi0 + x1 * phi1),
+                          h / 12.0 * (5.0 * w0 * x0 + 8.0 * x1 - w2 * x2))
+            c2 = np.where(stiff, h * (x1 * psi0 + x2 * psi1),
+                          h / 3.0 * (v0 * x0 + 4.0 * v1 * x1 + x2))
         yk, even = 0.0, [0.0]
-        for (st, a1, a2), b1, b2 in zip(pairs, inc1, inc2):
+        for st, a1, a2, b1, b2 in zip(stiff_l, m1_l, m2_l, c1.tolist(),
+                                      c2.tolist()):
             yk = ((yk * a1 + b1) if st else yk) * a2 + b2
             even.append(yk)
         col[::2] = even
-    y[:, 1::2] = y[:, :-2:2] * m1 + c1
-    return y.reshape(xs.shape)
+        col[1::2] = col[:-2:2] * m1 + c1
+    return y if cols is xs else y[0]
 
 
 def _running_integral(y: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -327,15 +328,14 @@ class _NotAKnot:
         x, dx, n = self.x, self.dx, len(y)
         slope = np.diff(y) / dx
         s = self.slopes(slope)
-        # CubicHermiteSpline's coefficients from the knot slopes
-        t = (s[:-1] + s[1:] - 2 * slope) / dx
-        c0, c1, c2, c3 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
 
         def at(xi):
             i = np.clip(np.searchsorted(x, xi, "right") - 1, 0, n - 2)
-            h = xi - x[i]
-            return (0.0 + c3[i] + c2[i] * h + c1[i] * (h * h)
-                    + c0[i] * (h * h * h))
+            h, d, m, s0 = xi - x[i], dx[i], slope[i], s[i]
+            # CubicHermiteSpline's coefficients, on the intervals read only
+            t = (s0 + s[i + 1] - 2 * m) / d
+            c0, c1, c2, c3 = t / d, (m - s0) / d - t, s0, y[i]
+            return 0.0 + c3 + c2 * h + c1 * (h * h) + c0 * (h * h * h)
         return at
 
 

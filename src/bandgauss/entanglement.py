@@ -78,8 +78,15 @@ def kappa_secular(r, j0_delta, omega_lo, tau):
     t = np.asarray(tau, dtype=float)
     if np.any(t < 0.0):
         raise DomainError("tau must be non-negative")
-    out = _SCALES["1/2"][0] * (t * t * j0_delta + np.exp(
-        -2.0 * r - t ** 4 * j0_delta * omega_lo / 6.0))
+    # a band at zero frequency has no quartic term; an overflowing one decays
+    # to exp(-inf) = 0, its limit
+    with np.errstate(over="ignore", invalid="ignore"):
+        quartic = t ** 4 * j0_delta * omega_lo / 6.0 if omega_lo else 0.0
+        out = _SCALES["1/2"][0] * (t * t * j0_delta
+                                   + np.exp(-2.0 * r - quartic))
+    if not np.isfinite(out).all():
+        raise NumericError(f"kappa: not finite from tau = "
+                           f"{t[~np.isfinite(out)].min():g}")
     return float(out) if np.isscalar(tau) or t.ndim == 0 else out
 
 

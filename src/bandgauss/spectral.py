@@ -13,7 +13,6 @@ All frequencies and times are dimensionless (mode frequency = 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -85,18 +84,20 @@ def kernel_cos(spectral: SpectralDensity, s):
         spectral.delta - x * x * (hi ** 3 - lo ** 3) / 6.0))
 
 
-# Row-block budget of the thermal kernel: elements of one cos(s*w) block
-# (256 KB of float64), small enough that a trace's peak memory stays put.
+# Row-block budget of the thermal kernel: one cos(s*w) block of 256 KB bounds
+# its working set at any number of times; the trace's columns set the peak.
 _BLOCK_ELEMENTS = 2 ** 15
 
-
-@cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    # The 16-node rule of every thermal panel. Built on first use: its
-    # eigensolve raises peak memory, which low-temperature runs need not pay.
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+# Every thermal panel's 16-node rule, numpy's leggauss(16) bit for bit: it is
+# exactly symmetric, so its positive half is written out, with no import.
+_GL_X = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+         0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+         0.9445750230732326, 0.9894009349916499)
+_GL_W = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+         0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+         0.062253523938647456, 0.027152459411754176)
+_GL_NODES = np.array([-x for x in _GL_X[::-1]] + list(_GL_X))
+_GL_WEIGHTS = np.array(_GL_W[::-1] + _GL_W)
 
 
 def _thermal_panels(lo: float, hi: float, s_max: float) -> np.ndarray:
@@ -141,9 +142,8 @@ def kernel_cos_thermal(spectral: SpectralDensity, s, beta: float | None = None):
     edges = _thermal_panels(spectral.omega_lo, spectral.omega_hi, s_max)
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     half = 0.5 * np.diff(edges)[:, None]
-    nodes, node_weights = _gauss_legendre()
-    w = (mid + half * nodes).ravel()
-    weights = (half * node_weights).ravel() * spectral.j0 \
+    w = (mid + half * _GL_NODES).ravel()
+    weights = (half * _GL_WEIGHTS).ravel() * spectral.j0 \
         / np.tanh(0.5 * beta * w)
 
     out = np.empty(times.size)

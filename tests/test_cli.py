@@ -567,6 +567,36 @@ class TestErrors:
         assert not out.exists()
         assert not out.with_suffix(".meta").exists()
 
+    @pytest.mark.parametrize("omega", ["0", "1"])
+    def test_paper_kappa_at_huge_coupling(self, tmp_path, capsys, omega):
+        # t^4*j0*delta overflows: a band at zero frequency has no quartic
+        # term, and above it the exponential's limit exp(-inf) = 0 is right;
+        # in process, so that a numpy RuntimeWarning would fail the test
+        out = tmp_path / "k.csv"
+        assert main(["sweep", "--j0", "1e308", "--omega", omega,
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        j0_delta = 1e308 * 1e-3
+        lines = read_lines(out)
+        for row in (l.split(",") for l in lines if l.startswith("point")):
+            tau, kappa, e_n = float(row[1]), float(row[9]), float(row[10])
+            quartic = 0.0 if omega == "0" else tau ** 4 * j0_delta / 6.0
+            assert kappa == pytest.approx(0.5 * (
+                tau * tau * j0_delta + math.exp(-2.0 - quartic)), rel=1e-15)
+            assert math.isfinite(e_n)
+        tau_sd = lines[-1].split(",")[-1]
+        assert lines[-1].startswith("sudden_death") and float(tau_sd) < 1e-6
+
+    def test_non_finite_paper_kappa_refused(self, tmp_path, capsys):
+        # j0*delta overflows to inf, so kappa has no finite value at all
+        out = tmp_path / "k.csv"
+        assert main(["sweep", "--j0", "1e308", "--delta", "10",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == \
+            "numeric error: kappa: not finite from tau = 0\n"
+        assert not out.exists()
+        assert not out.with_suffix(".meta").exists()
+
     def test_cli_thermal_conflict_rejected(self, tmp_path):
         # beta is the one temperature setting: the old --low-t switch is
         # gone, alone or next to --beta

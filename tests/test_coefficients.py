@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bandgauss.coefficients import (METHOD_CLOSED, METHOD_QUADRATURE,
-                                    EnvironmentParams, build_trace)
+from bandgauss.coefficients import (GRID_POINTS, METHOD_CLOSED,
+                                    METHOD_QUADRATURE, EnvironmentParams,
+                                    build_trace)
 from bandgauss.entanglement import kappa_full
 from bandgauss.errors import DomainError, UsageError
 from bandgauss.oracle import gamma_int_gk, quad_reference, secular_coeffs_gk
@@ -325,3 +327,25 @@ class TestTrace:
         env = narrow_env()
         tr = build_trace(env, np.linspace(0.0, 1.0, 5), METHOD_CLOSED)
         assert tr.method == METHOD_CLOSED
+
+
+class TestTraceMemory:
+    """A trace's working set does not grow with its number of weighted
+    columns. The guard is tracemalloc's peak over one ``build_trace`` call,
+    after a warm-up call, in units of one dense column (8,193 float64s),
+    which keeps the bound meaningful across numpy versions."""
+
+    @pytest.mark.parametrize("env, tau_grid, method, columns", [
+        (narrow_env(delta=1e-2, beta=2.0), np.linspace(0.0, 20.0, 400),
+         METHOD_QUADRATURE, 50),
+        (narrow_env(), np.linspace(0.0, 30.0, 600), METHOD_CLOSED, 45)],
+        ids=["thermal-quadrature", "closed-fig1b"])
+    def test_peak_in_dense_columns(self, env, tau_grid, method, columns):
+        build_trace(env, tau_grid, method)
+        tracemalloc.start()
+        try:
+            build_trace(env, tau_grid, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (GRID_POINTS * 8) <= columns

@@ -85,6 +85,29 @@ class TestKappaSecular:
         np.testing.assert_array_equal(kappa_secular(0.7, 0.0, 1.0, taus),
                                       np.full(7, 0.5 * math.exp(-1.4)))
 
+    @pytest.mark.parametrize("omega_lo", [0.0, 1.0, 3.0])
+    def test_same_bits_as_the_one_expression(self, omega_lo):
+        # a zero band edge skips the quartic term, which was exactly 0 there
+        taus = np.linspace(0.0, 30.0, 601)
+        want = 0.5 * (taus * taus * 1e-3 + np.exp(
+            -2.0 * 0.3 - taus ** 4 * 1e-3 * omega_lo / 6.0))
+        got = kappa_secular(0.3, 1e-3, omega_lo, taus)
+        assert got.tobytes() == want.tobytes()
+
+    def test_overflowing_quartic_term(self):
+        # exp(-inf) = 0 is the limit; the zero band edge has no quartic term
+        taus = np.array([0.0, 1.0, 30.0])
+        np.testing.assert_allclose(
+            kappa_secular(1.0, 1e305, 1.0, taus),
+            0.5 * taus * taus * 1e305 + [0.5 * math.exp(-2.0), 0.0, 0.0],
+            rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(
+            kappa_secular(1.0, 1e305, 0.0, taus),
+            0.5 * (taus * taus * 1e305 + math.exp(-2.0)), rtol=1e-15, atol=0.0)
+        with pytest.raises(NumericError,
+                           match="kappa: not finite from tau = 2$"):
+            kappa_secular(1.0, 1e308, 0.0, [0.0, 1e-3, 2.0, 1e200])
+
     def test_negative_parameters_rejected(self):
         with pytest.raises(DomainError):
             kappa_secular(-0.1, 0.01, 1.0, 1.0)

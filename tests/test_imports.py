@@ -22,13 +22,14 @@ DATA_RUNS = [
     ["sweep", "--kappa", "oracle", "--mode", "both", "--tau-steps", "5"],
 ]
 
-# prints the exit codes and the modules of the given top-level packages
-# (scipy by default) loaded after each stage
+# prints the exit codes and the modules of the given packages (scipy by
+# default; a dotted name matches its subpackage) loaded after each stage
 PROBE = """
 import json, sys
 runs, packages = json.loads(sys.argv[1]), sys.argv[2:] or ["scipy"]
 def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] in packages)
+    return sorted(m for m in sys.modules
+                  if any(f"{m}.".startswith(f"{p}.") for p in packages))
 from bandgauss.cli import main
 report = {"import": loaded(), "codes": []}
 for argv in runs:
@@ -53,6 +54,17 @@ def test_data_commands_do_not_import_scipy(tmp_path):
     runs = [argv + ["--out", str(tmp_path / f"{i}.csv")]
             for i, argv in enumerate(DATA_RUNS)]
     report = probe(runs)
+    assert report["import"] == []
+    assert report["codes"] == [0] * len(runs)
+    assert report["after"] == []
+
+
+def test_data_commands_do_not_import_numpy_polynomial(tmp_path):
+    # the thermal kernel's Gauss-Legendre rule is literals, so no run pays
+    # for numpy.polynomial's import or its eigensolve
+    runs = [argv + ["--out", str(tmp_path / f"{i}.csv")]
+            for i, argv in enumerate(DATA_RUNS)]
+    report = probe(runs, "numpy.polynomial")
     assert report["import"] == []
     assert report["codes"] == [0] * len(runs)
     assert report["after"] == []

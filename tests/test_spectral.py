@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from bandgauss.errors import DomainError
 from bandgauss.oracle import kernel_cos_thermal_gk, quad_reference
-from bandgauss.spectral import (SERIES_CROSSOVER, SpectralDensity,
-                                kernel_cos, kernel_cos_thermal, kernel_sin)
+from bandgauss.spectral import (_GL_NODES, _GL_WEIGHTS, SERIES_CROSSOVER,
+                                SpectralDensity, kernel_cos,
+                                kernel_cos_thermal, kernel_sin)
 
 import per_point
 
@@ -157,6 +158,12 @@ class TestKernelCosThermal:
     Deviations are measured in units of the kernel at s = 0 (j0 times the
     band integral of coth), the natural size of the integrand's mass.
     """
+
+    def test_rule_literals_are_leggauss(self):
+        # the panel rule is written out; it must be numpy's, bit for bit
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        assert _GL_NODES.tobytes() == nodes.tobytes()
+        assert _GL_WEIGHTS.tobytes() == weights.tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(omega_lo=st.floats(1e-3, 10.0), delta=st.floats(1e-3, 2.0),
