@@ -33,7 +33,7 @@ Times are dimensionless (system frequency = 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,6 +153,12 @@ class CoefficientTrace:
         return (self.sec_delta_co, self.sec_delta_si, self.sec_pi_co,
                 self.sec_pi_si)
 
+    def secular_approximation(self) -> CoefficientTrace:
+        """This trace with zero ``sec_*`` columns: the secular approximation."""
+        zero = np.zeros_like(self.tau_grid)
+        return replace(self, sec_delta_co=zero, sec_delta_si=zero,
+                       sec_pi_co=zero, sec_pi_si=zero)
+
 
 # Largest damping-exponent change per Simpson pair for which polynomial
 # quadrature of the weighted integrand is still accurate; stiffer pairs use
@@ -192,8 +198,8 @@ def _etd_weights(a: np.ndarray, where: np.ndarray):
 
 def _weighted_cumulative(s: np.ndarray, xs,
                          big_gamma: np.ndarray) -> np.ndarray:
-    """Running y(t) = exp(-Gamma(t)) * int_0^t exp(Gamma(s)) x(s) ds, for
-    one column x, or for each column x of a sequence ``xs``.
+    """Running y(t) = exp(-Gamma(t)) * int_0^t exp(Gamma(s)) x(s) ds for
+    each column x of the sequence ``xs``, one row of the result each.
 
     Simpson-order accurate on a uniform grid while the exponent changes
     slowly; pairs where it jumps by more than ``_STIFF_PAIR_GAP`` switch to
@@ -207,7 +213,6 @@ def _weighted_cumulative(s: np.ndarray, xs,
     floats, so the working set does not grow with the number of columns.
     The result is the step-by-step loop's, bit for bit.
     """
-    cols = [xs] if np.ndim(xs[0]) == 0 else xs
     h = float(s[1] - s[0])
     g0, g1, g2 = big_gamma[:-2:2], big_gamma[1::2], big_gamma[2::2]
     # each exp only where its step takes it, since math.exp raises on
@@ -224,8 +229,8 @@ def _weighted_cumulative(s: np.ndarray, xs,
         m1 = np.where(stiff, e1, w0)
         m2 = np.where(stiff, e2, v0)
     stiff_l, m1_l, m2_l = stiff.tolist(), m1.tolist(), m2.tolist()
-    y = np.empty((len(cols), len(s)))
-    for col, x in zip(y, cols):
+    y = np.empty((len(xs), len(s)))
+    for col, x in zip(y, xs):
         x0, x1, x2 = x[:-2:2], x[1::2], x[2::2]
         with np.errstate(over="ignore", invalid="ignore"):
             c1 = np.where(stiff, h * (x0 * phi0 + x1 * phi1),
@@ -239,7 +244,7 @@ def _weighted_cumulative(s: np.ndarray, xs,
             even.append(yk)
         col[::2] = even
         col[1::2] = col[:-2:2] * m1 + c1
-    return y if cols is xs else y[0]
+    return y
 
 
 def _running_integral(y: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -352,8 +357,9 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
 
     A dense uniform master grid carries the cumulative integrals; the
     requested grid is filled by a port of scipy's not-a-knot spline, bit for
-    bit (exact at master nodes). A non-finite ``tau_grid``, or a dense
-    column that overflows, raises ``NumericError`` naming it.
+    bit (exact at master nodes). A non-finite ``tau_grid`` or one too short
+    for positive dense steps, or an overflowing column, dense or fitted,
+    raises ``NumericError`` naming it.
     """
     require_method(env, method)
     if not isinstance(n_dense, (int, np.integer)) or n_dense < 3 \
@@ -375,6 +381,14 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
         return CoefficientTrace(tau_grid, *zeros, method)
 
     s = np.linspace(0.0, tau_max, n_dense)
+    if not np.all(np.diff(s) > 0.0):
+        raise NumericError(f"tau_grid: dense steps underflow to 0 at tau <= "
+                           f"{tau_max:g}")
+
+    def require_finite(names, columns):
+        for name, y in zip(names, columns):
+            if not np.isfinite(y).all():
+                raise NumericError(f"{name}: not finite at tau <= {tau_max:g}")
 
     # an overflow is refused below, naming its column, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
@@ -397,9 +411,7 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
             on_grid = []
             dense = [gamma_s, delta_s, pi_s, r_s, big_gamma_s]
             weighted = [delta_s]  # delta_gamma
-    for name, y in zip(_DENSE_NAMES, on_grid + dense):
-        if not np.isfinite(y).all():
-            raise NumericError(f"{name}: not finite at tau <= {tau_max:g}")
+    require_finite(_DENSE_NAMES, on_grid + dense)
     # the exponential-integrator weights divide by the square of a step's
     # rise in Gamma: past about 1.3e154 it overflows and they read 0
     if np.any(np.diff(big_gamma_s) > 1e154):
@@ -409,9 +421,10 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
     weighted += [x * trig(2.0 * s) for x in (delta_s, pi_s)
                  for trig in (np.cos, np.sin)]
     dense += list(_weighted_cumulative(s, weighted, big_gamma_s))
-    spline = _NotAKnot(s)
-    fitted = [spline.fit(y, name)(tau_grid)
-              for name, y in zip(_DENSE_NAMES[-len(dense):], dense)]
+    spline, names = _NotAKnot(s), _DENSE_NAMES[-len(dense):]
+    with np.errstate(over="ignore", invalid="ignore"):
+        fitted = [spline.fit(y, name)(tau_grid) for name, y in zip(names, dense)]
+    require_finite(names, fitted)
     *first_stage, d_c, d_s, p_c, p_s = on_grid + fitted
     c2, s2 = np.cos(2.0 * tau_grid), np.sin(2.0 * tau_grid)
     return CoefficientTrace(tau_grid, *first_stage,

@@ -5,7 +5,9 @@ damps the state by exp(-Gamma), rotates it at the mode frequency, and adds
 the diffusion block built from the variance DeltaGamma plus the four
 oscillatory-weighted integrals (the "secular terms"). Dropping those terms
 gives the secular approximation, where the diagonal blocks evolve as
-A0*exp(-Gamma) + DeltaGamma*I.
+A0*exp(-Gamma) + DeltaGamma*I: it is the channel of
+``trace.secular_approximation()``, the same trace with its ``sec_*``
+columns zero.
 
 Sign conventions of the added noise block are fixed by conjugating the
 diffusion matrix with the rotation, i.e. by the direct propagator that
@@ -15,19 +17,19 @@ the arbiter for them.
 The channel does not depend on the input state, so one coefficient trace
 serves every state: :func:`evolve_covariances` assembles and validates a
 whole trace as one (N, 4, 4) array, and the state at a single time is the
-row of a trace over ``[tau]``. :func:`apply_channel` applies one
-:class:`ChannelSnapshot` (a row of :func:`snapshots_from_trace`) to the
-covariance and the mean vector. :func:`check_covariances` validates stacks
-and single states alike, and is the gate on every output: Gamma itself may
-dip below zero on the quadrature route, which is the non-Markovian
-signature.
+row of a trace over ``[tau]``. A snapshot is a one-row trace, one per grid
+time from :func:`snapshots_from_trace`; :func:`apply_channel` applies it
+to the covariance and the mean vector. :func:`check_covariances` validates
+stacks and single states alike, and is the gate on every output: Gamma
+itself may dip below zero on the quadrature route, which is the
+non-Markovian signature.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -137,31 +139,12 @@ def rotation(tau: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-@dataclass(frozen=True)
-class ChannelSnapshot:
-    """Channel data at a single time: damping exponent, diffusion variance,
-    the four weighted integrals (delta_co, delta_si, pi_co, pi_si), and the
-    rotation angle."""
-
-    tau: float
-    gamma_int: float
-    delta_gamma: float
-    secular: tuple[float, float, float, float]
-    angle: float
-
-
-def snapshots_from_trace(trace: CoefficientTrace) -> list[ChannelSnapshot]:
-    """One snapshot per grid point of an evaluated coefficient trace."""
-    return [
-        ChannelSnapshot(
-            tau=float(t),
-            gamma_int=float(trace.gamma_int[i]),
-            delta_gamma=float(trace.delta_gamma[i]),
-            secular=tuple(float(v[i]) for v in trace.secular),
-            angle=float(t),
-        )
-        for i, t in enumerate(trace.tau_grid)
-    ]
+def snapshots_from_trace(trace: CoefficientTrace) -> list[CoefficientTrace]:
+    """One single-row trace per grid time of ``trace``."""
+    columns = {k: v for k, v in vars(trace).items()
+               if isinstance(v, np.ndarray)}
+    return [replace(trace, **{k: v[i:i + 1] for k, v in columns.items()})
+            for i in range(len(trace.tau_grid))]
 
 
 def _twb_block_values(state: TwoModeGaussianState) -> tuple[float, float]:
@@ -179,29 +162,24 @@ def _twb_block_values(state: TwoModeGaussianState) -> tuple[float, float]:
     return float(a), float(c)
 
 
-def _assemble_cm(a: float, c: float, gamma_int, delta_gamma, secular, angle,
-                 include_secular: bool) -> np.ndarray:
-    """Covariance matrices after the channel for initial blocks a*I and
-    diag(c, -c), shape (..., 4, 4) for channel data of shape (...): one
-    matrix per time of a trace, or a single (4, 4) matrix for scalars.
+def _assemble_cm(a: float, c: float, trace: CoefficientTrace) -> np.ndarray:
+    """Covariance matrices after the channel of ``trace`` for initial blocks
+    a*I and diag(c, -c), one (4, 4) matrix per time.
 
-    The added noise block is DeltaGamma*I plus, when ``include_secular`` is
-    set, the rotated traceless combination of the weighted integrals. The
-    rotation by 2*angle and the relative signs follow from conjugating the
-    diffusion matrix with the free rotation.
+    The added noise block is DeltaGamma*I plus the rotated traceless
+    combination of the weighted integrals, which vanishes on a secular
+    approximation's zero columns. The rotation by 2*tau and the relative
+    signs follow from conjugating the diffusion matrix with the free
+    rotation.
     """
-    dg = np.asarray(delta_gamma, dtype=float)
+    dg = trace.delta_gamma
     noise = np.zeros(dg.shape + (2, 2))
-    if include_secular:
-        d_co, d_si, p_co, p_si = secular
-        diag = d_co - p_si
-        noise[..., 0, 0], noise[..., 1, 1] = dg + diag, dg - diag
-        noise[..., 0, 1] = noise[..., 1, 0] = -(d_si + p_co)
-    else:
-        noise[..., 0, 0] = noise[..., 1, 1] = dg
-    decay = np.exp(-np.asarray(gamma_int, dtype=float))[..., None, None]
+    diag = trace.sec_delta_co - trace.sec_pi_si
+    noise[..., 0, 0], noise[..., 1, 1] = dg + diag, dg - diag
+    noise[..., 0, 1] = noise[..., 1, 0] = -(trace.sec_delta_si + trace.sec_pi_co)
+    decay = np.exp(-trace.gamma_int)[..., None, None]
     a_t = a * decay * np.eye(2) + noise
-    c2, s2 = np.cos(2.0 * angle), np.sin(2.0 * angle)
+    c2, s2 = np.cos(2.0 * trace.tau_grid), np.sin(2.0 * trace.tau_grid)
     # correlation block rotates as R C0 R^T with C0 = diag(c, -c)
     rot = np.moveaxis(np.array([[c2, -s2], [-s2, -c2]]), (0, 1), (-2, -1))
     c_t = c * decay * rot
@@ -214,21 +192,21 @@ def _assemble_cm(a: float, c: float, gamma_int, delta_gamma, secular, angle,
 
 
 def evolve_mean(state: TwoModeGaussianState,
-                snapshot: ChannelSnapshot) -> np.ndarray:
-    """Mean vector after the channel: exp(-Gamma/2) * (R (+) R) * mean."""
-    r = rotation(snapshot.angle)
+                snapshot: CoefficientTrace) -> np.ndarray:
+    """Mean vector after the channel of a one-row trace:
+    exp(-Gamma/2) * (R (+) R) * mean."""
+    r = rotation(snapshot.tau_grid[0])
     block = np.zeros((4, 4))
     block[:2, :2] = r
     block[2:, 2:] = r
-    return float(np.exp(-0.5 * snapshot.gamma_int)) * (block @ state.mean)
+    return float(np.exp(-0.5 * snapshot.gamma_int[0])) * (block @ state.mean)
 
 
-def apply_channel(state: TwoModeGaussianState, snapshot: ChannelSnapshot,
+def apply_channel(state: TwoModeGaussianState, snapshot: CoefficientTrace,
                   include_secular: bool = True) -> TwoModeGaussianState:
-    """Propagate a symmetric two-mode state through the channel snapshot."""
-    a, c = _twb_block_values(state)
-    cm = _assemble_cm(a, c, snapshot.gamma_int, snapshot.delta_gamma,
-                      snapshot.secular, snapshot.angle, include_secular)
+    """Propagate a symmetric two-mode state through the channel of a
+    one-row trace."""
+    cm = evolve_covariances(state, snapshot, include_secular)[0]
     return TwoModeGaussianState(evolve_mean(state, snapshot), cm,
                                 validate_uncertainty=False)
 
@@ -236,13 +214,13 @@ def apply_channel(state: TwoModeGaussianState, snapshot: ChannelSnapshot,
 def evolve_covariances(state: TwoModeGaussianState, trace: CoefficientTrace,
                        include_secular: bool = True) -> np.ndarray:
     """Covariance matrices of ``state`` after the channel at every time of
-    ``trace``, shape (N, 4, 4).
+    ``trace``, shape (N, 4, 4); without ``include_secular``, after the
+    channel of ``trace.secular_approximation()``.
 
     The same matrices, checks and errors as :func:`apply_channel` on each
     snapshot of the trace, computed as arrays in one pass.
     """
-    a, c = _twb_block_values(state)
-    cms = _assemble_cm(a, c, trace.gamma_int, trace.delta_gamma,
-                       trace.secular, trace.tau_grid, include_secular)
+    channel = trace if include_secular else trace.secular_approximation()
+    cms = _assemble_cm(*_twb_block_values(state), channel)
     check_covariances(cms, validate_uncertainty=False)
     return cms

@@ -34,6 +34,7 @@ from .errors import DomainError, NumericError, UsageError
 from .spectral import SpectralDensity
 
 RADICAND_TOL = 1e-12
+BISECT_XTOL = 1e-6  # time tolerance of every sudden-death bisection
 
 # Largest eps * max|lambda| / min|lambda| (about eps * exp(4r) for a twin
 # beam: 6.6e-13 at r = 2, 1.5e-8 at r = 4.5), the relative error of the
@@ -133,8 +134,8 @@ def negativity(kappa):
 # channel-resolved kappa curves
 # ---------------------------------------------------------------------------
 
-def _nu_curve(a0, c0, a_minus_c, gamma_int, dgamma, sec4, tau):
-    """Minimum PT eigenvalue along a trace, for initial blocks a0*I, diag(c0, -c0).
+def _nu_curve(a0, c0, a_minus_c, trace: CoefficientTrace):
+    """Minimum PT eigenvalue along ``trace``, initial blocks a0*I, diag(c0, -c0).
 
     Works on the determinant factorisation det(sigma) = det(A+C)*det(A-C)
     valid for the symmetric block form, with the traceless parts of A and C
@@ -143,15 +144,15 @@ def _nu_curve(a0, c0, a_minus_c, gamma_int, dgamma, sec4, tau):
     exactly keeps the result accurate at strong squeezing where cosh - sinh
     underflows the floating-point subtraction.
     """
-    d_co, d_si, p_co, p_si = sec4
-    decay = np.exp(-gamma_int)
-    alpha = a0 * decay + dgamma
+    d_co, d_si, p_co, p_si = trace.secular
+    decay = np.exp(-trace.gamma_int)
+    alpha = a0 * decay + trace.delta_gamma
     corr = c0 * decay
-    diff = a_minus_c * decay + dgamma          # alpha - corr, cancellation-free
+    diff = a_minus_c * decay + trace.delta_gamma  # alpha - corr, cancellation-free
     u1 = d_co - p_si
     u2 = -(d_si + p_co)
-    v1 = corr * np.cos(2.0 * tau)
-    v2 = -corr * np.sin(2.0 * tau)
+    v1 = corr * np.cos(2.0 * trace.tau_grid)
+    v2 = -corr * np.sin(2.0 * trace.tau_grid)
     k_sq = u1 ** 2 + u2 ** 2
     uv = u1 * v1 + u2 * v2
     i1 = alpha ** 2 - k_sq
@@ -163,13 +164,13 @@ def _nu_curve(a0, c0, a_minus_c, gamma_int, dgamma, sec4, tau):
 
 
 def _kappa(trace: CoefficientTrace, r: float, scale: str,
-           source: str = "symmetric",
-           include_secular: bool = True) -> np.ndarray:
+           source: str = "symmetric") -> np.ndarray:
     """Twin-beam kappa of squeezing ``r`` at every time of ``trace`` on the
     vacuum ``scale``. ``source`` "symmetric" is the invariant formula,
     "oracle" validates the assembled covariances and runs one batched PT
     eigensolve, and "paper" is the secular closed form of the channel,
-    (a - c)*exp(-Gamma) + DeltaGamma, which has no secular terms.
+    (a - c)*exp(-Gamma) + DeltaGamma, which reads no ``sec_*`` column. The
+    secular approximation is the call on ``trace.secular_approximation()``.
     """
     TwbSpec(r)
     block, gain = _SCALES[scale]
@@ -178,15 +179,11 @@ def _kappa(trace: CoefficientTrace, r: float, scale: str,
     if source == "paper":
         nu = a_minus_c * np.exp(-trace.gamma_int) + trace.delta_gamma
     elif source == "oracle":
-        cms = _assemble_cm(a0, c0, trace.gamma_int, trace.delta_gamma,
-                           trace.secular, trace.tau_grid, include_secular)
+        cms = _assemble_cm(a0, c0, trace)
         check_covariances(cms, validate_uncertainty=False)
         nu = _nu_min_pt_stack(cms)
     else:
-        sec4 = trace.secular if include_secular \
-            else (np.zeros_like(trace.tau_grid),) * 4
-        nu = _nu_curve(a0, c0, a_minus_c, trace.gamma_int, trace.delta_gamma,
-                       sec4, trace.tau_grid)
+        nu = _nu_curve(a0, c0, a_minus_c, trace)
     return gain * nu
 
 
@@ -200,7 +197,7 @@ def kappa_secular_channel_curve(trace: CoefficientTrace,
                                 r: float) -> np.ndarray:
     """Channel-evaluated secular kappa (1/2 scale); on a closed-form trace it
     reproduces :func:`kappa_secular` to rounding."""
-    return _kappa(trace, r, "1/2", "paper", include_secular=False)
+    return _kappa(trace, r, "1/2", "paper")
 
 
 def kappa_full(env: EnvironmentParams, r: float, tau: float,
@@ -217,15 +214,15 @@ def state_kappa_curve(trace: CoefficientTrace, r: float,
     scale from the "oracle" source."""
     if source not in ("symmetric", "oracle"):
         raise UsageError(f"unknown kappa source {source!r}")
-    return _kappa(trace, r, "sqrt2" if source == "symmetric" else "1",
-                  source, include_secular)
+    return _kappa(trace if include_secular else trace.secular_approximation(),
+                  r, "sqrt2" if source == "symmetric" else "1", source)
 
 
 # ---------------------------------------------------------------------------
 # sudden death
 # ---------------------------------------------------------------------------
 
-def _bisect(f, a: float, b: float, xtol: float) -> float:
+def _bisect(f, a: float, b: float) -> float:
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -233,7 +230,7 @@ def _bisect(f, a: float, b: float, xtol: float) -> float:
         return b
     if fa * fb > 0.0:
         raise NumericError("bisection bracket does not straddle the threshold")
-    while b - a > xtol:
+    while b - a > BISECT_XTOL:
         m = 0.5 * (a + b)
         fm = f(m)
         if fm == 0.0:
@@ -245,7 +242,7 @@ def _bisect(f, a: float, b: float, xtol: float) -> float:
     return 0.5 * (a + b)
 
 
-def find_last_upcrossing(tau, values, threshold, point_fn=None, xtol=1e-6):
+def find_last_upcrossing(tau, values, threshold, point_fn=None):
     """Time of the last upward crossing of ``threshold`` after which the
     sampled curve stays above it; None when there is no such crossing.
     Bisects ``point_fn``, or by default one cubic spline fit of the samples,
@@ -258,17 +255,16 @@ def find_last_upcrossing(tau, values, threshold, point_fn=None, xtol=1e-6):
         spline = _NotAKnot(np.asarray(tau, float)).fit(values, "kappa")
         point_fn = lambda t: float(spline(t))
     return _bisect(lambda t: point_fn(t) - threshold,
-                   float(tau[idx]), float(tau[idx + 1]), xtol)
+                   float(tau[idx]), float(tau[idx + 1]))
 
 
 def sudden_death_time(r: float, j0_delta: float, omega_lo: float,
-                      kappa_source: str = "secular", *,
-                      tau_max: float = 100.0, method: str = METHOD_CLOSED,
-                      scan_points: int = 8001, xtol: float = 1e-6):
+                      kappa_source: str = "secular", *, tau_max: float = 100.0):
     """Earliest time after which negativity is zero through ``tau_max``.
 
     Detected as the last upward crossing of kappa through 1 (flat zero
-    plateaus of the negativity itself would confuse a bracketing search).
+    plateaus of the negativity itself would confuse a bracketing search) on
+    8,001 points, "full" on the closed route, and bisected to BISECT_XTOL.
     Returns None when the curve never dies inside the horizon, including the
     degenerate j0_delta = 0 case where the environment is absent.
     """
@@ -280,13 +276,13 @@ def sudden_death_time(r: float, j0_delta: float, omega_lo: float,
     if j0_delta == 0.0:
         return None
 
-    grid = np.linspace(0.0, tau_max, scan_points)
+    grid = np.linspace(0.0, tau_max, 8001)
     if kappa_source == "secular":
         values = kappa_secular(r, j0_delta, omega_lo, grid)
         point_fn = lambda t: kappa_secular(r, j0_delta, omega_lo, t)
     else:
         # kappa depends on j0 and delta only through the product: j0 = 1
         env = EnvironmentParams(SpectralDensity(1.0, omega_lo, j0_delta))
-        values = kappa_full_curve(build_trace(env, grid, method), r)
+        values = kappa_full_curve(build_trace(env, grid), r)
         point_fn = None
-    return find_last_upcrossing(grid, values, 1.0, point_fn, xtol)
+    return find_last_upcrossing(grid, values, 1.0, point_fn)

@@ -9,7 +9,8 @@ import math
 import numpy as np
 
 from bandgauss.cli import _fmt
-from bandgauss.coefficients import _STIFF_PAIR_GAP
+from bandgauss.coefficients import (METHOD_CLOSED, _STIFF_PAIR_GAP,
+                                    CoefficientTrace)
 from bandgauss.dynamics import symplectic_form
 from bandgauss.spectral import SERIES_CROSSOVER
 
@@ -42,20 +43,29 @@ def kernel_cos(spectral, s):
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
 
 
+def snapshot(tau, gamma_int=0.0, delta_gamma=0.0, secular=(0.0,) * 4):
+    """A one-row trace at ``tau`` with the given channel columns and zero
+    rates."""
+    row = lambda v: np.array([float(v)])
+    return CoefficientTrace(row(tau), *(row(0.0),) * 4, row(gamma_int),
+                            row(delta_gamma), *map(row, secular),
+                            METHOD_CLOSED)
+
+
 def assemble_cm(a, c, snap, include_secular):
-    """Covariance after the channel at one snapshot, for blocks a*I and
-    diag(c, -c)."""
-    decay = np.exp(-snap.gamma_int)
-    dg = snap.delta_gamma
+    """Covariance after the channel at one snapshot (a one-row trace), for
+    blocks a*I and diag(c, -c)."""
+    decay = np.exp(-snap.gamma_int[0])
+    dg = snap.delta_gamma[0]
     if include_secular:
-        d_co, d_si, p_co, p_si = snap.secular
+        d_co, d_si, p_co, p_si = (v[0] for v in snap.secular)
         diag = d_co - p_si
         off = -(d_si + p_co)
         noise = np.array([[dg + diag, off], [off, dg - diag]])
     else:
         noise = np.array([[dg, 0.0], [0.0, dg]])
     a_t = a * decay * np.eye(2) + noise
-    c2, s2 = np.cos(2.0 * snap.angle), np.sin(2.0 * snap.angle)
+    c2, s2 = np.cos(2.0 * snap.tau_grid[0]), np.sin(2.0 * snap.tau_grid[0])
     c_t = c * decay * np.array([[c2, -s2], [-s2, -c2]])
     cm = np.zeros((4, 4))
     cm[:2, :2] = a_t

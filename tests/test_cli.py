@@ -567,6 +567,27 @@ class TestErrors:
         assert not out.exists()
         assert not out.with_suffix(".meta").exists()
 
+    @pytest.mark.parametrize("argv,err", [
+        # the spline's coefficients overflow and would read NaN
+        (["coefficients", "--method", "quad", "--tau-max", "1e-160"],
+         "numeric error: delta_coef: not finite at tau <= 1e-160\n"),
+        # the dense step underflows to 0 and the spline would divide by it
+        (["evolve", "--tau-max", "1e-320"],
+         "numeric error: tau_grid: dense steps underflow to 0 at tau <= ")])
+    def test_tiny_horizon_refused(self, tmp_path, capsys, argv, err):
+        # in process, so that a numpy RuntimeWarning would fail the test
+        out = tmp_path / "t.csv"
+        assert main(argv + ["--tau-steps", "3", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(err)
+        assert not out.exists()
+        assert not out.with_suffix(".meta").exists()
+
+    def test_small_horizon_still_written(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main(["coefficients", "--method", "quad", "--tau-max", "1e-150",
+                     "--tau-steps", "3", "--out", str(out)]) == 0
+        assert "nan" not in out.read_text()
+
     @pytest.mark.parametrize("omega", ["0", "1"])
     def test_paper_kappa_at_huge_coupling(self, tmp_path, capsys, omega):
         # t^4*j0*delta overflows: a band at zero frequency has no quartic

@@ -6,11 +6,11 @@ import pytest
 
 from bandgauss.coefficients import (METHOD_CLOSED, METHOD_QUADRATURE,
                                     EnvironmentParams, build_trace)
-from bandgauss.dynamics import (R_MAX, ChannelSnapshot, TwbSpec,
-                                TwoModeGaussianState, apply_channel,
-                                check_covariances, evolve_covariances,
-                                evolve_mean, make_twb, rotation,
-                                snapshots_from_trace, symplectic_form)
+from bandgauss.dynamics import (R_MAX, TwbSpec, TwoModeGaussianState,
+                                apply_channel, check_covariances,
+                                evolve_covariances, evolve_mean, make_twb,
+                                rotation, snapshots_from_trace,
+                                symplectic_form)
 from bandgauss.errors import DomainError
 from bandgauss.spectral import SpectralDensity
 
@@ -100,8 +100,7 @@ class TestRotation:
 
 
 def zero_snapshot(tau=0.0):
-    return ChannelSnapshot(tau=tau, gamma_int=0.0, delta_gamma=0.0,
-                           secular=(0.0, 0.0, 0.0, 0.0), angle=tau)
+    return per_point.snapshot(tau)
 
 
 class TestEvolveMean:
@@ -117,7 +116,7 @@ class TestEvolveMean:
 
     def test_pure_damping(self):
         state = TwoModeGaussianState([1.0, 0.0, 0.0, 0.0], np.eye(4))
-        snap = ChannelSnapshot(0.0, math.log(4.0), 0.0, (0, 0, 0, 0), 0.0)
+        snap = per_point.snapshot(0.0, math.log(4.0))
         np.testing.assert_allclose(evolve_mean(state, snap),
                                    [0.5, 0.0, 0.0, 0.0], rtol=1e-15)
 
@@ -189,8 +188,7 @@ class TestChannel:
                     assert np.min(np.linalg.eigvalsh(evolved.cm)) >= -1e-10
 
     def test_secular_equals_full_when_secular_terms_vanish(self):
-        snap = ChannelSnapshot(tau=2.5, gamma_int=0.01, delta_gamma=0.004,
-                               secular=(0.0, 0.0, 0.0, 0.0), angle=2.5)
+        snap = per_point.snapshot(2.5, gamma_int=0.01, delta_gamma=0.004)
         state = make_twb(0.6)
         full = apply_channel(state, snap, include_secular=True)
         secular = apply_channel(state, snap, include_secular=False)
@@ -218,7 +216,7 @@ class TestChannel:
             dets = np.array([np.linalg.det(apply_channel(make_twb(1.0), snap,
                                                          include_secular=False).cm)
                              for snap in snaps])
-            gammas = np.array([snap.gamma_int for snap in snaps])
+            gammas = np.array([snap.gamma_int[0] for snap in snaps])
             assert np.all(dets >= np.exp(-4.0 * gammas) - 1e-12)
             log_floored = np.log(dets) + 4.0 * gammas
             assert np.all(np.diff(log_floored) >= -1e-7)

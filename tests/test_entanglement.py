@@ -6,8 +6,8 @@ import pytest
 
 from bandgauss.coefficients import (METHOD_CLOSED, METHOD_QUADRATURE,
                                     EnvironmentParams, build_trace)
-from bandgauss.dynamics import (ChannelSnapshot, TwoModeGaussianState,
-                                apply_channel, evolve_covariances, make_twb,
+from bandgauss.dynamics import (TwoModeGaussianState, apply_channel,
+                                evolve_covariances, make_twb,
                                 snapshots_from_trace)
 from bandgauss.entanglement import (_nu_sq, find_last_upcrossing, kappa_full,
                                     kappa_full_curve, kappa_secular,
@@ -223,7 +223,7 @@ class TestKappaFull:
         state = make_twb(0.6)
         base = nu_min_pt(state)
         for tau in (0.7, 2.0, 11.3):
-            snap = ChannelSnapshot(tau, 0.0, 0.0, (0.0, 0.0, 0.0, 0.0), tau)
+            snap = per_point.snapshot(tau)
             rotated = apply_channel(state, snap)
             assert nu_min_pt(rotated) == pytest.approx(base, rel=1e-12)
 
@@ -338,7 +338,7 @@ class TestSuddenDeath:
             sudden_death_time(1.0, 0.01, 1.0, "closed")
 
     def test_bisection_tolerance(self):
-        got = sudden_death_time(1.0, 0.01, 1.0, "secular", xtol=1e-6)
+        got = sudden_death_time(1.0, 0.01, 1.0, "secular")
         assert abs(kappa_secular(1.0, 0.01, 1.0, got) - 1.0) < 2e-7
 
     def test_strictly_decreasing_in_bandwidth(self):

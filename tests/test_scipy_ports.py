@@ -187,7 +187,7 @@ class TestWeightedCumulative:
         for x in (delta_closed(env, s), pi_closed(env, s)):
             for weighted in (x, x * np.cos(2.0 * s), x * np.sin(2.0 * s)):
                 assert_same_bits(
-                    _weighted_cumulative(s, weighted, big_gamma),
+                    _weighted_cumulative(s, [weighted], big_gamma)[0],
                     per_point.weighted_cumulative(s, weighted, big_gamma))
 
     def test_non_monotone_quadrature_route(self):
@@ -200,7 +200,7 @@ class TestWeightedCumulative:
         delta = _running_integral(np.cos(s) * kernel_cos(sd, s), s)
         for weighted in (delta, delta * np.cos(2.0 * s)):
             assert_same_bits(
-                _weighted_cumulative(s, weighted, big_gamma),
+                _weighted_cumulative(s, [weighted], big_gamma)[0],
                 per_point.weighted_cumulative(s, weighted, big_gamma))
 
 
