@@ -22,7 +22,8 @@ its own name, so a sidecar's ``scenario`` block reruns it as ``--config``.
 
 ``--beta`` is the one temperature option; omitted, it is the low-temperature
 limit. ``build_trace`` refuses a finite beta on the closed route, and
-``fig1``, ``fig2`` and the ``paper`` kappa source refuse it here.
+``fig1``, ``fig2`` and the ``paper`` kappa source refuse it here; that
+source, the secular closed form, also refuses other modes and methods.
 """
 
 from __future__ import annotations
@@ -39,14 +40,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .coefficients import CoefficientTrace, EnvironmentParams, build_trace
+from .coefficients import (METHOD_CLOSED, CoefficientTrace,
+                           EnvironmentParams, build_trace)
 from .dynamics import evolve_covariances, make_twb
 from .entanglement import (find_last_upcrossing, kappa_full_curve,
                            kappa_secular, negativity, state_kappa_curve)
 from .errors import DomainError, NumericError, UsageError
 from .oracle import run_verification
 from .scenario import (KAPPA_SOURCES, MAX_ROWS, MODES, SweepScenario,
-                       apply_overrides, scenario_from_file)
+                       read_config)
 from .spectral import SpectralDensity
 
 
@@ -111,12 +113,24 @@ def _write(out: str, header: list[str], rows, **meta) -> int:
     return 0
 
 
-def _require_low_t(what: str, scenario: SweepScenario,
-                   hint: str = "use sweep for a finite beta") -> None:
+def _require_low_t(what: str, scenario: SweepScenario) -> None:
     # A finite beta that the computation never reads would still be
     # recorded in the sidecar; refuse it instead.
     if scenario.beta is not None:
-        raise UsageError(f"beta: {what} runs at low temperature only; {hint}")
+        raise UsageError(f"beta: {what} runs at low temperature only; use "
+                         "sweep for a finite beta")
+
+
+def _require_paper_route(scenario: SweepScenario) -> None:
+    # the paper source, kappa_secular, is the secular closed form at low
+    # temperature: a beta, mode or method it would not read is refused
+    for name, only in (("beta", None), ("mode", "secular"),
+                       ("method", METHOD_CLOSED)):
+        if scenario.kappa == "paper" and getattr(scenario, name) != only:
+            raise UsageError(
+                f"{name}: --kappa paper is the secular closed form at low "
+                f"temperature, got {getattr(scenario, name)!r}; use --kappa "
+                "symmetric or oracle (with --method quad for a finite beta)")
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +147,6 @@ def _trace(scenario: SweepScenario, key: tuple) -> CoefficientTrace:
 
 def _modes(scenario: SweepScenario) -> tuple:
     return ("secular", "full") if scenario.mode == "both" else (scenario.mode,)
-
-
-def _kappa_modes(scenario: SweepScenario) -> tuple:
-    # the paper source reads no trace and has no mode: one curve, secular
-    return ("secular",) if scenario.kappa == "paper" else _modes(scenario)
 
 
 def _map_payloads(worker, payloads, jobs: int):
@@ -181,16 +190,14 @@ def _table(scenario: SweepScenario, rows_of,
 # subcommands: a row function and a header each
 # ---------------------------------------------------------------------------
 
-COEFF_HEADER = ["tau", "j0", "delta", "omega_lo", "gamma", "delta_coef",
-                "pi_coef", "r_shift", "gamma_int", "delta_gamma",
-                "sec_delta_co", "sec_delta_si", "sec_pi_co", "sec_pi_si",
-                "method"]
+# the coefficient columns of a trace: its fields between tau_grid and method
+_TRACE_COLUMNS = [f.name for f in fields(CoefficientTrace)][1:-1]
+COEFF_HEADER = ["tau", "j0", "delta", "omega_lo", *_TRACE_COLUMNS, "method"]
 
 
 def _coefficient_rows(scenario: SweepScenario, key: tuple) -> list[list]:
     tr = _trace(scenario, key)
-    columns = (tr.tau_grid, tr.gamma, tr.delta_coef, tr.pi_coef, tr.r_shift,
-               tr.gamma_int, tr.delta_gamma, *tr.secular)
+    columns = [getattr(tr, name) for name in ("tau_grid", *_TRACE_COLUMNS)]
     return [[t, *key, *values, tr.method]
             for t, *values in zip(*(c.tolist() for c in columns))]
 
@@ -217,8 +224,8 @@ def _evolve_rows(scenario: SweepScenario, key: tuple) -> dict:
         state = make_twb(r)
         rows = rows_at[r] = []
         for mode in _modes(scenario):
-            cms = evolve_covariances(state, trace,
-                                     include_secular=(mode == "full"))
+            cms = evolve_covariances(state, trace if mode == "full"
+                                     else trace.secular_approximation())
             rows.extend([t, r, *key, mode, trace.method, g_int, d_gamma] + cm
                         for t, g_int, d_gamma, cm
                         in zip(*lead, cms[upper].tolist()))
@@ -250,7 +257,7 @@ def _fig1_rows(scenario: SweepScenario, key: tuple) -> dict:
 
 def cmd_fig1(scenario: SweepScenario, panel: str) -> int:
     _require_low_t("fig1", scenario)
-    scenario = replace(scenario, **FIG1_PANELS[panel]).validate()
+    scenario = replace(scenario, **FIG1_PANELS[panel])
     rows = ([panel, *row] for row in _table(scenario, _fig1_rows, per_r=1))
     return _write(scenario.out, FIG1_HEADER, rows, command="fig1",
                   scenario=asdict(scenario), panel=panel)
@@ -270,12 +277,14 @@ def _kappa_rows(scenario: SweepScenario, key: tuple) -> dict:
     rows_at = {}
     for r in sorted(set(scenario.r)):
         rows = rows_at[r] = []
-        for mode in _kappa_modes(scenario):
+        for mode in _modes(scenario):
             if paper:
                 kappa = kappa_secular(r, j0 * delta, omega_lo, grid)
                 point_fn = lambda t: kappa_secular(r, j0 * delta, omega_lo, t)
             else:
-                kappa = state_kappa_curve(trace, r, mode == "full", source)
+                kappa = state_kappa_curve(trace if mode == "full"
+                                          else trace.secular_approximation(),
+                                          r, source)
                 point_fn = None
             tags = [r, *key, source, mode, scenario.method]
             rows.extend(["point", t, *tags, k, e, ""]
@@ -288,12 +297,9 @@ def _kappa_rows(scenario: SweepScenario, key: tuple) -> dict:
 
 
 def cmd_sweep(scenario: SweepScenario) -> int:
-    if scenario.kappa == "paper":  # kappa_secular takes no environment
-        _require_low_t("sweep --kappa paper", scenario,
-                       "use --kappa symmetric or oracle with --method quad "
-                       "for a finite beta")
+    _require_paper_route(scenario)
     return _write(scenario.out, SWEEP_HEADER,
-                  _table(scenario, _kappa_rows, len(_kappa_modes(scenario))),
+                  _table(scenario, _kappa_rows, len(_modes(scenario))),
                   command="sweep", scenario=asdict(scenario))
 
 
@@ -306,11 +312,12 @@ def cmd_fig2(scenario: SweepScenario, panel: str) -> int:
     if scenario.mode == "both":
         raise UsageError("mode: fig2 emits one curve per combination; "
                          "choose secular or full")
-    scenario = replace(scenario, **FIG2_PANELS[panel]).validate()
+    _require_paper_route(scenario)
+    scenario = replace(scenario, **FIG2_PANELS[panel])
     # the sweep rows with the panel for j0 = 1: delta is then j0_delta
     rows = ([kind, panel, tau, r, *rest]
             for kind, tau, r, _, *rest
-            in _table(scenario, _kappa_rows, len(_kappa_modes(scenario))))
+            in _table(scenario, _kappa_rows, len(_modes(scenario))))
     return _write(scenario.out, FIG2_HEADER, rows, command="fig2",
                   scenario=asdict(scenario), panel=panel)
 
@@ -400,11 +407,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args.out, args.tol_scale)
-        base = scenario_from_file(args.config) if args.config else SweepScenario()
-        # an option's dest is the name of the field it sets
-        scenario = apply_overrides(base, **{
-            f.name: getattr(args, f.name, None)
-            for f in fields(SweepScenario)}).validate()
+        # the config keys, overridden by each option given (its dest is the
+        # name of the field it sets)
+        keys = read_config(args.config) if args.config else {}
+        for f in fields(SweepScenario):
+            if getattr(args, f.name, None) is not None:
+                keys[f.name] = getattr(args, f.name)
+        scenario = SweepScenario(**keys)
         if not scenario.out:
             raise UsageError("out: required (use --out or the config file)")
         panel = (args.panel,) if "panel" in args else ()

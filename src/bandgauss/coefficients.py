@@ -25,7 +25,10 @@ and no less accurate elsewhere. The module needs no scipy at run time.
 :func:`build_trace` is the one evaluator of both routes: it returns a
 :class:`CoefficientTrace`, every coefficient as a column over a time grid.
 A value at one time is a trace over ``[tau]``, which integrates ``[0, tau]``
-on the same dense grid as any longer trace.
+on the same dense grid as any longer trace. The trace is the channel: its
+phase-space form and phase convention are stated once, in
+:meth:`CoefficientTrace.phase_space`, and
+:meth:`CoefficientTrace.secular_approximation` is the one secular switch.
 
 Times are dimensionless (system frequency = 1).
 """
@@ -147,17 +150,28 @@ class CoefficientTrace:
     sec_pi_si: np.ndarray
     method: str
 
-    @property
-    def secular(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The four weighted integrals (delta_co, delta_si, pi_co, pi_si)."""
-        return (self.sec_delta_co, self.sec_delta_si, self.sec_pi_co,
-                self.sec_pi_si)
-
     def secular_approximation(self) -> CoefficientTrace:
         """This trace with zero ``sec_*`` columns: the secular approximation."""
         zero = np.zeros_like(self.tau_grid)
         return replace(self, sec_delta_co=zero, sec_delta_si=zero,
                        sec_pi_co=zero, sec_pi_si=zero)
+
+    def phase_space(self, c: float):
+        """The channel in phase space for a correlation block diag(c, -c):
+        ``(decay, u, v)`` per grid time, with decay = exp(-Gamma) on every
+        block, the added noise DeltaGamma*I + u and the correlation block v
+        after the channel; a pair (x, y) is the matrix [[x, y], [y, -x]].
+
+        The one statement of the phase convention: x gets DeltaGamma + u1
+        and p gets DeltaGamma - u1, and v = c*decay*(cos 2tau, -sin 2tau)
+        is R C R^T with R = [[cos tau, sin tau], [-sin tau, cos tau]], as
+        ``oracle.propagate_w_matrix`` checks.
+        """
+        decay, two_tau = np.exp(-self.gamma_int), 2.0 * self.tau_grid
+        u = (self.sec_delta_co - self.sec_pi_si,
+             -(self.sec_delta_si + self.sec_pi_co))
+        return decay, u, (c * decay * np.cos(two_tau),
+                          -c * decay * np.sin(two_tau))
 
 
 # Largest damping-exponent change per Simpson pair for which polynomial

@@ -3,16 +3,13 @@
 Each mode sits in its own identical band-limited environment. The channel
 damps the state by exp(-Gamma), rotates it at the mode frequency, and adds
 the diffusion block built from the variance DeltaGamma plus the four
-oscillatory-weighted integrals (the "secular terms"). Dropping those terms
-gives the secular approximation, where the diagonal blocks evolve as
-A0*exp(-Gamma) + DeltaGamma*I: it is the channel of
+oscillatory-weighted integrals (the "secular terms"). The channel is the
+coefficient trace: its phase-space form, and with it every sign
+convention, is :meth:`~bandgauss.coefficients.CoefficientTrace.phase_space`.
+The secular approximation, where the diagonal blocks evolve as
+A0*exp(-Gamma) + DeltaGamma*I, is the channel of
 ``trace.secular_approximation()``, the same trace with its ``sec_*``
 columns zero.
-
-Sign conventions of the added noise block are fixed by conjugating the
-diffusion matrix with the rotation, i.e. by the direct propagator that
-:func:`bandgauss.oracle.propagate_w_matrix` implements; the oracle check is
-the arbiter for them.
 
 The channel does not depend on the input state, so one coefficient trace
 serves every state: :func:`evolve_covariances` assembles and validates a
@@ -125,12 +122,9 @@ def make_twb(spec: TwbSpec | float) -> TwoModeGaussianState:
     """Twin-beam state: diagonal blocks cosh(2r)*I, correlations +-sinh(2r)."""
     if not isinstance(spec, TwbSpec):
         spec = TwbSpec(float(spec))
-    a = np.cosh(2.0 * spec.r)
-    c = np.sinh(2.0 * spec.r)
-    cm = np.diag([a, a, a, a])
-    cm[0, 2] = cm[2, 0] = c
-    cm[1, 3] = cm[3, 1] = -c
-    return TwoModeGaussianState(np.zeros(4), cm)
+    a, c = np.cosh(2.0 * spec.r), np.sinh(2.0 * spec.r)
+    ai, cc = a * np.eye(2), np.diag([c, -c])
+    return TwoModeGaussianState(np.zeros(4), np.block([[ai, cc], [cc, ai]]))
 
 
 def rotation(tau: float) -> np.ndarray:
@@ -152,43 +146,29 @@ def _twb_block_values(state: TwoModeGaussianState) -> tuple[float, float]:
     cm = state.cm
     a = 0.5 * cm[0, 0] + 0.5 * cm[1, 1]  # no overflow up to r = 355.24
     c = cm[0, 2]
-    expected = np.diag([a, a, a, a])
-    expected[0, 2] = expected[2, 0] = c
-    expected[1, 3] = expected[3, 1] = -c
-    if np.max(np.abs(cm - expected)) > _BLOCK_TOL:
+    ai, cc = a * np.eye(2), np.diag([c, -c])
+    if np.max(np.abs(cm - np.block([[ai, cc], [cc, ai]]))) > _BLOCK_TOL:
         raise DomainError(
             "channel needs a symmetric state with equal diagonal blocks a*I "
             "and correlation block diag(c, -c)")
     return float(a), float(c)
 
 
+def _pairs(x, y, z) -> np.ndarray:
+    """The symmetric 2x2 matrices [[x, y], [y, z]], one per time."""
+    return np.stack([np.stack([x, y], -1), np.stack([y, z], -1)], -2)
+
+
 def _assemble_cm(a: float, c: float, trace: CoefficientTrace) -> np.ndarray:
     """Covariance matrices after the channel of ``trace`` for initial blocks
-    a*I and diag(c, -c), one (4, 4) matrix per time.
-
-    The added noise block is DeltaGamma*I plus the rotated traceless
-    combination of the weighted integrals, which vanishes on a secular
-    approximation's zero columns. The rotation by 2*tau and the relative
-    signs follow from conjugating the diffusion matrix with the free
-    rotation.
-    """
-    dg = trace.delta_gamma
-    noise = np.zeros(dg.shape + (2, 2))
-    diag = trace.sec_delta_co - trace.sec_pi_si
-    noise[..., 0, 0], noise[..., 1, 1] = dg + diag, dg - diag
-    noise[..., 0, 1] = noise[..., 1, 0] = -(trace.sec_delta_si + trace.sec_pi_co)
-    decay = np.exp(-trace.gamma_int)[..., None, None]
-    a_t = a * decay * np.eye(2) + noise
-    c2, s2 = np.cos(2.0 * trace.tau_grid), np.sin(2.0 * trace.tau_grid)
-    # correlation block rotates as R C0 R^T with C0 = diag(c, -c)
-    rot = np.moveaxis(np.array([[c2, -s2], [-s2, -c2]]), (0, 1), (-2, -1))
-    c_t = c * decay * rot
-    cm = np.zeros(dg.shape + (4, 4))
-    cm[..., :2, :2] = a_t
-    cm[..., 2:, 2:] = a_t
-    cm[..., :2, 2:] = c_t
-    cm[..., 2:, :2] = np.swapaxes(c_t, -1, -2)
-    return cm
+    a*I and diag(c, -c), one (4, 4) matrix per time, from the trace's
+    :meth:`~bandgauss.coefficients.CoefficientTrace.phase_space` form."""
+    decay, (u1, u2), (v1, v2) = trace.phase_space(c)
+    dg, ad = trace.delta_gamma, a * decay
+    # a*decay*I + (DeltaGamma*I + u): the output bytes depend on this order
+    a_t = _pairs(ad + (dg + u1), ad * 0.0 + u2, ad + (dg - u1))
+    c_t = _pairs(v1, v2, -v1)
+    return np.block([[a_t, c_t], [c_t, a_t]])
 
 
 def evolve_mean(state: TwoModeGaussianState,
@@ -202,25 +182,23 @@ def evolve_mean(state: TwoModeGaussianState,
     return float(np.exp(-0.5 * snapshot.gamma_int[0])) * (block @ state.mean)
 
 
-def apply_channel(state: TwoModeGaussianState, snapshot: CoefficientTrace,
-                  include_secular: bool = True) -> TwoModeGaussianState:
+def apply_channel(state: TwoModeGaussianState,
+                  snapshot: CoefficientTrace) -> TwoModeGaussianState:
     """Propagate a symmetric two-mode state through the channel of a
     one-row trace."""
-    cm = evolve_covariances(state, snapshot, include_secular)[0]
+    cm = evolve_covariances(state, snapshot)[0]
     return TwoModeGaussianState(evolve_mean(state, snapshot), cm,
                                 validate_uncertainty=False)
 
 
-def evolve_covariances(state: TwoModeGaussianState, trace: CoefficientTrace,
-                       include_secular: bool = True) -> np.ndarray:
+def evolve_covariances(state: TwoModeGaussianState,
+                       trace: CoefficientTrace) -> np.ndarray:
     """Covariance matrices of ``state`` after the channel at every time of
-    ``trace``, shape (N, 4, 4); without ``include_secular``, after the
-    channel of ``trace.secular_approximation()``.
+    ``trace``, shape (N, 4, 4).
 
     The same matrices, checks and errors as :func:`apply_channel` on each
     snapshot of the trace, computed as arrays in one pass.
     """
-    channel = trace if include_secular else trace.secular_approximation()
-    cms = _assemble_cm(*_twb_block_values(state), channel)
+    cms = _assemble_cm(*_twb_block_values(state), trace)
     check_covariances(cms, validate_uncertainty=False)
     return cms

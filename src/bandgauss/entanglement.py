@@ -16,8 +16,9 @@ the vacuum gives:
 Every curve over a :class:`CoefficientTrace` comes from one evaluator,
 :func:`_kappa`, which owns the scales and checks r with
 :class:`~bandgauss.dynamics.TwbSpec`; one trace per environment serves every
-squeezing value and mode. Negativity uses the natural logarithm and the
-literal threshold kappa = 1.
+squeezing value, the secular curve is the call on its secular
+approximation, and every source reads the trace's ``phase_space`` form.
+Negativity uses the natural logarithm and the literal threshold kappa = 1.
 """
 
 from __future__ import annotations
@@ -51,9 +52,14 @@ def _nu_sq(x, i4):
 
     Evaluated as i4 / (x + sqrt(x^2 - i4)), which is algebraically identical
     but avoids the catastrophic cancellation of the literal form when
-    x^2 >> i4 (strong squeezing).
+    x^2 >> i4 (strong squeezing). An x^2 that is not finite (a twin beam's
+    cosh(4r)^2 from r of about 89) raises ``NumericError``.
     """
-    inner = _clamp_radicand(x * x - i4, scale=np.maximum(1.0, x * x))
+    x_sq = x * x
+    if not np.isfinite(x_sq).all():
+        raise NumericError("kappa: (I1 - I3)^2 is not finite; squeezing too "
+                           "strong for the invariant formula")
+    inner = _clamp_radicand(x_sq - i4, scale=np.maximum(1.0, x_sq))
     denom = x + np.sqrt(inner)
     if np.any(denom <= 0.0):
         raise NumericError("covariance matrix is unphysical: I1 - I3 <= 0")
@@ -144,23 +150,20 @@ def _nu_curve(a0, c0, a_minus_c, trace: CoefficientTrace):
     exactly keeps the result accurate at strong squeezing where cosh - sinh
     underflows the floating-point subtraction.
     """
-    d_co, d_si, p_co, p_si = trace.secular
-    decay = np.exp(-trace.gamma_int)
-    alpha = a0 * decay + trace.delta_gamma
-    corr = c0 * decay
-    diff = a_minus_c * decay + trace.delta_gamma  # alpha - corr, cancellation-free
-    u1 = d_co - p_si
-    u2 = -(d_si + p_co)
-    v1 = corr * np.cos(2.0 * trace.tau_grid)
-    v2 = -corr * np.sin(2.0 * trace.tau_grid)
-    k_sq = u1 ** 2 + u2 ** 2
-    uv = u1 * v1 + u2 * v2
-    i1 = alpha ** 2 - k_sq
-    i3 = -(corr ** 2)
-    # det(A +- C) = (alpha - corr)(alpha + corr) -+ 2 u.v - |u|^2
-    base = diff * (alpha + corr)
-    i4 = (base - 2.0 * uv - k_sq) * (base + 2.0 * uv - k_sq)
-    return np.sqrt(_nu_sq(i1 - i3, i4))
+    # an overflow is refused by _nu_sq, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay, (u1, u2), (v1, v2) = trace.phase_space(c0)
+        alpha = a0 * decay + trace.delta_gamma
+        corr = c0 * decay
+        diff = a_minus_c * decay + trace.delta_gamma  # alpha - corr, cancellation-free
+        k_sq = u1 ** 2 + u2 ** 2
+        uv = u1 * v1 + u2 * v2
+        i1 = alpha ** 2 - k_sq
+        i3 = -(corr ** 2)
+        # det(A +- C) = (alpha - corr)(alpha + corr) -+ 2 u.v - |u|^2
+        base = diff * (alpha + corr)
+        i4 = (base - 2.0 * uv - k_sq) * (base + 2.0 * uv - k_sq)
+        return np.sqrt(_nu_sq(i1 - i3, i4))
 
 
 def _kappa(trace: CoefficientTrace, r: float, scale: str,
@@ -169,15 +172,14 @@ def _kappa(trace: CoefficientTrace, r: float, scale: str,
     vacuum ``scale``. ``source`` "symmetric" is the invariant formula,
     "oracle" validates the assembled covariances and runs one batched PT
     eigensolve, and "paper" is the secular closed form of the channel,
-    (a - c)*exp(-Gamma) + DeltaGamma, which reads no ``sec_*`` column. The
-    secular approximation is the call on ``trace.secular_approximation()``.
+    (a - c)*exp(-Gamma) + DeltaGamma, which reads no ``sec_*`` column.
     """
     TwbSpec(r)
     block, gain = _SCALES[scale]
     a0, c0 = block * math.cosh(2.0 * r), block * math.sinh(2.0 * r)
     a_minus_c = block * math.exp(-2.0 * r)
     if source == "paper":
-        nu = a_minus_c * np.exp(-trace.gamma_int) + trace.delta_gamma
+        nu = a_minus_c * trace.phase_space(c0)[0] + trace.delta_gamma
     elif source == "oracle":
         cms = _assemble_cm(a0, c0, trace)
         check_covariances(cms, validate_uncertainty=False)
@@ -207,15 +209,13 @@ def kappa_full(env: EnvironmentParams, r: float, tau: float,
 
 
 def state_kappa_curve(trace: CoefficientTrace, r: float,
-                      include_secular: bool = True,
                       source: str = "symmetric") -> np.ndarray:
     """Kappa on the grid of ``trace`` of the physical-scale state (vacuum
     CM = I): on the sqrt(2) scale from the "symmetric" source, on the unit
     scale from the "oracle" source."""
     if source not in ("symmetric", "oracle"):
         raise UsageError(f"unknown kappa source {source!r}")
-    return _kappa(trace if include_secular else trace.secular_approximation(),
-                  r, "sqrt2" if source == "symmetric" else "1", source)
+    return _kappa(trace, r, "sqrt2" if source == "symmetric" else "1", source)
 
 
 # ---------------------------------------------------------------------------

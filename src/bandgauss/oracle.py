@@ -356,8 +356,8 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
              METHOD_QUADRATURE)):
         trace = build_trace(penv, np.linspace(0.0, 10.0, 201), method)
         for r in (0.5, 2.0):
-            oracle = state_kappa_curve(trace, r, True, "oracle")
-            symmetric = state_kappa_curve(trace, r, True, "symmetric")
+            oracle = state_kappa_curve(trace, r, "oracle")
+            symmetric = state_kappa_curve(trace, r, "symmetric")
             reports.append(OracleReport.compare(
                 f"kappa_symmetric_route_vs_oracle[{label},r={r}]",
                 np.max(np.abs(symmetric / math.sqrt(2.0) - oracle) / oracle),

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,7 +28,11 @@ _TYPES = {"float": ((int, float), "a number"), "int": (int, "an integer"),
 
 def _checked(name: str, value, kind: str):
     """``value`` as a field of type ``kind``: finite numbers as float, lists
-    as tuples of them; a ``UsageError`` naming ``name`` for anything else."""
+    as tuples of them, None where ``kind`` allows it; a ``UsageError``
+    naming ``name`` for anything else."""
+    if value is None and kind.endswith("None"):
+        return None
+    kind = kind.split(" |")[0]
     types, what = _TYPES[kind]
     # JSON true/false are ints to Python, but not numbers here
     if isinstance(value, bool) or not isinstance(value, types):
@@ -60,17 +64,13 @@ class SweepScenario:
     jobs: int = 1
 
     def __post_init__(self):
-        # the one place a scenario is normalised: every value is checked
-        # against its field's type, and closed/quad become the method tags
+        # the one place a scenario is checked: each value against its
+        # field's type, then (closed/quad as method tags) against the others
         for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None or not f.type.endswith("None"):
-                object.__setattr__(self, f.name, _checked(
-                    f.name, value, f.type.split(" |")[0]))
+            object.__setattr__(self, f.name,
+                               _checked(f.name, getattr(self, f.name), f.type))
         object.__setattr__(self, "method",
                            _METHOD_ALIASES.get(self.method, self.method))
-
-    def validate(self) -> "SweepScenario":
         if self.tau_steps < 2:
             raise UsageError(f"tau_steps: must be >= 2, got {self.tau_steps}")
         if self.tau_start < 0.0:
@@ -86,15 +86,16 @@ class SweepScenario:
                 raise UsageError(f"{name}: unknown value {getattr(self, name)!r}")
         if self.jobs < 1:
             raise UsageError(f"jobs: must be >= 1, got {self.jobs}")
-        return self
 
     def tau_grid(self) -> np.ndarray:
         return np.linspace(self.tau_start, self.tau_max, self.tau_steps)
 
 
-def scenario_from_file(path: str) -> SweepScenario:
-    """Load a scenario from a flat JSON object keyed by field name; unknown
-    keys are rejected."""
+def read_config(path: str) -> dict:
+    """The keys of a scenario file: a flat JSON object keyed by field name.
+    An unknown key or a value of the wrong type is refused here; the values
+    are checked against each other when the scenario is built, after the
+    options have overridden them."""
     with open(path) as f:
         try:
             raw = json.load(f)
@@ -102,13 +103,9 @@ def scenario_from_file(path: str) -> SweepScenario:
             raise UsageError(f"config: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise UsageError("config: top level must be a JSON object")
-    unknown = sorted(raw.keys() - {f.name for f in fields(SweepScenario)})
+    kinds = {f.name: f.type for f in fields(SweepScenario)}
+    unknown = sorted(raw.keys() - kinds.keys())
     if unknown:
         raise UsageError(f"config: unknown key {unknown[0]!r}")
-    return SweepScenario(**raw)
-
-
-def apply_overrides(scenario: SweepScenario, **overrides) -> SweepScenario:
-    """Return a copy with any non-None override applied."""
-    return replace(scenario, **{k: v for k, v in overrides.items()
-                                if v is not None})
+    return {name: _checked(name, value, kinds[name])
+            for name, value in raw.items()}

@@ -52,18 +52,16 @@ def snapshot(tau, gamma_int=0.0, delta_gamma=0.0, secular=(0.0,) * 4):
                             METHOD_CLOSED)
 
 
-def assemble_cm(a, c, snap, include_secular):
+def assemble_cm(a, c, snap):
     """Covariance after the channel at one snapshot (a one-row trace), for
     blocks a*I and diag(c, -c)."""
     decay = np.exp(-snap.gamma_int[0])
     dg = snap.delta_gamma[0]
-    if include_secular:
-        d_co, d_si, p_co, p_si = (v[0] for v in snap.secular)
-        diag = d_co - p_si
-        off = -(d_si + p_co)
-        noise = np.array([[dg + diag, off], [off, dg - diag]])
-    else:
-        noise = np.array([[dg, 0.0], [0.0, dg]])
+    d_co, d_si, p_co, p_si = (snap.sec_delta_co[0], snap.sec_delta_si[0],
+                              snap.sec_pi_co[0], snap.sec_pi_si[0])
+    diag = d_co - p_si
+    off = -(d_si + p_co)
+    noise = np.array([[dg + diag, off], [off, dg - diag]])
     a_t = a * decay * np.eye(2) + noise
     c2, s2 = np.cos(2.0 * snap.tau_grid[0]), np.sin(2.0 * snap.tau_grid[0])
     c_t = c * decay * np.array([[c2, -s2], [-s2, -c2]])

@@ -11,8 +11,7 @@ import pytest
 import per_point
 from bandgauss import cli
 from bandgauss.cli import build_parser, main
-from bandgauss.scenario import (MAX_ROWS, SweepScenario, apply_overrides,
-                                scenario_from_file)
+from bandgauss.scenario import MAX_ROWS, SweepScenario, read_config
 from bandgauss.errors import UsageError
 
 
@@ -25,19 +24,19 @@ def read_lines(path):
 
 class TestScenario:
     def test_defaults_validate(self):
-        SweepScenario().validate()
+        SweepScenario()
 
     def test_bad_steps(self):
         with pytest.raises(UsageError, match="tau_steps"):
-            SweepScenario(tau_steps=1).validate()
+            SweepScenario(tau_steps=1)
 
     def test_bad_range(self):
         with pytest.raises(UsageError, match="tau_max"):
-            SweepScenario(tau_start=2.0, tau_max=1.0).validate()
+            SweepScenario(tau_start=2.0, tau_max=1.0)
 
     def test_empty_list(self):
         with pytest.raises(UsageError, match="r"):
-            SweepScenario(r=()).validate()
+            SweepScenario(r=())
 
     def test_row_ceiling(self, tmp_path, monkeypatch, capsys):
         # the engine counts the rows of the command that runs before it
@@ -64,16 +63,16 @@ class TestScenario:
 
     def test_row_ceiling_counts_only_modes_that_run(self, tmp_path,
                                                     monkeypatch, capsys):
-        # fig1 has no modes and the paper source writes one curve per r, so
-        # mode "both" doubles neither; a ceiling of 40 stands in for
-        # MAX_ROWS
+        # fig1 has no modes, so mode "both" does not double it, and the
+        # paper source runs the secular mode only; a ceiling of 40 stands
+        # in for MAX_ROWS
         monkeypatch.setattr(cli, "MAX_ROWS", 40)
         out = tmp_path / "x.csv"
         cfg = tmp_path / "both.json"
         cfg.write_text(json.dumps({"mode": "both", "tau_max": 1.0}))
         fig1 = ["fig1", "--panel", "a", "--config", str(cfg), "--out",
                 str(out)]
-        paper = ["sweep", "--kappa", "paper", "--mode", "both", "--r", "1,2",
+        paper = ["sweep", "--kappa", "paper", "--mode", "secular", "--r", "1,2",
                  "--tau-max", "1", "--out", str(out)]
         symmetric = ["sweep", "--kappa", "symmetric", "--mode", "both",
                      "--r", "1,2", "--tau-max", "1", "--out", str(out)]
@@ -91,18 +90,18 @@ class TestScenario:
         ("j0", (1.0, math.nan)), ("delta", (-math.inf,))])
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(UsageError, match=f"{field}: must be finite"):
-            SweepScenario(**{field: value}).validate()
+            SweepScenario(**{field: value})
 
     def test_non_finite_beta_rejected(self):
         with pytest.raises(UsageError, match="beta: must be finite"):
-            SweepScenario(beta=math.nan).validate()
+            SweepScenario(beta=math.nan)
 
     def test_file_roundtrip(self, tmp_path):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps({"tau_max": 10.0, "tau_steps": 11,
                                    "r": [0.3, 0.7], "beta": 200.0,
                                    "method": "quad"}))
-        sc = scenario_from_file(str(cfg)).validate()
+        sc = SweepScenario(**read_config(str(cfg)))
         assert sc.tau_max == 10.0
         assert sc.r == (0.3, 0.7)
         assert sc.beta == 200.0
@@ -112,12 +111,23 @@ class TestScenario:
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps({"tau_halt": 1.0}))
         with pytest.raises(UsageError, match="tau_halt"):
-            scenario_from_file(str(cfg))
+            read_config(str(cfg))
 
-    def test_overrides_win(self):
-        sc = apply_overrides(SweepScenario(), tau_max=5.0, method="quad")
-        assert sc.tau_max == 5.0
-        assert sc.method == "quadrature"
+    def test_overrides_win(self, tmp_path):
+        # the options override the config keys before the scenario is
+        # checked, so a config that is valid only after them still runs
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({"tau_max": 10.0, "tau_steps": 1,
+                                   "method": "closed"}))
+        out = tmp_path / "c.csv"
+        assert main(["coefficients", "--config", str(cfg), "--tau-max", "5",
+                     "--tau-steps", "3", "--method", "quad",
+                     "--out", str(out)]) == 0
+        sc = json.loads(out.with_suffix(".meta").read_text())["scenario"]
+        assert (sc["tau_max"], sc["tau_steps"]) == (5.0, 3)
+        assert sc["method"] == "quadrature"
+        assert main(["coefficients", "--config", str(cfg),
+                     "--out", str(out)]) == 2
 
 
 class TestCsvContract:
@@ -305,12 +315,12 @@ class TestSweep:
         summaries = [l for l in lines if l.startswith("sudden_death")]
         assert len(summaries) == 4
 
-    def test_paper_source_collapses_mode(self, tmp_path):
+    def test_paper_source_is_the_secular_closed_form(self, tmp_path):
         out = tmp_path / "s.csv"
         assert main(["sweep", "--out", str(out), "--kappa", "paper", "--mode",
-                     "both", "--tau-steps", "8"]) == 0
+                     "secular", "--tau-steps", "8"]) == 0
         lines = read_lines(out)
-        assert all(",secular," in l for l in lines[1:])
+        assert all(",secular,closed-form," in l for l in lines[1:])
 
     def test_config_file_with_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -710,6 +720,37 @@ class TestErrors:
         assert main(argv + ["--r", "400", "--tau-steps", "5",
                             "--out", str(out)]) == 2
         assert "domain error" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".meta").exists()
+
+    @pytest.mark.parametrize("r", ["90", "100"])
+    def test_overflowing_invariant_refused(self, tmp_path, capsys, r):
+        # in process, so that a numpy RuntimeWarning would fail the test
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--kappa", "symmetric", "--r", r,
+                     "--tau-steps", "5", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: kappa: (I1 - I3)^2")
+        assert err.count("\n") == 1
+        assert not out.exists()
+        assert not out.with_suffix(".meta").exists()
+
+    @pytest.mark.parametrize("argv,name", [
+        (["sweep", "--mode", "full"], "mode"),
+        (["sweep", "--mode", "both"], "mode"),
+        (["sweep", "--method", "quad"], "method"),
+        (["fig2", "--panel", "a", "--mode", "full"], "mode"),
+        (["fig2", "--panel", "a", "--method", "quad"], "method")])
+    def test_paper_source_refuses_what_it_never_reads(self, tmp_path, capsys,
+                                                      argv, name):
+        # the paper source is the secular closed form: a full mode or the
+        # quadrature method would only be written into the tags and the
+        # sidecar
+        out = tmp_path / "s.csv"
+        assert main(argv + ["--kappa", "paper", "--tau-steps", "5",
+                            "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {name}: --kappa paper is the secular closed form")
         assert not out.exists()
         assert not out.with_suffix(".meta").exists()
 

@@ -24,10 +24,13 @@ def narrow_env(j0=1.0, omega_lo=1.0, delta=1e-3):
     return EnvironmentParams(SpectralDensity(j0, omega_lo, delta))
 
 
-def evolve_at(state, env, tau, method=METHOD_CLOSED, include_secular=True):
-    """Covariance after the channel at one time: the trace over [tau]."""
-    return evolve_covariances(state, build_trace(env, [tau], method),
-                              include_secular)[0]
+def evolve_at(state, env, tau, method=METHOD_CLOSED, secular=False):
+    """Covariance after the channel at one time: the trace over [tau], or
+    with ``secular`` its secular approximation."""
+    trace = build_trace(env, [tau], method)
+    if secular:
+        trace = trace.secular_approximation()
+    return evolve_covariances(state, trace)[0]
 
 
 class TestState:
@@ -135,14 +138,14 @@ class TestChannel:
     def test_secular_vacuum_diagonal(self):
         # vacuum through the secular channel: diagonal exp(-Gamma) + DeltaGamma
         env = narrow_env()
-        evolved = evolve_at(make_twb(0.0), env, 2.0, include_secular=False)
+        evolved = evolve_at(make_twb(0.0), env, 2.0, secular=True)
         want = math.exp(-1e-3 * 16.0 / 6.0) + 2e-3
         np.testing.assert_allclose(np.diag(evolved), want, rtol=1e-14)
 
     def test_secular_squeezed_diagonal(self):
         # r = 0.9 at tau = 3: cosh(1.8)*exp(-0.0135) + 0.0045 on the diagonal
         env = narrow_env()
-        evolved = evolve_at(make_twb(0.9), env, 3.0, include_secular=False)
+        evolved = evolve_at(make_twb(0.9), env, 3.0, secular=True)
         want = math.cosh(1.8) * math.exp(-0.0135) + 0.0045
         assert evolved[0, 0] == pytest.approx(want, rel=1e-13)
         assert evolved[1, 1] == pytest.approx(want, rel=1e-13)
@@ -190,8 +193,8 @@ class TestChannel:
     def test_secular_equals_full_when_secular_terms_vanish(self):
         snap = per_point.snapshot(2.5, gamma_int=0.01, delta_gamma=0.004)
         state = make_twb(0.6)
-        full = apply_channel(state, snap, include_secular=True)
-        secular = apply_channel(state, snap, include_secular=False)
+        full = apply_channel(state, snap)
+        secular = apply_channel(state, snap.secular_approximation())
         np.testing.assert_array_equal(full.cm, secular.cm)
 
     def test_purity_decay_bound(self):
@@ -200,7 +203,8 @@ class TestChannel:
         state = make_twb(1.0)
         for tau in (0.5, 2.0, 8.0):
             trace = build_trace(env, [tau], METHOD_CLOSED)
-            evolved = evolve_covariances(state, trace, include_secular=False)[0]
+            evolved = evolve_covariances(state,
+                                         trace.secular_approximation())[0]
             floor = np.linalg.det(state.cm) * math.exp(-4.0 * trace.gamma_int[0])
             assert np.linalg.det(evolved) > floor
 
@@ -212,9 +216,9 @@ class TestChannel:
         for j0_delta, omega_lo in ((0.01, 1.0), (0.1, 1.0), (0.01, 10.0)):
             env = narrow_env(delta=j0_delta, omega_lo=omega_lo)
             trace = build_trace(env, np.linspace(0.0, 30.0, 121), METHOD_CLOSED)
-            snaps = snapshots_from_trace(trace)
-            dets = np.array([np.linalg.det(apply_channel(make_twb(1.0), snap,
-                                                         include_secular=False).cm)
+            snaps = snapshots_from_trace(trace.secular_approximation())
+            dets = np.array([np.linalg.det(apply_channel(make_twb(1.0),
+                                                         snap).cm)
                              for snap in snaps])
             gammas = np.array([snap.gamma_int[0] for snap in snaps])
             assert np.all(dets >= np.exp(-4.0 * gammas) - 1e-12)
@@ -258,17 +262,15 @@ class TestEvolveCovariances:
         trace = build_trace(narrow_env(omega_lo=omega_lo, delta=delta),
                             np.linspace(0.0, 3.0, 31), method)
         state = make_twb(r)
-        snaps = snapshots_from_trace(trace)
         a, c = state.cm[0, 0], state.cm[0, 2]
-        for include_secular in (True, False):
+        for channel in (trace, trace.secular_approximation()):
+            snaps = snapshots_from_trace(channel)
             # the stiff quadrature trace has Gamma < 0 at some times
-            one_by_one = np.stack([apply_channel(state, snap,
-                                                include_secular).cm
+            one_by_one = np.stack([apply_channel(state, snap).cm
                                   for snap in snaps])
-            stack = evolve_covariances(state, trace, include_secular)
+            stack = evolve_covariances(state, channel)
             assert stack.shape == (31, 4, 4)
-            scalar = np.stack([per_point.assemble_cm(a, c, snap,
-                                                      include_secular)
+            scalar = np.stack([per_point.assemble_cm(a, c, snap)
                                for snap in snaps])
             assert np.array_equal(stack, one_by_one)
             assert np.array_equal(stack, scalar)

@@ -66,6 +66,21 @@ class TestKappaSymmetric:
         assert got[0] == pytest.approx(math.sqrt(2.0) * math.exp(-20.0),
                                        rel=1e-12)
 
+    def test_curve_route_just_below_the_overflow(self):
+        got = state_kappa_curve(build_trace(narrow_env(delta=0.01), [0.0]),
+                                85.0)
+        assert got[0] == pytest.approx(math.sqrt(2.0) * math.exp(-170.0),
+                                       rel=1e-12)
+
+    @pytest.mark.parametrize("r", [90.0, 100.0])
+    def test_overflowing_invariant_refused(self, r):
+        # (I1 - I3)^2 = cosh(4r)^2 overflows from r of about 89: a
+        # NumericError, not a kappa of 0 after an overflow warning
+        trace = build_trace(narrow_env(delta=0.01), [0.0, 1.0])
+        for curve in (state_kappa_curve, kappa_full_curve):
+            with pytest.raises(NumericError, match=r"\(I1 - I3\)\^2"):
+                curve(trace, r)
+
 
 class TestKappaSecular:
     def test_at_zero_time(self):
@@ -284,10 +299,10 @@ class TestBatchedOracleSource:
         trace = build_trace(narrow_env(omega_lo=omega_lo, delta=delta),
                             np.linspace(0.0, 3.0, 31), method)
         a0, c0 = math.cosh(2.0 * r), math.sinh(2.0 * r)
-        for include_secular in (True, False):
-            batched = state_kappa_curve(trace, r, include_secular, "oracle")
-            cms = [per_point.assemble_cm(a0, c0, snap, include_secular)
-                   for snap in snapshots_from_trace(trace)]
+        for channel in (trace, trace.secular_approximation()):
+            batched = state_kappa_curve(channel, r, "oracle")
+            cms = [per_point.assemble_cm(a0, c0, snap)
+                   for snap in snapshots_from_trace(channel)]
             states = [TwoModeGaussianState(np.zeros(4), cm,
                                            validate_uncertainty=False)
                       for cm in cms]
