@@ -354,14 +354,23 @@ def _float_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
-def _add_common(sp, extras: str):
+def _fig2_panel_help() -> str:
+    swept = "; ".join(f"{p}: {name} = " + ", ".join(f"{v:g}" for v in values)
+                      for p, panel in FIG2_PANELS.items()
+                      for name, values in panel.items() if len(values) > 1)
+    return (f"{swept}. Panel a's r = 10 is past the oracle eigensolver's "
+            "limit of about r = 4.5: use --kappa symmetric there")
+
+
+def _add_common(sp, extras: str, panel_help: str | None = None):
     # the options of every data command, plus any of panel, mode, kappa and
     # params (the four parameter lists) named in ``extras``
     extras = extras.split()
     sp.add_argument("--config", help="JSON scenario file")
     sp.add_argument("--out", help="output CSV path")
     if "panel" in extras:
-        sp.add_argument("--panel", choices=["a", "b", "c"], required=True)
+        sp.add_argument("--panel", choices=["a", "b", "c"], required=True,
+                        help=panel_help)
     if "mode" in extras:
         sp.add_argument("--mode", choices=list(MODES), default=None)
     sp.add_argument("--method", choices=["closed", "quad"], default=None)
@@ -394,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, extras) in DATA_COMMANDS.items():
-        _add_common(sub.add_parser(name, help=help_text), extras)
+        _add_common(sub.add_parser(name, help=help_text), extras,
+                    _fig2_panel_help() if name == "fig2" else None)
     sp = sub.add_parser("verify", help="run the oracle cross-check table")
     sp.add_argument("--out", help="also write the table as CSV")
     sp.add_argument("--tol-scale", type=float, default=1.0,

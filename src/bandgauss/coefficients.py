@@ -20,7 +20,11 @@ The running integrals are a uniform Simpson rule, scipy's
 ``cumulative_simpson`` bit for bit where the spacing is exact. The
 interpolation ports scipy's not-a-knot ``CubicSpline``: bit for bit on every
 grid where LAPACK's dgtsv swaps no row, which includes every uniform grid,
-and no less accurate elsewhere. The module needs no scipy at run time.
+and no less accurate elsewhere. Its sweeps run as lane scans: lanes of rows
+advance side by side in numpy from guessed states, and a lane is kept only
+where its state at the junction has the bits of its predecessor's exact one,
+so that both then run the same IEEE operations on the same inputs; any other
+lane is recomputed on Python floats. The module needs no scipy at run time.
 
 :func:`build_trace` is the one evaluator of both routes: it returns a
 :class:`CoefficientTrace`, every coefficient as a column over a time grid.
@@ -278,6 +282,80 @@ def _running_integral(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(pieces) + 0.0))
 
 
+# Rows per lane of a lane scan, and the rows each lane runs early from a
+# guessed state. Below _LANES_FROM rows, where one column runs faster on
+# Python floats, a scan is one lane.
+_LANE, _WARM_UP, _LANES_FROM = 64, 48, 3072
+
+
+def _lane_scan(sweep, start, *inputs, out=None):
+    """``sweep(start, rows)`` down each column of the (rows, columns)
+    ``inputs``, into ``out`` if given, with the bits of the sweep on Python
+    floats; a sweep yields each row's value from a state (last value, the one
+    before).
+
+    The lanes after the first run side by side in numpy, each from ``start``
+    _WARM_UP rows early, and each is kept where its warm-up state has the
+    bits of its predecessor's exact last two values: from there both run the
+    same IEEE operations on the same inputs. Every other lane, the first and
+    a short last one among them, runs on Python floats from its
+    predecessor's exact end (a blocked scan after Blelloch, CMU-CS-90-190).
+    """
+    inputs = np.broadcast_arrays(*inputs)
+    rows, cols = inputs[0].shape
+    out = np.empty((rows, cols)) if out is None else out
+    size = _LANE if rows >= _LANES_FROM else rows
+    lanes = rows // size
+    if lanes > 1:
+        steps = [a[:lanes * size].reshape(lanes, size, cols).swapaxes(0, 1)
+                 for a in inputs]
+        with np.errstate(all="ignore"):  # a guessed state may overflow
+            warm = start
+            for value in sweep(start, zip(*(a[-_WARM_UP:, :-1] for a in steps))):
+                warm = value, warm[0]
+            for j, value in enumerate(sweep(warm, zip(*(a[:, 1:]
+                                                        for a in steps)))):
+                out[size + j:lanes * size:size] = value
+        # per later lane and column: does the warm-up miss? (lane 1's entries
+        # are set once lane 0 is exact, below)
+        warm = np.array(warm[::-1]).view(np.int64)
+        miss = (warm != out.view(np.int64)[np.arange(1, lanes) * size
+                                           + np.array([[-2], [-1]])]
+                ).any(axis=0).tolist()
+    for k, lo in enumerate(range(0, rows, size)):
+        hi = lo + size
+        for c in range(cols) if k == 0 or k >= lanes else [
+                c for c, m in enumerate(miss[k - 1]) if m]:
+            state = tuple(out[lo - 2:lo, c].tolist()[::-1]) if k else start
+            out[lo:hi, c] = list(sweep(state, zip(
+                *(x[lo:hi, c].tolist() for x in inputs))))
+            if k + 1 < lanes:  # the next lane, against this exact end
+                miss[k][c] = bool(
+                    (warm[:, k, c] != out[hi - 2:hi, c].view(np.int64)).any())
+    return out
+
+
+def _factor_sweep(state, rows):  # U's pivots: dgtsv's, with no interchange
+    pivot = state[0]
+    for dl_i, du_i, d_i in rows:
+        yield (pivot := d_i - dl_i / pivot * du_i)
+
+
+def _forward_sweep(state, rows):  # L's substitution; row 0's factor is 0
+    lo = state[0]
+    for b_i, fact in rows:
+        yield (lo := b_i - fact * lo)
+
+
+def _back_sweep(state, rows):
+    # U's substitution, dgtsv's, last row first; its zero subdiagonal still
+    # subtracts 0.0 * x2, which against a negative x2 turns -0.0 into +0.0
+    x1, x2 = state
+    for b_i, du_i, d_i in rows:
+        x1, x2 = (b_i - du_i * x1 - 0.0 * x2) / d_i, x1
+        yield x1
+
+
 class _NotAKnot:
     """scipy 1.17's not-a-knot ``CubicSpline`` on the abscissae ``x``, bit
     for bit on every grid where LAPACK's dgtsv (what scipy's ``solve_banded``
@@ -287,32 +365,38 @@ class _NotAKnot:
     The system for the knot slopes depends on ``x`` alone: it is factored
     once, in dgtsv's operation order but with no row swapped. Every
     interior row is strictly diagonally dominant; on grids where dgtsv
-    swaps, the slopes are no less accurate than scipy's."""
+    swaps, the slopes are no less accurate than scipy's. The factorization
+    and both substitutions are lane scans (:func:`_lane_scan`) over every
+    column fitted at once, with the sequential sweeps' bits."""
 
     def __init__(self, x: np.ndarray):
         dx, n = np.diff(x), len(x)
         self.x, self.dx = x, dx
         # interior rows, then the end rows (diagonal, off-diagonal); scipy's
         # line (n = 2) and parabola (n = 3) have ends of their own
-        d = [0.0, *(2 * (dx[:-1] + dx[1:])).tolist(), 0.0]
-        du, dl = [0.0, *dx[:-1].tolist()], [*dx[1:].tolist(), 0.0]
+        d = np.concatenate(([0.0], 2 * (dx[:-1] + dx[1:]), [0.0]))
+        du, dl = np.append(0.0, dx[:-1]), np.append(dx[1:], 0.0)
         ends = ((1, n - 2),) * 2 if n <= 3 else (
             (dx[1], x[2] - x[0]), (dx[-2], x[-1] - x[-3]))
-        (d[0], du[0]), (d[-1], dl[-1]) = [map(float, e) for e in ends]
-        # each row's factor and the pivots of U
-        pivot = d[0]
-        self.facts, pivots = [], [pivot]
-        for dl_i, du_i, d_next in zip(dl, du, d[1:]):
-            fact = dl_i / pivot
-            pivot = d_next - fact * du_i
-            self.facts.append(fact)
-            pivots.append(pivot)
-        # the back substitution's rows, last first
-        self.du, self.d = (du + [0.0])[::-1], pivots[::-1]
+        (d[0], du[0]), (d[-1], dl[-1]) = ends
+        # U's pivots and each row's factor; the forward sweep's factors (row
+        # 0's is 0), and the back substitution's rows, last first
+        d[1:] = _lane_scan(_factor_sweep, (float(d[0]), 0.0), dl[:, None],
+                           du[:, None], d[1:, None])[:, 0]
+        self.facts = dl / d[:-1]
+        self.lower = np.append(0.0, self.facts)[:, None]
+        self.upper, self.pivots = np.append(du, 0.0)[::-1, None], d[::-1, None]
 
-    def slopes(self, slope: np.ndarray) -> np.ndarray:
-        """The knot slopes of the spline whose secants have slopes
-        ``slope``."""
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The knot slopes for the right-hand sides, the (n, columns) ``b``,
+        which the back substitution overwrites, last row first."""
+        rows = _lane_scan(_forward_sweep, (0.0, 0.0), b, self.lower)
+        return _lane_scan(_back_sweep, (0.0, 0.0), rows[::-1], self.upper,
+                          self.pivots, out=b)[::-1]
+
+    def rhs(self, slope: np.ndarray) -> np.ndarray:
+        """The right-hand side of the knot-slope system for the secant
+        slopes ``slope``."""
         x, dx, n = self.x, self.dx, len(self.x)
         if n <= 3:
             first, last = (n - 1) * slope[0], (n - 1) * slope[-1]
@@ -322,40 +406,43 @@ class _NotAKnot:
                      + dx[0] ** 2 * slope[1]) / d0
             last = (dx[-1] ** 2 * slope[-2]
                     + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-        b = [float(first),
-             *(3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist(),
-             float(last)]
-        lo, rows = b[0], []
-        for fact, nxt in zip(self.facts, b[1:]):
-            rows.append(lo)
-            lo = nxt - fact * lo
-        rows.append(lo)
-        # back substitution, dgtsv's; its zero subdiagonal still subtracts
-        # ``0.0 * x2``, which against a negative x2 turns -0.0 into +0.0
-        s, x1, x2 = [], 0.0, 0.0
-        for bi, du_i, d_i in zip(reversed(rows), self.du, self.d):
-            x1, x2 = (bi - du_i * x1 - 0.0 * x2) / d_i, x1
-            s.append(x1)
-        return np.array(s[::-1])
+        return np.concatenate(([first], 3 * (dx[1:] * slope[:-1]
+                                             + dx[:-1] * slope[1:]), [last]))
 
-    def fit(self, y: np.ndarray, name: str):
-        """The spline through ``(x, y)`` as a function of time; a
-        ``NumericError`` naming ``name`` when ``y`` is not finite."""
-        if not np.isfinite(y).all():
-            raise NumericError(f"{name}: not finite on the grid up to "
-                               f"tau = {self.x[-1]:g}")
-        x, dx, n = self.x, self.dx, len(y)
-        slope = np.diff(y) / dx
-        s = self.slopes(slope)
+    def slopes(self, slope: np.ndarray) -> np.ndarray:
+        """The knot slopes of the spline whose secants have slopes
+        ``slope``."""
+        return self.solve(self.rhs(slope)[:, None])[:, 0]
 
-        def at(xi):
-            i = np.clip(np.searchsorted(x, xi, "right") - 1, 0, n - 2)
-            h, d, m, s0 = xi - x[i], dx[i], slope[i], s[i]
-            # CubicHermiteSpline's coefficients, on the intervals read only
-            t = (s0 + s[i + 1] - 2 * m) / d
-            c0, c1, c2, c3 = t / d, (m - s0) / d - t, s0, y[i]
-            return 0.0 + c3 + c2 * h + c1 * (h * h) + c0 * (h * h * h)
-        return at
+    def fit(self, y, name):
+        """The spline through ``(x, y)`` as a function of time, or for a
+        list of columns ``y`` and their names, one function giving each
+        column's spline, all from one solve; a ``NumericError`` naming a
+        column that is not finite."""
+        x, dx = self.x, self.dx
+        ys, names = ([y], [name]) if isinstance(name, str) else (y, name)
+        b = np.empty((len(x), len(ys)))
+        for col, y_c, name_c in zip(b.T, ys, names):
+            if not np.isfinite(y_c).all():
+                raise NumericError(f"{name_c}: not finite on the grid up to "
+                                   f"tau = {x[-1]:g}")
+            col[:] = self.rhs(np.diff(y_c) / dx)
+
+        def spline(y, s):
+            def at(xi):
+                # the interval, the end ones extended past the grid
+                i = np.searchsorted(x[1:-1], xi, "right")
+                h, d, s0 = xi - x[i], dx[i], s[i]
+                # the secant slope and CubicHermiteSpline's coefficients, on
+                # the intervals read only
+                m = (y[i + 1] - y[i]) / d
+                t = (s0 + s[i + 1] - 2 * m) / d
+                c0, c1, c2, c3 = t / d, (m - s0) / d - t, s0, y[i]
+                return 0.0 + c3 + c2 * h + c1 * (h * h) + c0 * (h * h * h)
+            return at
+        splines = list(map(spline, ys, self.solve(b).T))
+        return splines[0] if isinstance(name, str) else \
+            lambda xi: [at(xi) for at in splines]
 
 
 # The fitted dense columns, in CoefficientTrace order; the last four are the
@@ -363,6 +450,9 @@ class _NotAKnot:
 _DENSE_NAMES = ("gamma", "delta_coef", "pi_coef", "r_shift", "gamma_int",
                 "delta_gamma", "sec_delta (cos 2s)", "sec_delta (sin 2s)",
                 "sec_pi (cos 2s)", "sec_pi (sin 2s)")
+# Columns per spline solve: each adds two dense columns to the working set
+# while its solve runs.
+_FIT_GROUP = 5
 
 
 def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
@@ -437,7 +527,9 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
     dense += list(_weighted_cumulative(s, weighted, big_gamma_s))
     spline, names = _NotAKnot(s), _DENSE_NAMES[-len(dense):]
     with np.errstate(over="ignore", invalid="ignore"):
-        fitted = [spline.fit(y, name)(tau_grid) for name, y in zip(names, dense)]
+        fitted = [column for i in range(0, len(dense), _FIT_GROUP)
+                  for column in spline.fit(dense[i:i + _FIT_GROUP],
+                                           names[i:i + _FIT_GROUP])(tau_grid)]
     require_finite(names, fitted)
     *first_stage, d_c, d_s, p_c, p_s = on_grid + fitted
     c2, s2 = np.cos(2.0 * tau_grid), np.sin(2.0 * tau_grid)

@@ -1,8 +1,9 @@
 """Per-point references for the array forms of the channel and the PT
-eigensolver, for the weighted recurrence and for the CSV writer: the scalar
-arithmetic, one matrix, one indexed element or one cell at a time, that the
-library code must reproduce bit for bit. The two band kernels are kept in
-their separate forms, each evaluating both branches everywhere."""
+eigensolver, for the weighted recurrence, for the spline's tridiagonal
+sweeps and for the CSV writer: the scalar arithmetic, one matrix, one
+indexed element, one row or one cell at a time, that the library code must
+reproduce bit for bit. The two band kernels are kept in their separate
+forms, each evaluating both branches everywhere."""
 
 import math
 
@@ -117,6 +118,39 @@ def weighted_cumulative(s, x, big_gamma):
         y[k + 2] = y[k] * v0 + h / 3.0 * (v0 * x[k] + 4.0 * v1 * x[k + 1]
                                           + x[k + 2])
     return y
+
+
+def tridiagonal_sweeps(x, b):
+    """The knot-slope system's solution for the right-hand side ``b`` and
+    its row factors, on Python floats one row at a time: the factorization
+    (x-only), the forward sweep and the back substitution, in LAPACK
+    dgtsv's operation order without row interchanges."""
+    dx, n = np.diff(x), len(x)
+    d = [0.0, *(2 * (dx[:-1] + dx[1:])).tolist(), 0.0]
+    du, dl = [0.0, *dx[:-1].tolist()], [*dx[1:].tolist(), 0.0]
+    if n <= 3:
+        (d[0], du[0]), (d[-1], dl[-1]) = (1.0, n - 2.0), (1.0, n - 2.0)
+    else:
+        (d[0], du[0]), (d[-1], dl[-1]) = ((float(dx[1]), float(x[2] - x[0])),
+                                          (float(dx[-2]), float(x[-1] - x[-3])))
+    pivot, facts, pivots = d[0], [], [d[0]]
+    for dl_i, du_i, d_next in zip(dl, du, d[1:]):
+        fact = dl_i / pivot
+        pivot = d_next - fact * du_i
+        facts.append(fact)
+        pivots.append(pivot)
+    lo, rows = b[0], []
+    for fact, nxt in zip(facts, b[1:]):
+        rows.append(lo)
+        lo = nxt - fact * lo
+    rows.append(lo)
+    # dgtsv's zero subdiagonal still subtracts 0.0 * x2, which against a
+    # negative x2 turns -0.0 into +0.0
+    s, x1, x2 = [], 0.0, 0.0
+    for bi, du_i, d_i in zip(reversed(rows), [0.0, *du[::-1]], pivots[::-1]):
+        x1, x2 = (bi - du_i * x1 - 0.0 * x2) / d_i, x1
+        s.append(x1)
+    return np.array(s[::-1]), np.array(facts)
 
 
 def write_csv(path, header, rows):

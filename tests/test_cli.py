@@ -295,6 +295,22 @@ class TestFig2:
         lines = read_lines(out)
         assert all(",oracle,full," in l for l in lines[1:])
 
+    def test_oracle_source_refuses_panel_a(self, tmp_path, capsys):
+        # panel a's r = 10 is past the PT eigensolver's limit, about r = 4.5
+        out = tmp_path / "f2a.csv"
+        assert main(["fig2", "--panel", "a", "--kappa", "oracle", "--mode",
+                     "full", "--tau-steps", "12", "--out", str(out)]) == 3
+        assert "use --kappa symmetric" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_panel_help_lists_swept_values(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fig2", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for swept in ("a: r = 0.1, 0.5, 1, 2, 10;",
+                      "c: omega = 0.1, 0.5, 1, 2, 10.", "about r = 4.5"):
+            assert swept in text
+
     def test_parallel_jobs_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
         args = ["fig2", "--panel", "c", "--tau-steps", "24"]

@@ -1,7 +1,9 @@
 """The numpy forms against what they replace: the not-a-knot spline port
 against scipy's ``CubicSpline``, bit for bit on every grid where LAPACK's
 dgtsv swaps no row, which includes every uniform grid, and no less accurate
-against the exact knot slopes elsewhere; the uniform running Simpson rule against
+against the exact knot slopes elsewhere; its lane scans against the
+sequential sweeps in ``per_point``, bit for bit on every grid; the uniform
+running Simpson rule against
 ``cumulative_simpson``, bit for bit where the grid spacing is exact and to
 rounding elsewhere; and the Python-float weighted recurrence against its
 numpy-indexed loop in ``per_point``. scipy stays installed for these tests
@@ -15,7 +17,9 @@ from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 import per_point
-from bandgauss.coefficients import (_STIFF_PAIR_GAP, GRID_POINTS,
+from bandgauss import coefficients
+from bandgauss.coefficients import (_LANE, _STIFF_PAIR_GAP, GRID_POINTS,
+                                    METHOD_CLOSED, METHOD_QUADRATURE,
                                     EnvironmentParams, _NotAKnot,
                                     _running_integral, _weighted_cumulative,
                                     build_trace, delta_closed,
@@ -143,6 +147,106 @@ class TestNotAKnotSpline:
         assert tau_sd is not None
         assert tau_sd == find_last_upcrossing(
             grid, kappa, 1.0, lambda t: float(spline(t)))
+
+
+def sweep_columns(s):
+    """Samples like the trace's and reaching 1e300, and right-hand sides of
+    signed zeros and of 1e300 among them, for the sweeps on the grid ``s``."""
+    i = np.arange(len(s))
+    signs = np.random.default_rng(len(s)).random(len(s)) < 0.5
+    return columns(s) + [1e300 * np.cos(s)], [
+        np.where(signs, -0.0, 0.0), np.where(i % 5 == 0, 1e300, -0.0)]
+
+
+def assert_sequential_bits(x, ys, bs=()):
+    """One solve of the right-hand sides of the samples ``ys`` and of the
+    columns ``bs`` gives the knot slopes, and the row factors, of the
+    sequential sweeps bit for bit."""
+    spline = _NotAKnot(x)
+    bs = [spline.rhs(np.diff(y) / np.diff(x)) for y in ys] + list(bs)
+    for got, b in zip(spline.solve(np.stack(bs, axis=1)).T, bs):
+        want, facts = per_point.tridiagonal_sweeps(x, b.tolist())
+        assert got.tobytes() == want.tobytes()
+    assert spline.facts.tobytes() == facts.tobytes()
+
+
+@pytest.fixture
+def sweep_rows(monkeypatch):
+    """Rows each spline sweep runs, [on Python floats, in numpy lanes]."""
+    rows = {}
+    for name in ("_factor_sweep", "_forward_sweep", "_back_sweep"):
+        def counted(state, inputs, sweep=getattr(coefficients, name),
+                    count=rows.setdefault(name, [0, 0])):
+            for value in sweep(state, inputs):
+                count[type(value) is not float] += 1
+                yield value
+        monkeypatch.setattr(coefficients, name, counted)
+    return rows
+
+
+class TestLaneScan:
+    """The lane scans against the sequential sweeps, bit for bit with the
+    signs of zeros, and the path each grid takes."""
+
+    @pytest.mark.parametrize("tau_max", TAU_MAXES + (7.3, 1.0 / 3.0))
+    def test_uniform_dense_grids(self, tau_max):
+        s = np.linspace(0.0, tau_max, GRID_POINTS)
+        assert_sequential_bits(s, *sweep_columns(s))
+
+    def test_graded_grids_where_dgtsv_swaps(self):
+        rng = np.random.default_rng(5)
+        for n in (4500, 9000):
+            x = np.unique(np.cumsum(rng.exponential(size=n) ** 3))
+            ys = [rng.normal(size=len(x)), np.sin(x)]
+            ys[0][::4] = -0.0
+            assert len(x) >= 4000
+            assert np.sum(np.abs(_NotAKnot(x).facts) > 1.0) > 100
+            assert_sequential_bits(x, ys, sweep_columns(x)[1])
+
+    def test_one_solve_fits_each_column_as_alone(self):
+        s = np.linspace(0.0, 30.0, GRID_POINTS)
+        xi = np.linspace(-1.0, 31.0, 997)
+        spline, ys = _NotAKnot(s), columns(s)
+        for got, y in zip(spline.fit(ys, ["y"] * len(ys))(xi), ys):
+            assert_same_bits(got, spline.fit(y, "y")(xi))
+
+    def test_lanes_that_miss_their_junction_are_recomputed(
+            self, monkeypatch, sweep_rows):
+        # two warm-up rows leave most lanes off their predecessor's bits
+        monkeypatch.setattr(coefficients, "_WARM_UP", 2)
+        s = np.linspace(0.0, 100.0, GRID_POINTS)
+        ys, bs = sweep_columns(s)
+        assert_sequential_bits(s, ys, bs)
+        python, lanes = sweep_rows["_back_sweep"]
+        assert lanes > 0
+        assert python > 10 * (len(ys) + len(bs)) * (_LANE + GRID_POINTS % _LANE)
+
+    @pytest.mark.parametrize("env, tau_grid, method, columns", [
+        (EnvironmentParams(SpectralDensity(1.0, 1.0, 1e-3)),
+         np.linspace(0.0, 30.0, 600), METHOD_CLOSED, 4),
+        (EnvironmentParams(SpectralDensity(1.0, 1.0, 1e-2), 2.0),
+         np.linspace(0.0, 20.0, 400), METHOD_QUADRATURE, 10),
+        (EnvironmentParams(SpectralDensity(1.0, 1.0, 1.0), 2.0),
+         np.linspace(0.0, 10.0, 200), METHOD_QUADRATURE, 10)],
+        ids=["fig1b", "thermal-sweep", "thermal-coefficients"])
+    def test_no_solve_lane_recomputed_on_dense_grids(
+            self, sweep_rows, env, tau_grid, method, columns):
+        # on Python floats: only the first lane and the one-row tail
+        build_trace(env, tau_grid, method)
+        for name in ("_forward_sweep", "_back_sweep"):
+            assert sweep_rows[name][0] == columns * (
+                _LANE + GRID_POINTS % _LANE)
+
+    def test_short_kappa_fit_is_one_lane(self, sweep_rows):
+        grid = np.linspace(0.0, 30.0, 600)
+        env = EnvironmentParams(SpectralDensity(1.0, 1.0, 1e-2))
+        kappa = kappa_full_curve(build_trace(env, grid), 1.0)
+        assert sweep_rows["_back_sweep"][1] > 0  # the dense grid has lanes
+        for count in sweep_rows.values():
+            count[:] = 0, 0
+        assert find_last_upcrossing(grid, kappa, 1.0) is not None
+        assert sweep_rows["_back_sweep"] == [600, 0]
+        assert all(lanes == 0 for _, lanes in sweep_rows.values())
 
 
 class TestRunningIntegral:
