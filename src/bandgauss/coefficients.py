@@ -11,8 +11,9 @@ Every quantity is available on two routes selected by a method tag:
 
 * ``"closed-form"`` -- the low-temperature short-time expressions
   (gamma = J0*delta*Omega*tau^3/3, delta = J0*delta*tau, and their
-  integrals Gamma = J0*delta*Omega*tau^4/6, DeltaGamma = J0*delta*tau^2/2);
-  they never read beta, so this route refuses a finite one;
+  integrals Gamma = J0*delta*Omega*tau^4/6, DeltaGamma = J0*delta*tau^2/2),
+  all six first-stage columns from one call, :func:`closed_form`; they
+  never read beta, so this route refuses a finite one;
 * ``"quadrature"`` -- cumulative Simpson integrals of the kernels of
   :mod:`bandgauss.spectral` on a dense uniform grid, at any temperature.
 
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -93,39 +95,19 @@ def require_method(env: EnvironmentParams, method: str) -> None:
 # closed forms (low temperature, leading order in time)
 # ---------------------------------------------------------------------------
 
-def gamma_closed(env: EnvironmentParams, tau):
-    sd = env.spectral
-    return sd.j0 * sd.delta * sd.omega_lo * np.asarray(tau, dtype=float) ** 3 / 3.0
+def closed_form(env: EnvironmentParams, tau):
+    """The closed route's gamma, delta_coef, pi_coef, r_shift, gamma_int and
+    delta_gamma at ``tau``, in :class:`CoefficientTrace` order.
 
-
-def delta_closed(env: EnvironmentParams, tau):
-    sd = env.spectral
-    return sd.j0 * sd.delta * np.asarray(tau, dtype=float)
-
-
-def pi_closed(env: EnvironmentParams, tau):
-    # Leading term of the short-time series of sin(s)*cos-kernel.
-    sd = env.spectral
-    return 0.5 * sd.j0 * sd.delta * np.asarray(tau, dtype=float) ** 2
-
-
-def r_closed(env: EnvironmentParams, tau):
-    # Leading term of the short-time series of cos(s)*sin-kernel.
-    sd = env.spectral
-    return 0.5 * sd.j0 * sd.delta * (sd.omega_lo + 0.5 * sd.delta) \
-        * np.asarray(tau, dtype=float) ** 2
-
-
-def gamma_int_closed(env: EnvironmentParams, tau):
-    sd = env.spectral
-    return sd.j0 * sd.delta * sd.omega_lo * np.asarray(tau, dtype=float) ** 4 / 6.0
-
-
-def delta_gamma_closed(env: EnvironmentParams, tau):
-    # the exponential weights exp(Gamma(s) - Gamma(tau)) are higher order in
-    # the short-time regime and are dropped
-    sd = env.spectral
-    return 0.5 * sd.j0 * sd.delta * np.asarray(tau, dtype=float) ** 2
+    pi and r are the leading terms of the short-time series of sin(s) and
+    cos(s) times the cosine and sine kernels; delta_gamma drops the weights
+    exp(Gamma(s) - Gamma(tau)), which are higher order at short time.
+    """
+    sd, t = env.spectral, np.asarray(tau, dtype=float)
+    jd, half = sd.j0 * sd.delta, 0.5 * sd.j0 * sd.delta
+    return (jd * sd.omega_lo * t ** 3 / 3.0, jd * t, half * t ** 2,
+            half * (sd.omega_lo + 0.5 * sd.delta) * t ** 2,
+            jd * sd.omega_lo * t ** 4 / 6.0, half * t ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +349,8 @@ class _NotAKnot:
     interior row is strictly diagonally dominant; on grids where dgtsv
     swaps, the slopes are no less accurate than scipy's. The factorization
     and both substitutions are lane scans (:func:`_lane_scan`) over every
-    column fitted at once, with the sequential sweeps' bits."""
+    column fitted at once, with the sequential sweeps' bits; :meth:`fit`
+    takes a list of columns and gives one function of time for all."""
 
     def __init__(self, x: np.ndarray):
         dx, n = np.diff(x), len(x)
@@ -409,40 +392,35 @@ class _NotAKnot:
         return np.concatenate(([first], 3 * (dx[1:] * slope[:-1]
                                              + dx[:-1] * slope[1:]), [last]))
 
-    def slopes(self, slope: np.ndarray) -> np.ndarray:
-        """The knot slopes of the spline whose secants have slopes
-        ``slope``."""
-        return self.solve(self.rhs(slope)[:, None])[:, 0]
-
-    def fit(self, y, name):
-        """The spline through ``(x, y)`` as a function of time, or for a
-        list of columns ``y`` and their names, one function giving each
-        column's spline, all from one solve; a ``NumericError`` naming a
-        column that is not finite."""
+    def fit(self, ys, names):
+        """One function of time giving the spline through ``(x, y)`` of each
+        column ``y`` of ``ys``, all from one solve, with the interval located
+        once for all; a ``NumericError`` naming a column that is not
+        finite."""
         x, dx = self.x, self.dx
-        ys, names = ([y], [name]) if isinstance(name, str) else (y, name)
         b = np.empty((len(x), len(ys)))
-        for col, y_c, name_c in zip(b.T, ys, names):
-            if not np.isfinite(y_c).all():
-                raise NumericError(f"{name_c}: not finite on the grid up to "
+        for col, y, name in zip(b.T, ys, names):
+            if not np.isfinite(y).all():
+                raise NumericError(f"{name}: not finite on the grid up to "
                                    f"tau = {x[-1]:g}")
-            col[:] = self.rhs(np.diff(y_c) / dx)
+            col[:] = self.rhs(np.diff(y) / dx)
+        slopes = list(self.solve(b).T)
 
-        def spline(y, s):
-            def at(xi):
-                # the interval, the end ones extended past the grid
-                i = np.searchsorted(x[1:-1], xi, "right")
-                h, d, s0 = xi - x[i], dx[i], s[i]
+        def at(xi):
+            # the interval, the end ones extended past the grid
+            i = np.searchsorted(x[1:-1], xi, "right")
+            j, h, d = i + 1, xi - x[i], dx[i]
+            h2, h3 = h * h, h * h * h
+            out = []
+            for y, s in zip(ys, slopes):
                 # the secant slope and CubicHermiteSpline's coefficients, on
                 # the intervals read only
-                m = (y[i + 1] - y[i]) / d
-                t = (s0 + s[i + 1] - 2 * m) / d
+                s0, m = s[i], (y[j] - y[i]) / d
+                t = (s0 + s[j] - 2 * m) / d
                 c0, c1, c2, c3 = t / d, (m - s0) / d - t, s0, y[i]
-                return 0.0 + c3 + c2 * h + c1 * (h * h) + c0 * (h * h * h)
-            return at
-        splines = list(map(spline, ys, self.solve(b).T))
-        return splines[0] if isinstance(name, str) else \
-            lambda xi: [at(xi) for at in splines]
+                out.append(0.0 + c3 + c2 * h + c1 * h2 + c0 * h3)
+            return out
+        return at
 
 
 # The fitted dense columns, in CoefficientTrace order; the last four are the
@@ -497,12 +475,10 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
     # an overflow is refused below, naming its column, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         if method == METHOD_CLOSED:
-            on_grid = [f(env, tau_grid) for f in (
-                gamma_closed, delta_closed, pi_closed, r_closed,
-                gamma_int_closed, delta_gamma_closed)]
-            big_gamma_s = gamma_int_closed(env, s)
-            delta_s = delta_closed(env, s)
-            pi_s = pi_closed(env, s)
+            on_grid = list(closed_form(env, tau_grid))
+            # the dense columns the recurrence reads; no other stays alive
+            delta_s, pi_s, big_gamma_s = itemgetter(1, 2, 4)(
+                closed_form(env, s))
             dense, weighted = [], []
         else:
             ks = kernel_sin(env.spectral, s)

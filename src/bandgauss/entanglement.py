@@ -73,15 +73,19 @@ def _clamp_radicand(value, scale=1.0):
     return np.maximum(value, 0.0)
 
 
+def _require_non_negative(r, j0_delta, omega_lo):
+    for name, val in (("r", r), ("j0_delta", j0_delta), ("omega_lo", omega_lo)):
+        if not val >= 0.0:
+            raise DomainError(f"{name} must be non-negative, got {val}")
+
+
 def kappa_secular(r, j0_delta, omega_lo, tau):
     """Closed-form kappa under the secular approximation (vacuum -> 1/2).
 
     Accepts scalars or arrays in ``tau``. Depends on the spectral amplitude
     and bandwidth only through their product.
     """
-    for name, val in (("r", r), ("j0_delta", j0_delta), ("omega_lo", omega_lo)):
-        if not val >= 0.0:
-            raise DomainError(f"{name} must be non-negative, got {val}")
+    _require_non_negative(r, j0_delta, omega_lo)
     t = np.asarray(tau, dtype=float)
     if np.any(t < 0.0):
         raise DomainError("tau must be non-negative")
@@ -130,8 +134,8 @@ def nu_min_pt(state: TwoModeGaussianState) -> float:
 def negativity(kappa):
     """Entanglement negativity max(0, -2*ln(kappa)); natural logarithm."""
     k = np.asarray(kappa, dtype=float)
-    if np.any(k <= 0.0):
-        raise DomainError("kappa must be positive")
+    if not np.all(k > 0.0):
+        raise DomainError("kappa must be positive (and not NaN)")
     out = np.maximum(0.0, -2.0 * np.log(k))
     return float(out) if np.isscalar(kappa) or k.ndim == 0 else out
 
@@ -246,14 +250,18 @@ def find_last_upcrossing(tau, values, threshold, point_fn=None):
     """Time of the last upward crossing of ``threshold`` after which the
     sampled curve stays above it; None when there is no such crossing.
     Bisects ``point_fn``, or by default one cubic spline fit of the samples,
-    whose error is orders of magnitude below the time tolerance."""
+    whose error is orders of magnitude below the time tolerance. A sample
+    that is not finite raises ``NumericError``."""
+    if not np.isfinite(values).all():
+        raise NumericError(f"kappa: not finite on the grid up to "
+                           f"tau = {tau[-1]:g}")
     below = values < threshold
     if not below[0] or below[-1]:
         return None
     idx = int(np.nonzero(below)[0][-1])
     if point_fn is None:
-        spline = _NotAKnot(np.asarray(tau, float)).fit(values, "kappa")
-        point_fn = lambda t: float(spline(t))
+        spline = _NotAKnot(np.asarray(tau, float)).fit([values], ["kappa"])
+        point_fn = lambda t: float(spline(t)[0])
     return _bisect(lambda t: point_fn(t) - threshold,
                    float(tau[idx]), float(tau[idx + 1]))
 
@@ -266,13 +274,14 @@ def sudden_death_time(r: float, j0_delta: float, omega_lo: float,
     plateaus of the negativity itself would confuse a bracketing search) on
     8,001 points, "full" on the closed route, and bisected to BISECT_XTOL.
     Returns None when the curve never dies inside the horizon, including the
-    degenerate j0_delta = 0 case where the environment is absent.
+    degenerate j0_delta = 0 case where the environment is absent. A
+    ``tau_max`` that is not finite and positive raises ``DomainError``.
     """
     if kappa_source not in ("secular", "full"):
         raise UsageError(f"unknown kappa source {kappa_source!r}")
-    for name, val in (("r", r), ("j0_delta", j0_delta), ("omega_lo", omega_lo)):
-        if not val >= 0.0:
-            raise DomainError(f"{name} must be non-negative, got {val}")
+    _require_non_negative(r, j0_delta, omega_lo)
+    if not 0.0 < tau_max < math.inf:
+        raise DomainError(f"tau_max must be finite and positive, got {tau_max}")
     if j0_delta == 0.0:
         return None
 

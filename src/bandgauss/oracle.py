@@ -21,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import (METHOD_CLOSED, METHOD_QUADRATURE, EnvironmentParams,
-                           build_trace, delta_closed, delta_gamma_closed,
-                           gamma_int_closed, pi_closed, require_method)
+                           build_trace, closed_form, require_method)
 from .dynamics import evolve_covariances, make_twb, rotation
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, UsageError
 from .spectral import (SpectralDensity, kernel_cos, kernel_cos_thermal,
                        kernel_sin)
 
@@ -180,9 +179,7 @@ def propagate_w_matrix(env: EnvironmentParams, tau: float, grid_n: int = 4096,
     h = s[1] - s[0]
 
     if method == METHOD_CLOSED:
-        delta_s = np.asarray(delta_closed(env, s))
-        pi_s = np.asarray(pi_closed(env, s))
-        big_gamma = np.asarray(gamma_int_closed(env, s))
+        _, delta_s, pi_s, _, big_gamma, _ = closed_form(env, s)
     else:
         sd = env.spectral
         gamma_s = _cumulative_simpson(np.sin(s) * kernel_sin(sd, s), h)
@@ -253,8 +250,17 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
     spectrum, the symmetric trace route against the oracle one, and the
     damping-exponent derivative identity. Every primary value is read from
     a coefficient trace. Tolerance scale 1 is the shipped contract; 0 fails
-    every row.
+    every row. A scale that is negative or not finite, or a missing scipy,
+    raises ``UsageError``.
     """
+    if not 0.0 <= tol_scale < math.inf:
+        raise UsageError(f"tol_scale must be finite and non-negative, got "
+                         f"{tol_scale}")
+    try:
+        import scipy.integrate  # the references' quadrature
+    except ImportError as exc:
+        raise UsageError("verify needs scipy: pip install "
+                         "'bandgauss[verify]'") from exc
     from .entanglement import nu_min_pt, state_kappa_curve
 
     reports: list[OracleReport] = []
@@ -333,7 +339,7 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
                 propagator_dev(penv, METHOD_QUADRATURE, tau), 0.0,
                 1e-6 * tol_scale, mode="abs"))
     dev = propagator_dev(env, METHOD_CLOSED, 0.5)
-    scale = delta_gamma_closed(env, 0.5)
+    scale = closed_form(env, 0.5)[5]
     reports.append(OracleReport.compare(
         f"cm_vs_propagator_short_time[{METHOD_CLOSED},tau=0.5]",
         dev / scale, 0.0, 0.01 * tol_scale, mode="abs"))

@@ -854,3 +854,19 @@ class TestVerifyCommand:
         assert main(["verify", "--tol-scale", "0"]) == 1
         stdout = capsys.readouterr().out
         assert "[PASS]" not in stdout
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "-1", "-inf", "-0.5"])
+    def test_meaningless_tolerance_refused(self, tmp_path, capsys, scale):
+        # no tolerance at all: refused before any check runs, and nothing
+        # is written
+        out = tmp_path / "verify.csv"
+        assert main(["verify", f"--tol-scale={scale}", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tol_scale must be finite and non-negative" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_huge_finite_tolerance_runs(self, capsys):
+        # finite, so a tolerance: every row passes under it
+        assert main(["verify", "--tol-scale", "1e308"]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out

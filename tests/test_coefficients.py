@@ -6,7 +6,7 @@ import pytest
 
 from bandgauss.coefficients import (GRID_POINTS, METHOD_CLOSED,
                                     METHOD_QUADRATURE, EnvironmentParams,
-                                    build_trace)
+                                    build_trace, closed_form)
 from bandgauss.entanglement import kappa_full
 from bandgauss.errors import DomainError, UsageError
 from bandgauss.oracle import gamma_int_gk, quad_reference, secular_coeffs_gk
@@ -327,6 +327,16 @@ class TestTrace:
         tr = build_trace(env, np.linspace(0.0, 100.0, 101), METHOD_CLOSED)
         assert np.all(np.isfinite(tr.delta_gamma))
         assert np.all(np.isfinite(tr.sec_delta_co))
+
+    def test_closed_route_is_closed_form(self):
+        # the first six columns of a closed trace are closed_form's, bit for
+        # bit, in CoefficientTrace order
+        env, grid = narrow_env(), np.linspace(0.0, 30.0, 600)
+        tr = build_trace(env, grid, METHOD_CLOSED)
+        names = ("gamma", "delta_coef", "pi_coef", "r_shift", "gamma_int",
+                 "delta_gamma")
+        for name, want in zip(names, closed_form(env, grid), strict=True):
+            assert getattr(tr, name).tobytes() == want.tobytes(), name
 
     def test_method_tag_recorded(self):
         env = narrow_env()

@@ -186,6 +186,12 @@ class TestNegativity:
         with pytest.raises(DomainError):
             negativity(-0.2)
 
+    def test_nan_kappa(self):
+        with pytest.raises(DomainError, match="kappa must be positive"):
+            negativity(math.nan)
+        with pytest.raises(DomainError, match="kappa must be positive"):
+            negativity(np.array([0.5, math.nan]))
+
     def test_monotone_non_increasing(self):
         ks = np.linspace(0.05, 2.0, 50)
         en = negativity(ks)
@@ -352,6 +358,16 @@ class TestSuddenDeath:
         with pytest.raises(UsageError):
             sudden_death_time(1.0, 0.01, 1.0, "closed")
 
+    @pytest.mark.parametrize("source", ["secular", "full"])
+    @pytest.mark.parametrize("tau_max", [0.0, -1.0, math.inf, -math.inf,
+                                         math.nan])
+    def test_tau_max_must_be_finite_and_positive(self, source, tau_max):
+        # refused before any grid is built, by either source, and also where
+        # the environment is absent
+        for j0_delta in (0.01, 0.0):
+            with pytest.raises(DomainError, match="tau_max"):
+                sudden_death_time(1.0, j0_delta, 1.0, source, tau_max=tau_max)
+
     def test_bisection_tolerance(self):
         got = sudden_death_time(1.0, 0.01, 1.0, "secular")
         assert abs(kappa_secular(1.0, 0.01, 1.0, got) - 1.0) < 2e-7
@@ -398,6 +414,18 @@ class TestLastUpcrossing:
         assert fn(got) == pytest.approx(1.0, abs=1e-5)
         fine = np.linspace(got + 1e-4, 20.0, 1000)
         assert np.all(fn(fine) > 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 40, 100])
+    def test_non_finite_sample_named(self, bad, at):
+        # refused wherever it sits, before the bracket is read, with or
+        # without a point function
+        tau = np.linspace(0.0, 10.0, 101)
+        values = 0.5 + 0.1 * tau
+        values[at] = bad
+        for point_fn in (None, lambda t: 0.5 + 0.1 * t):
+            with pytest.raises(NumericError, match="kappa: not finite"):
+                find_last_upcrossing(tau, values, 1.0, point_fn)
 
     def test_spline_by_default(self):
         def fn(t):

@@ -77,6 +77,24 @@ def test_verify_imports_scipy_and_passes():
     assert "scipy.integrate" in report["after"]
 
 
+def test_verify_without_scipy_names_the_extra(tmp_path):
+    # a fresh interpreter where importing scipy fails: verify exits 2
+    # before any check runs and writes nothing
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = tmp_path / "verify.csv"
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from bandgauss.cli import main; "
+            f"sys.exit(main(['verify', '--out', {str(out)!r}]))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "bandgauss[verify]" in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_runs_in_process_load_no_worker_pool(tmp_path):
     # --jobs 1 runs every environment in process: the pool's import, and
     # with it multiprocessing, is left for a run that starts one

@@ -6,7 +6,7 @@ import pytest
 
 from bandgauss.coefficients import (METHOD_CLOSED, METHOD_QUADRATURE,
                                     EnvironmentParams, build_trace,
-                                    delta_gamma_closed)
+                                    closed_form)
 from bandgauss.dynamics import evolve_covariances, make_twb
 from bandgauss.errors import DomainError, UsageError
 from bandgauss.oracle import (OracleReport, propagate_w_matrix,
@@ -43,8 +43,8 @@ class TestFiniteDiff:
     def test_closed_form_variance_derivative(self):
         # d/dtau of J0*delta*tau^2/2 is J0*delta*tau; central difference
         env, tau, h = narrow_env(), 2.0, 1e-5
-        got = (delta_gamma_closed(env, tau + h)
-               - delta_gamma_closed(env, tau - h)) / (2.0 * h)
+        got = (closed_form(env, tau + h)[5]
+               - closed_form(env, tau - h)[5]) / (2.0 * h)
         assert got == pytest.approx(2e-3, rel=1e-8)
 
 
