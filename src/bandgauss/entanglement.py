@@ -73,10 +73,14 @@ def _clamp_radicand(value, scale=1.0):
     return np.maximum(value, 0.0)
 
 
-def _require_non_negative(r, j0_delta, omega_lo):
+def _require_parameters(r, j0_delta, omega_lo):
     for name, val in (("r", r), ("j0_delta", j0_delta), ("omega_lo", omega_lo)):
         if not val >= 0.0:
             raise DomainError(f"{name} must be non-negative, got {val}")
+        # an infinite j0_delta, which the product of two finite options can
+        # reach, makes every kappa infinite, and that kappa is refused
+        if val == math.inf and name != "j0_delta":
+            raise DomainError(f"{name} must be finite, got {val}")
 
 
 def kappa_secular(r, j0_delta, omega_lo, tau):
@@ -85,7 +89,7 @@ def kappa_secular(r, j0_delta, omega_lo, tau):
     Accepts scalars or arrays in ``tau``. Depends on the spectral amplitude
     and bandwidth only through their product.
     """
-    _require_non_negative(r, j0_delta, omega_lo)
+    _require_parameters(r, j0_delta, omega_lo)
     t = np.asarray(tau, dtype=float)
     if np.any(t < 0.0):
         raise DomainError("tau must be non-negative")
@@ -279,7 +283,7 @@ def sudden_death_time(r: float, j0_delta: float, omega_lo: float,
     """
     if kappa_source not in ("secular", "full"):
         raise UsageError(f"unknown kappa source {kappa_source!r}")
-    _require_non_negative(r, j0_delta, omega_lo)
+    _require_parameters(r, j0_delta, omega_lo)
     if not 0.0 < tau_max < math.inf:
         raise DomainError(f"tau_max must be finite and positive, got {tau_max}")
     if j0_delta == 0.0:

@@ -29,6 +29,9 @@ from .spectral import (SpectralDensity, kernel_cos, kernel_cos_thermal,
 
 MAX_SIMPSON_POINTS = 2 ** 22
 
+# Nodes of the direct propagator's uniform Simpson grid over [0, tau].
+PROPAGATOR_NODES = 4097
+
 # Tolerances of the adaptive Gauss-Kronrod references.
 QUAD_EPSABS = 1e-12
 QUAD_EPSREL = 1e-9
@@ -51,8 +54,6 @@ def quad_reference(f, a: float, b: float, tol: float = 1e-10) -> float:
         raise DomainError("bounds must be finite")
     if tol <= 0.0:
         raise DomainError("tol must be positive")
-    if a == b:
-        return 0.0
 
     def simpson(n):
         x = np.linspace(a, b, n + 1)
@@ -77,8 +78,6 @@ def _chunked_quad(f, a: float, b: float, freq: float,
                   epsrel: float = QUAD_EPSREL) -> float:
     """Adaptive quadrature of f over [a, b], split per oscillation half-period."""
     from scipy import integrate  # only the references need scipy
-    if a == b:
-        return 0.0
     n_chunks = max(1, int(math.ceil((b - a) * max(freq, 1e-12) / math.pi)))
     edges = np.linspace(a, b, n_chunks + 1)
     total = 0.0
@@ -157,45 +156,33 @@ def _cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def propagate_w_matrix(env: EnvironmentParams, tau: float, grid_n: int = 4096,
+def propagate_w_matrix(env: EnvironmentParams, tau: float,
                        method: str = METHOD_QUADRATURE) -> np.ndarray:
     """Direct 2x2 noise matrix of the channel by raw matrix quadrature.
 
-    Integrates exp(Gamma(s)) R(s)^T M(s) R(s) over [0, tau] on a uniform
-    Simpson grid, with M(s) = [[delta(s), -pi(s)/2], [-pi(s)/2, 0]], then
-    undamps and unrotates. Twice the result reproduces the additive noise
-    block of the assembled covariance evolution.
+    Integrates exp(Gamma(s)) R(s)^T M(s) R(s) over [0, tau] by composite
+    Simpson on a uniform grid of ``PROPAGATOR_NODES`` (4,097) nodes, with
+    M(s) = [[delta(s), -pi(s)/2], [-pi(s)/2, 0]], then undamps and
+    unrotates. Twice the result reproduces the additive noise block of the
+    assembled covariance evolution.
     """
     require_method(env, method)
-    if grid_n < 256:
-        raise DomainError("grid_n must be at least 256")
-    if tau < 0.0:
-        raise DomainError("tau must be non-negative")
-    if tau == 0.0:
-        return np.zeros((2, 2))
-    if grid_n % 2 == 1:
-        grid_n += 1
-    s = np.linspace(0.0, tau, grid_n + 1)
+    if not 0.0 <= tau < math.inf:
+        raise DomainError(f"tau must be finite and non-negative, got {tau}")
+    s = np.linspace(0.0, tau, PROPAGATOR_NODES)
     h = s[1] - s[0]
 
     if method == METHOD_CLOSED:
         _, delta_s, pi_s, _, big_gamma, _ = closed_form(env, s)
     else:
-        sd = env.spectral
+        sd, kc = env.spectral, np.asarray(env.thermal_cos_kernel(s))
         gamma_s = _cumulative_simpson(np.sin(s) * kernel_sin(sd, s), h)
-        delta_s = _cumulative_simpson(
-            np.cos(s) * np.asarray(env.thermal_cos_kernel(s)), h)
-        pi_s = _cumulative_simpson(
-            np.sin(s) * np.asarray(env.thermal_cos_kernel(s)), h)
+        delta_s = _cumulative_simpson(np.cos(s) * kc, h)
+        pi_s = _cumulative_simpson(np.sin(s) * kc, h)
         big_gamma = _cumulative_simpson(2.0 * gamma_s, h)
 
     # literal R^T M R per node, damping folded in as a bounded ratio
-    c, n_ = np.cos(s), np.sin(s)
-    rot = np.empty((len(s), 2, 2))
-    rot[:, 0, 0] = c
-    rot[:, 0, 1] = n_
-    rot[:, 1, 0] = -n_
-    rot[:, 1, 1] = c
+    rot = np.ascontiguousarray(np.moveaxis(rotation(s), -1, 0))
     m = np.zeros((len(s), 2, 2))
     m[:, 0, 0] = delta_s
     m[:, 0, 1] = -0.5 * pi_s
@@ -249,9 +236,10 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
     temperature and beta = 2), the PT eigensolver against the twin-beam
     spectrum, the symmetric trace route against the oracle one, and the
     damping-exponent derivative identity. Every primary value is read from
-    a coefficient trace. Tolerance scale 1 is the shipped contract; 0 fails
-    every row. A scale that is negative or not finite, or a missing scipy,
-    raises ``UsageError``.
+    a coefficient trace. Each row states its tolerance at scale 1, the
+    shipped contract, and ``add`` is the one place that scales it by
+    ``tol_scale``; 0 fails every row. A scale that is negative or not
+    finite, or a missing scipy, raises ``UsageError``.
     """
     if not 0.0 <= tol_scale < math.inf:
         raise UsageError(f"tol_scale must be finite and non-negative, got "
@@ -265,6 +253,10 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
 
     reports: list[OracleReport] = []
 
+    def add(name, primary, oracle, tol, mode="rel"):
+        reports.append(OracleReport.compare(name, primary, oracle,
+                                            tol * tol_scale, mode))
+
     # kernel closed forms vs brute-force band quadrature
     for omega_lo in (0.1, 1.0, 10.0):
         for delta in (1e-4, 1e-3, 1.0):
@@ -274,12 +266,10 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
                                          sd.omega_hi, tol=1e-14)
                 ref_cos = quad_reference(lambda w: math.cos(w * s), sd.omega_lo,
                                          sd.omega_hi, tol=1e-14)
-                reports.append(OracleReport.compare(
-                    f"kernel_sin[lo={omega_lo},delta={delta},s={s}]",
-                    kernel_sin(sd, s), ref_sin, 1e-9 * tol_scale))
-                reports.append(OracleReport.compare(
-                    f"kernel_cos[lo={omega_lo},delta={delta},s={s}]",
-                    kernel_cos(sd, s), ref_cos, 1e-9 * tol_scale))
+                add(f"kernel_sin[lo={omega_lo},delta={delta},s={s}]",
+                    kernel_sin(sd, s), ref_sin, 1e-9)
+                add(f"kernel_cos[lo={omega_lo},delta={delta},s={s}]",
+                    kernel_cos(sd, s), ref_cos, 1e-9)
 
     # finite-temperature kernel vs per-point Gauss-Kronrod, in units of the
     # kernel at s = 0 (j0 times the band integral of coth); the first band
@@ -290,12 +280,10 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
         sd = SpectralDensity(1.0, omega_lo, delta)
         scale = kernel_cos_thermal_gk(sd, 0.0, beta)
         for s in times:
-            reports.append(OracleReport.compare(
-                f"kernel_cos_thermal[lo={omega_lo},delta={delta},"
+            add(f"kernel_cos_thermal[lo={omega_lo},delta={delta},"
                 f"beta={beta},s={s}]",
                 kernel_cos_thermal(sd, s, beta=beta) / scale,
-                kernel_cos_thermal_gk(sd, s, beta) / scale,
-                1e-13 * tol_scale, mode="abs"))
+                kernel_cos_thermal_gk(sd, s, beta) / scale, 1e-13, "abs")
 
     env = EnvironmentParams(SpectralDensity(1.0, 1.0, 1e-3))
     env_warm = EnvironmentParams(env.spectral, beta=2.0)
@@ -311,9 +299,8 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
     for column in ("delta_coef", "pi_coef", "delta_gamma", "sec_delta_co"):
         want = getattr(cold, column)
         dev = np.max(np.abs(getattr(near_cold, column) - want))
-        reports.append(OracleReport.compare(
-            f"low_t_limit[lo=1.0,delta=0.001,beta=200.0,{column}]",
-            dev / np.max(np.abs(want)), 0.0, 1e-12 * tol_scale, mode="abs"))
+        add(f"low_t_limit[lo=1.0,delta=0.001,beta=200.0,{column}]",
+            dev / np.max(np.abs(want)), 0.0, 1e-12, "abs")
 
     # assembled covariance vs direct matrix propagation. With quadrature
     # inputs both sides evaluate the same object, so the match is exact; the
@@ -323,7 +310,7 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
     def propagator_dev(env, method, tau):
         trace = build_trace(env, [tau], method)
         evolved = evolve_covariances(state, trace)[0]
-        w_bar = propagate_w_matrix(env, tau, method=method)
+        w_bar = propagate_w_matrix(env, tau, method)
         decay = math.exp(-trace.gamma_int[0])
         big_rot = np.kron(np.eye(2), rotation(tau))
         direct = decay * big_rot @ state.cm @ big_rot.T
@@ -334,22 +321,17 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
     for label, penv, taus in (("", env, (0.5, 1.0, 2.0, 5.0)),
                               ("beta=2,", env_warm, (0.5, 2.0))):
         for tau in taus:
-            reports.append(OracleReport.compare(
-                f"cm_vs_propagator[{METHOD_QUADRATURE},{label}tau={tau}]",
-                propagator_dev(penv, METHOD_QUADRATURE, tau), 0.0,
-                1e-6 * tol_scale, mode="abs"))
-    dev = propagator_dev(env, METHOD_CLOSED, 0.5)
-    scale = closed_form(env, 0.5)[5]
-    reports.append(OracleReport.compare(
-        f"cm_vs_propagator_short_time[{METHOD_CLOSED},tau=0.5]",
-        dev / scale, 0.0, 0.01 * tol_scale, mode="abs"))
+            add(f"cm_vs_propagator[{METHOD_QUADRATURE},{label}tau={tau}]",
+                propagator_dev(penv, METHOD_QUADRATURE, tau), 0.0, 1e-6,
+                "abs")
+    add(f"cm_vs_propagator_short_time[{METHOD_CLOSED},tau=0.5]",
+        propagator_dev(env, METHOD_CLOSED, 0.5) / closed_form(env, 0.5)[5],
+        0.0, 0.01, "abs")
 
     # PT eigensolver vs analytic twin-beam spectrum
     for r in (0.0, 0.1, 0.5, 1.0, 2.0):
-        twb = make_twb(r)
-        reports.append(OracleReport.compare(
-            f"nu_min_pt[twb r={r}]", nu_min_pt(twb), math.exp(-2.0 * r),
-            1e-10 * tol_scale, mode="abs"))
+        add(f"nu_min_pt[twb r={r}]", nu_min_pt(make_twb(r)),
+            math.exp(-2.0 * r), 1e-10, "abs")
 
     # the symmetric trace route (the CLI's --kappa symmetric) vs the PT
     # eigensolve of the same trace's states, largest relative deviation
@@ -364,27 +346,24 @@ def run_verification(tol_scale: float = 1.0) -> list[OracleReport]:
         for r in (0.5, 2.0):
             oracle = state_kappa_curve(trace, r, "oracle")
             symmetric = state_kappa_curve(trace, r, "symmetric")
-            reports.append(OracleReport.compare(
-                f"kappa_symmetric_route_vs_oracle[{label},r={r}]",
+            add(f"kappa_symmetric_route_vs_oracle[{label},r={r}]",
                 np.max(np.abs(symmetric / math.sqrt(2.0) - oracle) / oracle),
-                0.0, 1e-10 * tol_scale, mode="abs"))
+                0.0, 1e-10, "abs")
 
     # derivative identity: d/dtau Gamma = 2*gamma, both read from one trace
     h = 1e-4
     for tau in (0.1, 1.0, 5.0, 10.0):
         trace = build_trace(env, [tau - h, tau, tau + h], METHOD_QUADRATURE)
-        reports.append(OracleReport.compare(
-            f"dGamma_dtau_vs_2gamma[tau={tau}]",
+        add(f"dGamma_dtau_vs_2gamma[tau={tau}]",
             (trace.gamma_int[2] - trace.gamma_int[0]) / (2.0 * h),
-            2.0 * trace.gamma[1], 1e-4 * tol_scale))
+            2.0 * trace.gamma[1], 1e-4)
 
     # diffusion variance: trace identity against the direct propagator
     for tau in (0.5, 2.0):
-        w_bar = propagate_w_matrix(env, tau, method=METHOD_QUADRATURE)
-        reports.append(OracleReport.compare(
-            f"trace_2wbar_vs_2delta_gamma[tau={tau}]",
+        w_bar = propagate_w_matrix(env, tau, METHOD_QUADRATURE)
+        add(f"trace_2wbar_vs_2delta_gamma[tau={tau}]",
             float(np.trace(2.0 * w_bar)),
             2.0 * build_trace(env, [tau], METHOD_QUADRATURE).delta_gamma[0],
-            1e-2 * tol_scale))
+            1e-2)
 
     return reports

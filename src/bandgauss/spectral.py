@@ -12,6 +12,7 @@ All frequencies and times are dimensionless (mode frequency = 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,10 @@ class SpectralDensity:
     delta: float
 
     def __post_init__(self):
+        for name, value in (("j0", self.j0), ("omega_lo", self.omega_lo),
+                            ("delta", self.delta)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if not self.j0 > 0.0:
             raise DomainError(f"j0 must be positive, got {self.j0}")
         if not self.delta > 0.0:
@@ -119,16 +124,17 @@ def _thermal_panels(lo: float, hi: float, s_max: float) -> np.ndarray:
 def kernel_cos_thermal(spectral: SpectralDensity, s, beta: float | None = None):
     """Thermal cosine transform: integral of coth(beta*w/2)*J(w)*cos(w*s).
 
-    ``beta > 0`` is required; the zero-temperature limit is
-    :func:`kernel_cos`. The band integral is a fixed 16-node Gauss-Legendre
-    rule on the panels of :func:`_thermal_panels`, sized from the band edges
-    and the largest time, evaluated for all times at once as
+    ``beta > 0`` is required, and NaN is refused; beta = inf is the
+    zero-temperature limit, which :func:`kernel_cos` gives in closed form.
+    The band integral is a fixed 16-node Gauss-Legendre rule on the panels
+    of :func:`_thermal_panels`, sized from the band edges and the largest
+    time, evaluated for all times at once as
     cos(outer(s, w)) @ (weights*J*coth).
     A band that starts at zero frequency is rejected at finite temperature:
     coth(beta*w/2) grows like 2/(beta*w) there, so the integral diverges
     logarithmically.
     """
-    if beta is None or beta <= 0.0:
+    if beta is None or not beta > 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
     if spectral.omega_lo == 0.0:
         raise DomainError("omega_lo must be positive at finite temperature: "

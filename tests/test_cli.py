@@ -38,6 +38,14 @@ class TestScenario:
         with pytest.raises(UsageError, match="r"):
             SweepScenario(r=())
 
+    def test_bad_jobs(self):
+        with pytest.raises(UsageError, match="^jobs: must be >= 1"):
+            SweepScenario(jobs=0)
+
+    def test_negative_start(self):
+        with pytest.raises(UsageError, match="^tau_start: must be >= 0"):
+            SweepScenario(tau_start=-1.0)
+
     def test_row_ceiling(self, tmp_path, monkeypatch, capsys):
         # the engine counts the rows of the command that runs before it
         # builds a trace; a ceiling of 40 stands in for MAX_ROWS, so nothing
@@ -692,6 +700,37 @@ class TestErrors:
         assert f"error: {key}: must be" in capsys.readouterr().err
         assert not out.exists()
         assert not out.with_suffix(".meta").exists()
+
+    @pytest.mark.parametrize("key", ["mode", "kappa", "method"])
+    def test_config_unknown_choice_rejected(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "bogus"}))
+        assert main(["sweep", "--config", str(cfg), "--out",
+                     str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {key}: unknown value 'bogus'\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("text,err", [
+        ("{not json", "error: config: not valid JSON"),
+        ("[1, 2]", "error: config: top level must be a JSON object")])
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, capsys,
+                                                   text, err):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["sweep", "--config", str(cfg), "--out",
+                     str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith(err)
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_list_option_that_is_not_numbers_rejected(self, tmp_path, capsys):
+        # refused by the parser, which exits 2 itself
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--r", "abc", "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert "not a comma-separated float list: 'abc'" in \
+            capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_fig2_both_mode_rejected(self, tmp_path):
         assert main(["fig2", "--panel", "a", "--mode", "both", "--out",

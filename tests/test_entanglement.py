@@ -128,6 +128,22 @@ class TestKappaSecular:
             kappa_secular(-0.1, 0.01, 1.0, 1.0)
         with pytest.raises(DomainError):
             kappa_secular(math.nan, 0.01, 1.0, 1.0)
+        # an infinite r or band edge would read as exp(-inf) = 0 and give a
+        # finite kappa (0.005 at omega_lo = inf)
+        for args, name in (((math.inf, 0.01, 1.0), "r"),
+                           ((1.0, 0.01, math.inf), "omega_lo"),
+                           ((1.0, math.nan, 1.0), "j0_delta")):
+            with pytest.raises(DomainError, match=f"^{name} must be"):
+                kappa_secular(*args, 1.0)
+        # an infinite j0_delta (j0*delta overflowed) makes kappa infinite
+        with pytest.raises(NumericError, match="kappa: not finite"):
+            kappa_secular(1.0, math.inf, 1.0, 1.0)
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(DomainError, match="tau must be non-negative"):
+            kappa_secular(1.0, 0.01, 1.0, -1.0)
+        with pytest.raises(DomainError, match="tau must be non-negative"):
+            kappa_secular(1.0, 0.01, 1.0, [0.0, -1.0])
 
     def test_single_minimum_on_comparison_recipes(self):
         # the curve may rise, dip (the revival window) and rise again, but it
@@ -367,6 +383,17 @@ class TestSuddenDeath:
         for j0_delta in (0.01, 0.0):
             with pytest.raises(DomainError, match="tau_max"):
                 sudden_death_time(1.0, j0_delta, 1.0, source, tau_max=tau_max)
+
+    @pytest.mark.parametrize("source", ["secular", "full"])
+    @pytest.mark.parametrize("args,name", [
+        ((math.inf, 0.01, 1.0), "r"), ((1.0, 0.01, math.inf), "omega_lo"),
+        ((-1.0, 0.01, 1.0), "r"), ((1.0, math.nan, 1.0), "j0_delta")])
+    def test_parameters_must_be_finite_and_non_negative(self, source, args,
+                                                        name):
+        # unrefused, r = inf would give the secular source a death time
+        # (14.14)
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            sudden_death_time(*args, source)
 
     def test_bisection_tolerance(self):
         got = sudden_death_time(1.0, 0.01, 1.0, "secular")

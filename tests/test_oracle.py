@@ -9,8 +9,9 @@ from bandgauss.coefficients import (METHOD_CLOSED, METHOD_QUADRATURE,
                                     closed_form)
 from bandgauss.dynamics import evolve_covariances, make_twb
 from bandgauss.errors import DomainError, UsageError
-from bandgauss.oracle import (OracleReport, propagate_w_matrix,
-                              quad_reference, run_verification)
+from bandgauss.oracle import (OracleReport, _chunked_quad,
+                              propagate_w_matrix, quad_reference,
+                              run_verification)
 from bandgauss.spectral import SpectralDensity
 
 
@@ -30,7 +31,12 @@ class TestQuadReference:
         assert got == pytest.approx(-2.0 / math.pi, rel=1e-12)
 
     def test_empty_interval(self):
-        assert quad_reference(math.sin, 1.0, 1.0) == 0.0
+        # the general path returns exact +0.0 on an empty interval, whatever
+        # the integrand's sign
+        for f in (math.sin, lambda w: -1.0):
+            for got in (quad_reference(f, 1.0, 1.0),
+                        _chunked_quad(f, 1.0, 1.0, 3.0)):
+                assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
@@ -50,12 +56,21 @@ class TestFiniteDiff:
 
 class TestPropagateWMatrix:
     def test_zero_time(self):
-        np.testing.assert_array_equal(propagate_w_matrix(narrow_env(), 0.0),
-                                      np.zeros((2, 2)))
+        # the general path returns exact +0.0 zeros at tau = 0 on every
+        # route, with no RuntimeWarning on the way (the suite makes them
+        # errors)
+        for beta, method in ((None, METHOD_QUADRATURE),
+                             (2.0, METHOD_QUADRATURE), (None, METHOD_CLOSED)):
+            env = EnvironmentParams(narrow_env().spectral, beta=beta)
+            w_bar = propagate_w_matrix(env, 0.0, method)
+            np.testing.assert_array_equal(w_bar, np.zeros((2, 2)))
+            assert not np.signbit(w_bar).any()
 
-    def test_grid_floor(self):
-        with pytest.raises(DomainError):
-            propagate_w_matrix(narrow_env(), 1.0, grid_n=128)
+    @pytest.mark.parametrize("tau", [-1.0, math.inf, math.nan])
+    def test_time_must_be_finite_and_non_negative(self, tau):
+        with pytest.raises(DomainError, match="tau must be finite and "
+                                              "non-negative"):
+            propagate_w_matrix(narrow_env(), tau)
 
     def test_closed_route_refuses_finite_beta(self):
         env = EnvironmentParams(narrow_env().spectral, beta=5.0)

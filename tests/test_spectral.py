@@ -19,9 +19,22 @@ class TestSpectralDensity:
         dict(j0=-1.0, omega_lo=1.0, delta=1.0),
         dict(j0=1.0, omega_lo=1.0, delta=0.0),
         dict(j0=1.0, omega_lo=-0.1, delta=1.0),
+        dict(j0=1.0, omega_lo=math.nan, delta=1e-3),
+        dict(j0=math.inf, omega_lo=1.0, delta=1e-3),
+        dict(j0=1.0, omega_lo=math.inf, delta=1e-3),
+        dict(j0=1.0, omega_lo=1.0, delta=math.inf),
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(DomainError):
+            SpectralDensity(**kwargs)
+
+    @pytest.mark.parametrize("name", ["j0", "omega_lo", "delta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_named(self, name, value):
+        # refused where it enters, not later as a column that is not finite
+        kwargs = dict(j0=1.0, omega_lo=1.0, delta=1e-3)
+        kwargs[name] = value
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
             SpectralDensity(**kwargs)
 
 
@@ -132,6 +145,18 @@ class TestKernelCos:
             kernel_cos_thermal(sd, 1.0, beta=0.0)
         with pytest.raises(DomainError):
             kernel_cos_thermal(sd, 1.0)
+        for beta in (math.nan, -math.inf):
+            with pytest.raises(DomainError, match="beta must be positive"):
+                kernel_cos_thermal(sd, 1.0, beta=beta)
+
+    def test_infinite_beta_is_the_zero_temperature_kernel(self):
+        # beta = inf stays accepted: coth is 1 there, as in EnvironmentParams
+        for lo, delta in ((1.0, 1e-3), (0.1, 1.0), (3.0, 2.0)):
+            sd = SpectralDensity(1.0, lo, delta)
+            s = np.linspace(0.0, 50.0, 101)
+            got = kernel_cos_thermal(sd, s, beta=math.inf)
+            dev = np.max(np.abs(got - kernel_cos(sd, s)))
+            assert dev < 1e-12 * sd.j0 * sd.delta
 
     def test_non_finite_time_rejected(self):
         # the panel width pi/max(s) needs a finite largest time
