@@ -169,9 +169,12 @@ def _table(scenario: SweepScenario, rows_of,
     its ``per_r`` curves, or with ``per_r`` None the rows of one curve. It
     runs once per distinct environment, and ``--jobs`` runs environments in
     parallel. Repeated parameter values repeat their rows. Over
-    ``MAX_ROWS`` rows, it refuses before any work.
+    ``MAX_ROWS`` rows, or if j0 * delta overflows, it refuses before any work.
     """
     keys = sorted(product(scenario.j0, scenario.delta, scenario.omega))
+    for j0, delta, _ in keys:
+        if not np.isfinite(j0 * delta):
+            raise NumericError(f"j0, delta: {j0:g} * {delta:g} overflows")
     curves = len(keys) * (1 if per_r is None else len(scenario.r) * per_r)
     if scenario.tau_steps * curves > MAX_ROWS:
         raise UsageError(f"tau_steps: {scenario.tau_steps} x {curves} "

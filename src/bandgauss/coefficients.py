@@ -41,6 +41,7 @@ Times are dimensionless (system frequency = 1).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from operator import itemgetter
 
@@ -167,10 +168,10 @@ _STIFF_PAIR_GAP = 0.05
 
 
 def _exp(a: np.ndarray, where: np.ndarray) -> np.ndarray:
-    """exp(a) where asked and 0 elsewhere, by ``math.exp``: ``np.exp``
-    rounds some arguments differently."""
+    """exp(a) where asked and 0 elsewhere, by ``math.exp`` on the numpy
+    buffer, with no list copy: ``np.exp`` rounds some arguments differently."""
     out = np.zeros(a.shape)
-    out[where] = list(map(math.exp, a[where].tolist()))
+    out[where] = np.fromiter(map(math.exp, memoryview(a[where])), float)
     return out
 
 
@@ -199,7 +200,8 @@ def _etd_weights(a: np.ndarray, where: np.ndarray):
 def _weighted_cumulative(s: np.ndarray, xs,
                          big_gamma: np.ndarray) -> np.ndarray:
     """Running y(t) = exp(-Gamma(t)) * int_0^t exp(Gamma(s)) x(s) ds for
-    each column x of the sequence ``xs``, one row of the result each.
+    each item of ``xs``, one row of the result each: a column x, or a pair
+    (x, trig) for x * trig(2s), built only while its own chain runs.
 
     Simpson-order accurate on a uniform grid while the exponent changes
     slowly; pairs where it jumps by more than ``_STIFF_PAIR_GAP`` switch to
@@ -210,8 +212,9 @@ def _weighted_cumulative(s: np.ndarray, xs,
     or y*m2 + c2 (Simpson). The multipliers depend on Gamma alone and are
     shared; each column's increments are vectorised in the operation order
     of one scalar step, then its chain through the even nodes runs on Python
-    floats, so the working set does not grow with the number of columns.
-    The result is the step-by-step loop's, bit for bit.
+    floats read from the numpy buffers into an ``array("d")``, with no list
+    copy, so the working set does not grow with the number of columns. The
+    operations and their order are the step-by-step loop's, and so the bits.
     """
     h = float(s[1] - s[0])
     g0, g1, g2 = big_gamma[:-2:2], big_gamma[1::2], big_gamma[2::2]
@@ -228,21 +231,21 @@ def _weighted_cumulative(s: np.ndarray, xs,
         e2, psi0, psi1 = _etd_weights(g2 - g1, stiff)
         m1 = np.where(stiff, e1, w0)
         m2 = np.where(stiff, e2, v0)
-    stiff_l, m1_l, m2_l = stiff.tolist(), m1.tolist(), m2.tolist()
     y = np.empty((len(xs), len(s)))
     for col, x in zip(y, xs):
+        x = x[0] * x[1](2.0 * s) if isinstance(x, tuple) else x
         x0, x1, x2 = x[:-2:2], x[1::2], x[2::2]
         with np.errstate(over="ignore", invalid="ignore"):
             c1 = np.where(stiff, h * (x0 * phi0 + x1 * phi1),
                           h / 12.0 * (5.0 * w0 * x0 + 8.0 * x1 - w2 * x2))
             c2 = np.where(stiff, h * (x1 * psi0 + x2 * psi1),
                           h / 3.0 * (v0 * x0 + 4.0 * v1 * x1 + x2))
-        yk, even = 0.0, [0.0]
-        for st, a1, a2, b1, b2 in zip(stiff_l, m1_l, m2_l, c1.tolist(),
-                                      c2.tolist()):
+        yk, even = 0.0, array("d", [0.0])
+        for st, a1, a2, b1, b2 in zip(*map(memoryview, (stiff, m1, m2, c1,
+                                                        c2))):
             yk = ((yk * a1 + b1) if st else yk) * a2 + b2
             even.append(yk)
-        col[::2] = even
+        col[::2] = np.frombuffer(even)
         col[1::2] = col[:-2:2] * m1 + c1
     return y
 
@@ -497,9 +500,9 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
     if np.any(np.diff(big_gamma_s) > 1e154):
         raise NumericError(f"gamma_int: rises by more than 1e154 in one dense "
                            f"step at tau <= {tau_max:g}")
-    # one recurrence for every integrand weighted by exp(Gamma)
-    weighted += [x * trig(2.0 * s) for x in (delta_s, pi_s)
-                 for trig in (np.cos, np.sin)]
+    # one recurrence for every integrand weighted by exp(Gamma), each built
+    # from its (column, cos/sin) factors only while its own chain runs
+    weighted += [(x, trig) for x in (delta_s, pi_s) for trig in (np.cos, np.sin)]
     dense += list(_weighted_cumulative(s, weighted, big_gamma_s))
     spline, names = _NotAKnot(s), _DENSE_NAMES[-len(dense):]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 
 # Below this value of s*(band top) the exact kernels hit 0/0 cancellation,
 # so a third-order series takes over.
@@ -37,7 +37,7 @@ class SpectralDensity:
 
     def __post_init__(self):
         for name, value in (("j0", self.j0), ("omega_lo", self.omega_lo),
-                            ("delta", self.delta)):
+                            ("delta", self.delta), ("omega_hi", self.omega_hi)):
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value}")
         if not self.j0 > 0.0:
@@ -63,15 +63,19 @@ def _check_times(s) -> np.ndarray:
 def _band_transform(spectral: SpectralDensity, s, trig, series):
     """The band's transform by ``trig`` in the product form
     2*j0*trig(s*(lo+hi)/2)*sin(s*delta/2)/s, which is free of subtractive
-    cancellation. ``series(s, lo, hi, j0)`` replaces the s -> 0 division,
-    and is evaluated only where s*hi < SERIES_CROSSOVER."""
+    cancellation. ``series(s, lo, hi, j0)`` replaces the s -> 0 division
+    where s*hi < SERIES_CROSSOVER; an overflow in it names the band top."""
     s_arr = _check_times(s)
     lo, hi, j0 = spectral.omega_lo, spectral.omega_hi, spectral.j0
     small = s_arr * hi < SERIES_CROSSOVER
     s_safe = np.where(small, 1.0, s_arr)
     out = np.where(small, 0.0, 2.0 * j0 * trig(0.5 * s_arr * (lo + hi))
                    * np.sin(0.5 * s_arr * spectral.delta) / s_safe)
-    out[small] = series(s_arr[small], lo, hi, j0)
+    try:
+        out[small] = series(s_arr[small], lo, hi, j0)
+    except OverflowError:
+        raise NumericError(f"omega_hi: the small-s series of the band kernels "
+                           f"overflows at omega_hi = {hi:g}") from None
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
 
 

@@ -648,7 +648,20 @@ class TestErrors:
         assert main(["sweep", "--j0", "1e308", "--delta", "10",
                      "--out", str(out)]) == 3
         assert capsys.readouterr().err == \
-            "numeric error: kappa: not finite from tau = 0\n"
+            "numeric error: j0, delta: 1e+308 * 10 overflows\n"
+        assert not out.exists()
+        assert not out.with_suffix(".meta").exists()
+
+    def test_overflowing_band_top_refused(self, tmp_path, capsys):
+        # the quadrature route's kernel series raise the band top to the
+        # fourth power, which overflows here
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--kappa", "symmetric", "--method", "quad",
+                     "--omega", "1e100", "--delta", "1", "--tau-steps", "5",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numeric error: omega_hi: the small-s series of the band kernels "
+            "overflows at omega_hi = 1e+100\n")
         assert not out.exists()
         assert not out.with_suffix(".meta").exists()
 
@@ -758,6 +771,8 @@ class TestErrors:
         ["sweep", "--kappa", "symmetric", "--r", "nan", "--tau-steps", "5"],
         ["sweep", "--kappa", "paper", "--tau-max", "inf"],
         ["sweep", "--kappa", "symmetric", "--omega", "inf"],
+        ["sweep", "--kappa", "symmetric", "--method", "quad", "--omega",
+         "1e308", "--delta", "1e308"],  # omega_hi = omega + delta overflows
     ])
     def test_non_finite_input_rejected(self, tmp_path, capsys, argv):
         out = tmp_path / "s.csv"

@@ -23,6 +23,7 @@ class TestSpectralDensity:
         dict(j0=math.inf, omega_lo=1.0, delta=1e-3),
         dict(j0=1.0, omega_lo=math.inf, delta=1e-3),
         dict(j0=1.0, omega_lo=1.0, delta=math.inf),
+        dict(j0=1.0, omega_lo=1e308, delta=1e308),  # omega_hi overflows
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(DomainError):
