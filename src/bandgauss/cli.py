@@ -7,9 +7,13 @@ and ``verify`` (oracle cross-check table, nonzero exit on failure).
 
 The five data commands share one engine, :func:`_table`: it builds each
 distinct environment (j0, delta, omega_lo) of the scenario once, with its
-one coefficient trace, runs the command's row function on it (in parallel
-under ``--jobs``) and orders the rows. The ``fig1`` and ``fig2`` panels are
-presets of the scenario's parameter lists, so their sidecars record the
+one coefficient trace, and runs the command's row function on it (in
+parallel under ``--jobs``). A row function returns its curves as blocks:
+numpy columns beside the curve's constant cells. Every check that can
+refuse runs there, so a refused run writes nothing; the rows then stream
+from the blocks, in sorted order, as the CSV is written, and a run holds
+its curves as arrays rather than as rows. The ``fig1`` and ``fig2`` panels
+are presets of the scenario's parameter lists, so their sidecars record the
 values that ran.
 
 All data output is CSV with a fixed format: 17 significant digits, comma
@@ -29,12 +33,13 @@ source, the secular closed form, also refuses other modes and methods.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from dataclasses import asdict, fields, replace
 from functools import partial
-from itertools import product
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +51,6 @@ from .dynamics import evolve_covariances, make_twb
 from .entanglement import (find_last_upcrossing, kappa_full_curve,
                            kappa_secular, negativity, state_kappa_curve)
 from .errors import DomainError, NumericError, UsageError
-from .oracle import run_verification
 from .scenario import (KAPPA_SOURCES, MAX_ROWS, MODES, SweepScenario,
                        read_config)
 from .spectral import SpectralDensity
@@ -93,6 +97,9 @@ _MEMO_TYPES = frozenset((float, str))
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows`` to ``path``, each row as it is consumed
+    from the iterable ``rows`` (the data commands stream them from their
+    per-environment arrays)."""
     # most cells repeat a value (a grid time, a parameter, a saturated
     # curve), so each distinct value is formatted once per file
     cells = _Cells()
@@ -104,9 +111,21 @@ def write_csv(path: str, header: list[str], rows) -> None:
             f.write(",".join(map(text, row)) + "\n")
 
 
-def _write(out: str, header: list[str], rows, **meta) -> int:
-    """Write the CSV and its ``.meta`` sidecar; return the exit code 0."""
-    write_csv(out, header, rows)
+def _rows(blocks):
+    """The rows of each block in turn. A block is a list of cells: an array
+    cell is a column, one value per row, and any other cell repeats down the
+    block; a block without an array is one row."""
+    for block in blocks:
+        n = max((len(c) for c in block if isinstance(c, np.ndarray)),
+                default=1)
+        yield from zip(*(c.tolist() if isinstance(c, np.ndarray)
+                         else repeat(c, n) for c in block))
+
+
+def _write(out: str, header: list[str], blocks, **meta) -> int:
+    """Write the CSV of ``blocks`` (see :func:`_rows`) and its ``.meta``
+    sidecar; return the exit code 0."""
+    write_csv(out, header, _rows(blocks))
     meta = {"log_base": "e", "version": __version__, **meta}
     with open(Path(out).with_suffix(".meta"), "w", newline="") as f:
         f.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
@@ -160,16 +179,17 @@ def _map_payloads(worker, payloads, jobs: int):
         return list(pool.map(worker, payloads))
 
 
-def _table(scenario: SweepScenario, rows_of,
-           per_r: int | None) -> list[list]:
-    """Rows of every parameter combination of ``scenario``, sorted.
+def _table(scenario: SweepScenario, rows_of, per_r: int | None):
+    """The blocks (see :func:`_rows`) of every parameter combination of
+    ``scenario``, sorted, as an iterator.
 
-    ``rows_of(scenario, key)`` gives the rows of one environment ``key =
-    (j0, delta, omega_lo)``: a dict from each squeezing value to the rows of
-    its ``per_r`` curves, or with ``per_r`` None the rows of one curve. It
-    runs once per distinct environment, and ``--jobs`` runs environments in
-    parallel. Repeated parameter values repeat their rows. Over
-    ``MAX_ROWS`` rows, or if j0 * delta overflows, it refuses before any work.
+    ``rows_of(scenario, key)`` gives the blocks of one environment ``key =
+    (j0, delta, omega_lo)``: a dict from each squeezing value to the blocks
+    of its ``per_r`` curves, or with ``per_r`` None the blocks of one curve.
+    It runs once per distinct environment, every one before this returns,
+    and ``--jobs`` runs environments in parallel. Repeated parameter values
+    repeat their blocks. Over ``MAX_ROWS`` rows, or if j0 * delta
+    overflows, it refuses before any work.
     """
     keys = sorted(product(scenario.j0, scenario.delta, scenario.omega))
     for j0, delta, _ in keys:
@@ -182,15 +202,16 @@ def _table(scenario: SweepScenario, rows_of,
     distinct = sorted(set(keys))
     results = _map_payloads(partial(rows_of, scenario), distinct,
                             scenario.jobs)
-    rows_at = dict(zip(distinct, results))
+    blocks_at = dict(zip(distinct, results))
     if per_r is None:
-        return [row for key in keys for row in rows_at[key]]
-    return [row for r in sorted(scenario.r) for key in keys
-            for row in rows_at[key][r]]
+        return (block for key in keys for block in blocks_at[key])
+    return (block for r in sorted(scenario.r) for key in keys
+            for block in blocks_at[key][r])
 
 
 # ---------------------------------------------------------------------------
-# subcommands: a row function and a header each
+# subcommands: a row function and a header each; a row function computes
+# every array its blocks hold
 # ---------------------------------------------------------------------------
 
 # the coefficient columns of a trace: its fields between tau_grid and method
@@ -200,9 +221,8 @@ COEFF_HEADER = ["tau", "j0", "delta", "omega_lo", *_TRACE_COLUMNS, "method"]
 
 def _coefficient_rows(scenario: SweepScenario, key: tuple) -> list[list]:
     tr = _trace(scenario, key)
-    columns = [getattr(tr, name) for name in ("tau_grid", *_TRACE_COLUMNS)]
-    return [[t, *key, *values, tr.method]
-            for t, *values in zip(*(c.tolist() for c in columns))]
+    columns = [getattr(tr, name) for name in _TRACE_COLUMNS]
+    return [[tr.tau_grid, *key, *columns, tr.method]]
 
 
 def cmd_coefficients(scenario: SweepScenario) -> int:
@@ -220,19 +240,16 @@ EVOLVE_HEADER = ["tau", "r", "j0", "delta", "omega_lo", "mode", "method",
 def _evolve_rows(scenario: SweepScenario, key: tuple) -> dict:
     trace = _trace(scenario, key)
     upper = (slice(None),) + np.triu_indices(4)
-    lead = (trace.tau_grid.tolist(), trace.gamma_int.tolist(),
-            trace.delta_gamma.tolist())
-    rows_at = {}
+    blocks_at = {}
     for r in sorted(set(scenario.r)):
         state = make_twb(r)
-        rows = rows_at[r] = []
-        for mode in _modes(scenario):
-            cms = evolve_covariances(state, trace if mode == "full"
-                                     else trace.secular_approximation())
-            rows.extend([t, r, *key, mode, trace.method, g_int, d_gamma] + cm
-                        for t, g_int, d_gamma, cm
-                        in zip(*lead, cms[upper].tolist()))
-    return rows_at
+        blocks_at[r] = [
+            [trace.tau_grid, r, *key, mode, trace.method, trace.gamma_int,
+             trace.delta_gamma,
+             *evolve_covariances(state, trace if mode == "full"
+                                 else trace.secular_approximation())[upper].T]
+            for mode in _modes(scenario)]
+    return blocks_at
 
 
 def cmd_evolve(scenario: SweepScenario) -> int:
@@ -248,21 +265,18 @@ FIG1_HEADER = ["panel", "tau", "r", "j0", "delta", "omega_lo",
 def _fig1_rows(scenario: SweepScenario, key: tuple) -> dict:
     j0, delta, omega_lo = key
     trace = _trace(scenario, key)
-    tau = trace.tau_grid.tolist()
-    rows_at = {}
-    for r in sorted(set(scenario.r)):
-        k_sec = kappa_secular(r, j0 * delta, omega_lo, trace.tau_grid).tolist()
-        k_full = kappa_full_curve(trace, r).tolist()
-        rows_at[r] = [[t, r, *key, ks, kf, scenario.method]
-                      for t, ks, kf in zip(tau, k_sec, k_full)]
-    return rows_at
+    return {r: [[trace.tau_grid, r, *key,
+                 kappa_secular(r, j0 * delta, omega_lo, trace.tau_grid),
+                 kappa_full_curve(trace, r), scenario.method]]
+            for r in sorted(set(scenario.r))}
 
 
 def cmd_fig1(scenario: SweepScenario, panel: str) -> int:
     _require_low_t("fig1", scenario)
     scenario = replace(scenario, **FIG1_PANELS[panel])
-    rows = ([panel, *row] for row in _table(scenario, _fig1_rows, per_r=1))
-    return _write(scenario.out, FIG1_HEADER, rows, command="fig1",
+    blocks = ([panel, *block]
+              for block in _table(scenario, _fig1_rows, per_r=1))
+    return _write(scenario.out, FIG1_HEADER, blocks, command="fig1",
                   scenario=asdict(scenario), panel=panel)
 
 
@@ -271,15 +285,15 @@ SWEEP_HEADER = ["kind", "tau", "r", "j0", "delta", "omega_lo", "kappa_source",
 
 
 def _kappa_rows(scenario: SweepScenario, key: tuple) -> dict:
-    """Kappa curves of one environment: per r and mode, the point rows and
-    a sudden_death row."""
+    """Kappa curves of one environment: per r and mode, the block of point
+    rows and the sudden_death row."""
     j0, delta, omega_lo = key
     source, grid = scenario.kappa, scenario.tau_grid()
     paper = source == "paper"
     trace = None if paper else _trace(scenario, key)
-    rows_at = {}
+    blocks_at = {}
     for r in sorted(set(scenario.r)):
-        rows = rows_at[r] = []
+        blocks = blocks_at[r] = []
         for mode in _modes(scenario):
             if paper:
                 kappa = kappa_secular(r, j0 * delta, omega_lo, grid)
@@ -290,13 +304,12 @@ def _kappa_rows(scenario: SweepScenario, key: tuple) -> dict:
                                           r, source)
                 point_fn = None
             tags = [r, *key, source, mode, scenario.method]
-            rows.extend(["point", t, *tags, k, e, ""]
-                        for t, k, e in zip(grid.tolist(), kappa.tolist(),
-                                           negativity(kappa).tolist()))
+            e_n = negativity(kappa)
             tau_sd = find_last_upcrossing(grid, kappa, 1.0, point_fn)
-            rows.append(["sudden_death", "", *tags, "", "",
-                         "none" if tau_sd is None else float(tau_sd)])
-    return rows_at
+            blocks += [["point", grid, *tags, kappa, e_n, ""],
+                       ["sudden_death", "", *tags, "", "",
+                        "none" if tau_sd is None else float(tau_sd)]]
+    return blocks_at
 
 
 def cmd_sweep(scenario: SweepScenario) -> int:
@@ -317,11 +330,11 @@ def cmd_fig2(scenario: SweepScenario, panel: str) -> int:
                          "choose secular or full")
     _require_paper_route(scenario)
     scenario = replace(scenario, **FIG2_PANELS[panel])
-    # the sweep rows with the panel for j0 = 1: delta is then j0_delta
-    rows = ([kind, panel, tau, r, *rest]
-            for kind, tau, r, _, *rest
-            in _table(scenario, _kappa_rows, len(_modes(scenario))))
-    return _write(scenario.out, FIG2_HEADER, rows, command="fig2",
+    # the sweep blocks with the panel for j0 = 1: delta is then j0_delta
+    blocks = ([kind, panel, tau, r, *rest]
+              for kind, tau, r, _, *rest
+              in _table(scenario, _kappa_rows, len(_modes(scenario))))
+    return _write(scenario.out, FIG2_HEADER, blocks, command="fig2",
                   scenario=asdict(scenario), panel=panel)
 
 
@@ -330,6 +343,8 @@ VERIFY_HEADER = ["name", "primary", "oracle", "abs_dev", "rel_dev", "tol",
 
 
 def cmd_verify(out: str | None, tol_scale: float) -> int:
+    # imported here: the oracle, and scipy with it, is for verify alone
+    from .oracle import run_verification
     reports = run_verification(tol_scale)
     for rep in reports:
         tag = "PASS" if rep.passed else "FAIL"
@@ -416,6 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # a run of the console script: the interpreter's exit then skips a
+        # cyclic-GC pass over everything imported so far, numpy included
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":

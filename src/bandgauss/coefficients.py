@@ -494,6 +494,7 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
             on_grid = []
             dense = [gamma_s, delta_s, pi_s, r_s, big_gamma_s]
             weighted = [delta_s]  # delta_gamma
+            del ks, kc, gamma_s, r_s
     require_finite(_DENSE_NAMES, on_grid + dense)
     # the exponential-integrator weights divide by the square of a step's
     # rise in Gamma: past about 1.3e154 it overflows and they read 0
@@ -504,11 +505,14 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
     # from its (column, cos/sin) factors only while its own chain runs
     weighted += [(x, trig) for x in (delta_s, pi_s) for trig in (np.cos, np.sin)]
     dense += list(_weighted_cumulative(s, weighted, big_gamma_s))
+    # the sources now live on only in `dense`, each group until it is fitted
+    del weighted, delta_s, pi_s, big_gamma_s
     spline, names = _NotAKnot(s), _DENSE_NAMES[-len(dense):]
+    fitted = []
     with np.errstate(over="ignore", invalid="ignore"):
-        fitted = [column for i in range(0, len(dense), _FIT_GROUP)
-                  for column in spline.fit(dense[i:i + _FIT_GROUP],
-                                           names[i:i + _FIT_GROUP])(tau_grid)]
+        for i in range(0, len(names), _FIT_GROUP):
+            group, dense[:_FIT_GROUP] = dense[:_FIT_GROUP], []
+            fitted += spline.fit(group, names[i:i + _FIT_GROUP])(tau_grid)
     require_finite(names, fitted)
     *first_stage, d_c, d_s, p_c, p_s = on_grid + fitted
     c2, s2 = np.cos(2.0 * tau_grid), np.sin(2.0 * tau_grid)

@@ -18,7 +18,9 @@ KAPPA_SOURCES = ("symmetric", "paper", "oracle")
 _METHOD_ALIASES = {"closed": METHOD_CLOSED, "quad": METHOD_QUADRATURE}
 
 # Most output rows (tau_steps times the number of curves) a run may ask for.
-# A row held in memory costs about 0.9 kB (evolve), so this is about 1 GB.
+# The rows stream into the CSV from arrays of about 0.1 kB a row, but the
+# writer keeps the text of each distinct value until the file is closed:
+# about 0.6 kB a row in all (evolve, by tracemalloc), so about 0.6 GB.
 MAX_ROWS = 10 ** 6
 
 # field type -> (accepted Python types, what the error calls it)

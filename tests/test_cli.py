@@ -3,6 +3,7 @@ import concurrent.futures
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -544,6 +545,45 @@ class TestOneTracePerEnvironment:
         assert main(argv + ["--tau-max", "10", "--tau-steps", "21",
                             "--out", str(tmp_path / "x.csv")]) == 0
         assert len(seen) == calls
+
+
+class TestStreamedTables:
+    """A data command holds its curves as arrays and streams the rows into
+    the CSV, so its working set is about one coefficient trace. The guard
+    is tracemalloc's peak over one run in process, after a warm-up run, in
+    MiB."""
+
+    @pytest.mark.parametrize("argv,mib", [
+        (["fig2", "--panel", "b", "--kappa", "oracle", "--mode", "full"], 1.5),
+        (["evolve", "--r", "0.3,0.9,2", "--mode", "both", "--tau-max", "30",
+          "--tau-steps", "1500"], 5.5)], ids=["fig2b", "evolve"])
+    def test_peak(self, tmp_path, argv, mib):
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2 ** 20 <= mib
+
+    @pytest.mark.parametrize("argv,code,err", [
+        # the second r, after the first one's curves
+        (["sweep", "--kappa", "symmetric", "--r", "1,100"], 3,
+         "numeric error: kappa: (I1 - I3)^2"),
+        (["evolve", "--mode", "both", "--r", "1,400"], 2, "domain error: r"),
+        # the second environment, after the first one's trace
+        (["coefficients", "--method", "quad", "--omega", "1,1e100",
+          "--delta", "1"], 3, "numeric error: omega_hi"),
+        (["sweep", "--kappa", "oracle", "--r", "1,400", "--omega", "1,3"], 2,
+         "domain error: r")])
+    def test_late_refusal_writes_nothing(self, tmp_path, capsys, argv, code,
+                                         err):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--tau-steps", "5", "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(err)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestErrors:

@@ -355,8 +355,8 @@ class TestTraceMemory:
          METHOD_QUADRATURE, 31),
         (narrow_env(omega_lo=10.0, delta=1e-2), np.linspace(0.0, 30.0, 600),
          METHOD_QUADRATURE, 31),
-        (narrow_env(), np.linspace(0.0, 30.0, 600), METHOD_CLOSED, 24),
-        (narrow_env(delta=0.1), np.linspace(0.0, 30.0, 600), METHOD_CLOSED, 24)],
+        (narrow_env(), np.linspace(0.0, 30.0, 600), METHOD_CLOSED, 20),
+        (narrow_env(delta=0.1), np.linspace(0.0, 30.0, 600), METHOD_CLOSED, 20)],
         ids=["thermal-quadrature", "lowt-quadrature-omega10", "closed-fig1b",
              "closed-fig2b-stiff"])
     def test_peak_in_dense_columns(self, env, tau_grid, method, columns):

@@ -1,11 +1,14 @@
 """Reruns are byte-deterministic: a drawn scenario, run twice in process and
 once with ``--jobs 2``, gives identical CSV bytes on every data command.
 Every scenario has two environments, so ``--jobs 2`` starts a process pool
-wherever the machine has two processors."""
+wherever the machine has two processors. One small scenario per data
+command also keeps the bytes pinned below."""
 
+import hashlib
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from bandgauss.cli import main
@@ -64,3 +67,35 @@ def test_reruns_are_byte_identical(argvs):
                     argv
             first = outs[0].read_bytes()
             assert all(out.read_bytes() == first for out in outs[1:]), argv
+
+
+# Several environments (unsorted, and the sweep's r repeated), several r
+# values and both modes where the command has them, and each CSV's sha256.
+PINNED = {
+    "coefficients": (
+        ["coefficients", "--method", "quad", "--beta", "2",
+         "--delta", "1e-2,1e-1", "--omega", "3,1"],
+        "7ed05815fe4e023e2c302f6032e91456240ccf83a06ac6cbdab9e2ba8ac2e18f"),
+    "evolve": (
+        ["evolve", "--mode", "both", "--r", "1,0.5", "--delta", "1e-2,1e-1",
+         "--omega", "3,1"],
+        "dca47b8ef23b2bcd184ea4ec6f90b563f358ac40906e3f5142670ced3cc5feaf"),
+    "fig1": (
+        ["fig1", "--panel", "c"],
+        "97af7af333672dfee351cdd26c776260da03b2e470ad35d22dd8ef7bdbfa8671"),
+    "fig2": (
+        ["fig2", "--panel", "b", "--kappa", "oracle", "--mode", "full"],
+        "479d18c9397043f4ef3c77d831ef5a0dacfdc1dd71d4a2face9b0a34dc3cc836"),
+    "sweep": (
+        ["sweep", "--kappa", "oracle", "--mode", "both", "--r", "1,0.5,1",
+         "--delta", "1e-2,1e-1", "--omega", "3,1"],
+        "657bd03695a5a31727b81c1552d5932593c9637bcb06614f2123157ec78e035c"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED))
+def test_pinned_bytes(tmp_path, command):
+    argv, digest = PINNED[command]
+    out = tmp_path / f"{command}.csv"
+    assert main(argv + ["--tau-steps", "31", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
