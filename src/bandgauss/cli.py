@@ -36,6 +36,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import sys
 from dataclasses import asdict, fields, replace
 from functools import partial
@@ -427,6 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="also write the table as CSV")
     sp.add_argument("--tol-scale", type=float, default=1.0,
                     help="scale factor on every tolerance (0 fails all rows)")
+    # a token starting with "-" is a value where argparse's matcher accepts
+    # it: by default a plain decimal only, here "-inf", "-1e3", "-1,2" too
+    for sp in sub.choices.values():
+        sp._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
     return parser
 
 

@@ -22,10 +22,10 @@ The running integrals are a uniform Simpson rule, scipy's
 interpolation ports scipy's not-a-knot ``CubicSpline``: bit for bit on every
 grid where LAPACK's dgtsv swaps no row, which includes every uniform grid,
 and no less accurate elsewhere. Its sweeps run as lane scans: lanes of rows
-advance side by side in numpy from guessed states, and a lane is kept only
-where its state at the junction has the bits of its predecessor's exact one,
-so that both then run the same IEEE operations on the same inputs; any other
-lane is recomputed on Python floats. The module needs no scipy at run time.
+advance side by side in numpy, each from its predecessor's end in the pass
+before, and passes repeat until no lane's start changes in its bits, when
+every lane has run the sequential sweep's IEEE operations on the same
+inputs. The module needs no scipy at run time.
 
 :func:`build_trace` is the one evaluator of both routes: it returns a
 :class:`CoefficientTrace`, every coefficient as a column over a time grid.
@@ -267,56 +267,49 @@ def _running_integral(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(pieces) + 0.0))
 
 
-# Rows per lane of a lane scan, and the rows each lane runs early from a
-# guessed state. Below _LANES_FROM rows, where one column runs faster on
-# Python floats, a scan is one lane.
-_LANE, _WARM_UP, _LANES_FROM = 64, 48, 3072
+# Rows per lane of a lane scan. Below _LANES_FROM rows, where one column
+# runs faster on Python floats, a scan sweeps each column alone.
+_LANE, _LANES_FROM = 64, 3072
 
 
 def _lane_scan(sweep, start, *inputs, out=None):
     """``sweep(start, rows)`` down each column of the (rows, columns)
     ``inputs``, into ``out`` if given, with the bits of the sweep on Python
-    floats; a sweep yields each row's value from a state (last value, the one
-    before).
+    floats (up to which of two NaN operands a sum or product returns); a
+    sweep yields each row's value from a state (last value, the one before).
 
-    The lanes after the first run side by side in numpy, each from ``start``
-    _WARM_UP rows early, and each is kept where its warm-up state has the
-    bits of its predecessor's exact last two values: from there both run the
-    same IEEE operations on the same inputs. Every other lane, the first and
-    a short last one among them, runs on Python floats from its
-    predecessor's exact end (a blocked scan after Blelloch, CMU-CS-90-190).
+    Lanes of _LANE rows run side by side in numpy, the first from ``start``
+    and each other from its predecessor's last two values in the previous
+    pass (from ``start`` in the first), until no lane's start changes in its
+    bits. Every lane has then run the sequential sweep's IEEE operations on
+    the same inputs; lane k is exact after pass k + 1, so the loop ends. The
+    rows after the last whole lane run once from its end (a blocked scan
+    after Blelloch, CMU-CS-90-190).
     """
     inputs = np.broadcast_arrays(*inputs)
     rows, cols = inputs[0].shape
     out = np.empty((rows, cols)) if out is None else out
-    size = _LANE if rows >= _LANES_FROM else rows
-    lanes = rows // size
-    if lanes > 1:
-        steps = [a[:lanes * size].reshape(lanes, size, cols).swapaxes(0, 1)
-                 for a in inputs]
-        with np.errstate(all="ignore"):  # a guessed state may overflow
-            warm = start
-            for value in sweep(start, zip(*(a[-_WARM_UP:, :-1] for a in steps))):
-                warm = value, warm[0]
-            for j, value in enumerate(sweep(warm, zip(*(a[:, 1:]
-                                                        for a in steps)))):
-                out[size + j:lanes * size:size] = value
-        # per later lane and column: does the warm-up miss? (lane 1's entries
-        # are set once lane 0 is exact, below)
-        warm = np.array(warm[::-1]).view(np.int64)
-        miss = (warm != out.view(np.int64)[np.arange(1, lanes) * size
-                                           + np.array([[-2], [-1]])]
-                ).any(axis=0).tolist()
-    for k, lo in enumerate(range(0, rows, size)):
-        hi = lo + size
-        for c in range(cols) if k == 0 or k >= lanes else [
-                c for c, m in enumerate(miss[k - 1]) if m]:
-            state = tuple(out[lo - 2:lo, c].tolist()[::-1]) if k else start
-            out[lo:hi, c] = list(sweep(state, zip(
-                *(x[lo:hi, c].tolist() for x in inputs))))
-            if k + 1 < lanes:  # the next lane, against this exact end
-                miss[k][c] = bool(
-                    (warm[:, k, c] != out[hi - 2:hi, c].view(np.int64)).any())
+    if rows < _LANES_FROM:
+        for c in range(cols):
+            out[:, c] = list(sweep(start, zip(
+                *(x[:, c].tolist() for x in inputs))))
+        return out
+    body = rows - rows % _LANE
+    # (row of a lane, lane, column) views; ``lane_out`` writes into ``out``
+    lane_out, *lane_in = (a[:body].reshape(-1, _LANE, cols).swapaxes(0, 1)
+                          for a in (out, *inputs))
+    starts = np.tile(np.reshape(start, (2, 1, 1)), (body // _LANE, cols))
+    with np.errstate(all="ignore"):  # a guessed start may overflow
+        while True:
+            for j, value in enumerate(sweep(tuple(starts), zip(*lane_in))):
+                lane_out[j] = value
+            ends = lane_out[[-1, -2], :-1]
+            if (ends.view(np.int64) == starts[:, 1:].view(np.int64)).all():
+                break
+            starts[:, 1:] = ends
+        for j, value in enumerate(sweep((out[body - 1], out[body - 2]), zip(
+                *(a[body:] for a in inputs)))):
+            out[body + j] = value
     return out
 
 
@@ -352,8 +345,9 @@ class _NotAKnot:
     interior row is strictly diagonally dominant; on grids where dgtsv
     swaps, the slopes are no less accurate than scipy's. The factorization
     and both substitutions are lane scans (:func:`_lane_scan`) over every
-    column fitted at once, with the sequential sweeps' bits; :meth:`fit`
-    takes a list of columns and gives one function of time for all."""
+    column fitted at once: fixed-point passes over lanes of rows, with the
+    sequential sweeps' bits; :meth:`fit` takes a list of columns and gives
+    one function of time for all."""
 
     def __init__(self, x: np.ndarray):
         dx, n = np.diff(x), len(x)

@@ -52,13 +52,13 @@ def _nu_sq(x, i4):
 
     Evaluated as i4 / (x + sqrt(x^2 - i4)), which is algebraically identical
     but avoids the catastrophic cancellation of the literal form when
-    x^2 >> i4 (strong squeezing). An x^2 that is not finite (a twin beam's
-    cosh(4r)^2 from r of about 89) raises ``NumericError``.
+    x^2 >> i4 (strong squeezing). An x^2 that is not finite (cosh(4r)^2 from
+    r of about 89, or a hot bath's noise squared) raises ``NumericError``.
     """
     x_sq = x * x
     if not np.isfinite(x_sq).all():
-        raise NumericError("kappa: (I1 - I3)^2 is not finite; squeezing too "
-                           "strong for the invariant formula")
+        raise NumericError(f"kappa: (I1 - I3)^2 is not finite: I1 - I3 = "
+                           f"{np.max(np.abs(x)):.3g} overflows the invariant formula")
     inner = _clamp_radicand(x_sq - i4, scale=np.maximum(1.0, x_sq))
     denom = x + np.sqrt(inner)
     if np.any(denom <= 0.0):

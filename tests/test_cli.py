@@ -845,6 +845,37 @@ class TestErrors:
         assert not out.exists()
         assert not out.with_suffix(".meta").exists()
 
+    def test_overflowing_thermal_invariant_refused(self, tmp_path, capsys):
+        # thermal noise, not squeezing (r = 0), overflows (I1 - I3)^2; the
+        # oracle source, which squares nothing, runs
+        argv = ["sweep", "--method", "quad", "--beta", "1e-150", "--r", "0",
+                "--tau-steps", "5", "--out", str(tmp_path / "s.csv")]
+        assert main(argv + ["--kappa", "symmetric"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: kappa: (I1 - I3)^2")
+        assert "squeezing" not in err
+        assert list(tmp_path.iterdir()) == []
+        assert main(argv + ["--kappa", "oracle"]) == 0
+
+    @pytest.mark.parametrize("argv,name", [
+        (["verify", "--tol-scale", "-inf"], "tol_scale"),
+        (["sweep", "--beta", "-inf"], "beta"),
+        (["sweep", "--tau-max", "-1e3"], "tau_max"),
+        (["sweep", "--j0", "-1e3"], "j0_delta"),
+        (["sweep", "--r", "-1,2"], "r must be non-negative")])
+    def test_value_starting_with_minus_reaches_its_option(
+            self, tmp_path, capsys, argv, name):
+        # not a plain decimal, which argparse alone would read as an option:
+        # the same refusal as the value joined to its option by "="
+        out = ["--out", str(tmp_path / "x.csv")]
+        assert main(argv + out) == 2
+        err = capsys.readouterr().err
+        assert name in err and "expected one argument" not in err
+        joined = [*argv[:-2], "=".join(argv[-2:])]
+        assert main(joined + out) == 2
+        assert capsys.readouterr().err == err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv,name", [
         (["sweep", "--mode", "full"], "mode"),
         (["sweep", "--mode", "both"], "mode"),

@@ -13,12 +13,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 import per_point
 from bandgauss import coefficients
-from bandgauss.coefficients import (_LANE, _STIFF_PAIR_GAP, GRID_POINTS,
+from bandgauss.coefficients import (_FIT_GROUP, _LANE, _LANES_FROM,
+                                    _STIFF_PAIR_GAP, GRID_POINTS,
                                     METHOD_CLOSED, METHOD_QUADRATURE,
                                     EnvironmentParams, _NotAKnot,
                                     _running_integral, _weighted_cumulative,
@@ -172,18 +174,75 @@ def assert_sequential_bits(x, ys, bs=()):
     assert spline.facts.tobytes() == facts.tobytes()
 
 
+SWEEPS = ("_factor_sweep", "_forward_sweep", "_back_sweep")
+
+
 @pytest.fixture
 def sweep_rows(monkeypatch):
-    """Rows each spline sweep runs, [on Python floats, in numpy lanes]."""
+    """Values each spline sweep yields, by dimension: [rows on Python floats,
+    rows in numpy after the last whole lane, lane rows (one row of every lane
+    per value, so a pass yields _LANE of them)]."""
     rows = {}
-    for name in ("_factor_sweep", "_forward_sweep", "_back_sweep"):
+    for name in SWEEPS:
         def counted(state, inputs, sweep=getattr(coefficients, name),
-                    count=rows.setdefault(name, [0, 0])):
+                    count=rows.setdefault(name, [0, 0, 0])):
             for value in sweep(state, inputs):
-                count[type(value) is not float] += 1
+                count[np.ndim(value)] += 1
                 yield value
         monkeypatch.setattr(coefficients, name, counted)
     return rows
+
+
+def sequential(sweep, start, columns):
+    """``sweep`` down one column from ``start``, one row at a time on Python
+    floats, or on float64 scalars where a Python float refuses IEEE's
+    division by zero."""
+    try:
+        return np.array(list(sweep(start, zip(*(c.tolist()
+                                                 for c in columns)))))
+    except ZeroDivisionError:
+        with np.errstate(all="ignore"):
+            return np.array(list(sweep(tuple(map(np.float64, start)),
+                                       zip(*columns))), dtype=float)
+
+
+# Values a lane scan must carry through: signed zeros, infinities, NaN and
+# 1e300, whose products overflow
+SPECIALS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300,
+                            -1e300])
+# factors with |f| > 1, under which a sweep grows instead of forgetting its
+# start, so that its lanes agree only once each starts from exact values
+GROWING = st.builds(lambda f, sign: sign * f, st.floats(1.0, 1e3,
+                                                         exclude_min=True),
+                    st.sampled_from([1.0, -1.0]))
+
+
+# Each sweep's inputs as the spline's solve gives them, as uniform ranges:
+# right-hand sides, off-diagonals, diagonals and the forward sweep's factors
+SWEEP_INPUTS = {"_factor_sweep": ((0.5, 1.5), (0.5, 1.5), (3.5, 4.5)),
+                "_forward_sweep": ((-2.0, 2.0), (-0.3, 0.3)),
+                "_back_sweep": ((-2.0, 2.0), (0.5, 1.5), (3.5, 4.5))}
+
+
+@st.composite
+def scans(draw):
+    """A sweep with its start and (rows, columns) or (rows, 1) inputs: the
+    solve's kind of values with specials and growing factors among them."""
+    name = draw(st.sampled_from(SWEEPS))
+    k = draw(st.integers(_LANES_FROM // _LANE, _LANES_FROM // _LANE + 3))
+    rows = draw(st.one_of(st.just(_LANES_FROM), st.just(k * _LANE),
+                          st.integers(1, _LANE - 1).map(lambda t: k * _LANE + t)))
+    cols = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    inputs = []
+    for lo, hi in SWEEP_INPUTS[name]:
+        a = rng.uniform(lo, hi, (rows, cols if draw(st.booleans()) else 1))
+        for _ in range(draw(st.integers(0, 4))):
+            a[draw(st.integers(0, rows - 1)), draw(st.integers(
+                0, a.shape[1] - 1))] = draw(st.one_of(SPECIALS, GROWING))
+        inputs.append(a)
+    start = (draw(st.one_of(SPECIALS, st.floats(-10.0, 10.0))), 0.0)
+    return getattr(coefficients, name), start, inputs
 
 
 class TestLaneScan:
@@ -212,16 +271,20 @@ class TestLaneScan:
         for got, y in zip(spline.fit(ys, ["y"] * len(ys))(xi), ys):
             assert_same_bits(got, spline.fit([y], ["y"])(xi)[0])
 
-    def test_lanes_that_miss_their_junction_are_recomputed(
-            self, monkeypatch, sweep_rows):
-        # two warm-up rows leave most lanes off their predecessor's bits
-        monkeypatch.setattr(coefficients, "_WARM_UP", 2)
-        s = np.linspace(0.0, 100.0, GRID_POINTS)
-        ys, bs = sweep_columns(s)
-        assert_sequential_bits(s, ys, bs)
-        python, lanes = sweep_rows["_back_sweep"]
-        assert lanes > 0
-        assert python > 10 * (len(ys) + len(bs)) * (_LANE + GRID_POINTS % _LANE)
+    def test_short_lanes_run_more_passes(self, monkeypatch, sweep_rows):
+        # two-row lanes are too short to forget a wrong start, so passes
+        # repeat until the exact values have reached every lane
+        monkeypatch.setattr(coefficients, "_LANE", 2)
+        monkeypatch.setattr(coefficients, "_LANES_FROM", 16)
+        rng = np.random.default_rng(5)
+        graded = np.unique(np.cumsum(rng.exponential(size=9000) ** 3))
+        for x in (np.linspace(0.0, 100.0, 9000), graded):
+            for count in sweep_rows.values():
+                count[:] = 0, 0, 0
+            assert_sequential_bits(x, *sweep_columns(x))
+            for python, _, lanes in sweep_rows.values():
+                assert python == 0
+                assert lanes // coefficients._LANE > 2  # passes
 
     @pytest.mark.parametrize("env, tau_grid, method, columns", [
         (EnvironmentParams(SpectralDensity(1.0, 1.0, 1e-3)),
@@ -233,22 +296,45 @@ class TestLaneScan:
         ids=["fig1b", "thermal-sweep", "thermal-coefficients"])
     def test_no_solve_lane_recomputed_on_dense_grids(
             self, sweep_rows, env, tau_grid, method, columns):
-        # on Python floats: only the first lane and the one-row tail
+        # no row on Python floats, and two passes per sweep: a sweep forgets
+        # a wrong start within one lane, so the first pass ends every lane
+        # exact and the second finds the starts unchanged
         build_trace(env, tau_grid, method)
-        for name in ("_forward_sweep", "_back_sweep"):
-            assert sweep_rows[name][0] == columns * (
-                _LANE + GRID_POINTS % _LANE)
+        solves = -(-columns // _FIT_GROUP)
+        for name, runs in zip(SWEEPS, (1, solves, solves)):
+            python, _, lanes = sweep_rows[name]
+            assert python == 0
+            assert lanes == 2 * _LANE * runs
 
     def test_short_kappa_fit_is_one_lane(self, sweep_rows):
         grid = np.linspace(0.0, 30.0, 600)
         env = EnvironmentParams(SpectralDensity(1.0, 1.0, 1e-2))
         kappa = kappa_full_curve(build_trace(env, grid), 1.0)
-        assert sweep_rows["_back_sweep"][1] > 0  # the dense grid has lanes
+        assert sweep_rows["_back_sweep"][2] > 0  # the dense grid has lanes
         for count in sweep_rows.values():
-            count[:] = 0, 0
+            count[:] = 0, 0, 0
         assert find_last_upcrossing(grid, kappa, 1.0) is not None
-        assert sweep_rows["_back_sweep"] == [600, 0]
-        assert all(lanes == 0 for _, lanes in sweep_rows.values())
+        assert sweep_rows["_back_sweep"] == [600, 0, 0]
+        assert all(count[1:] == [0, 0] for count in sweep_rows.values())
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(scans())
+    # right-hand sides of -0.0: a lane's first value then takes its sign
+    # from 0.0 times the value two rows back, the second of its start
+    @example((coefficients._back_sweep, (0.0, 0.0), [
+        np.full((_LANES_FROM, 1), -0.0), np.ones((_LANES_FROM, 1)),
+        np.full((_LANES_FROM, 1), 4.0)]))
+    def test_any_scan_is_the_sequential_sweep(self, scan):
+        # bit for bit, with one exception: with two NaN operands IEEE gives
+        # either, and numpy orders a commutative operation's operands
+        # unlike the C compiler of Python's floats, so NaN's sign may differ
+        sweep, start, inputs = scan
+        got = coefficients._lane_scan(sweep, start, *inputs)
+        inputs = np.broadcast_arrays(*inputs, got)[:-1]
+        for c, col in enumerate(got.T):
+            want = sequential(sweep, start, [x[:, c] for x in inputs])
+            same = col.view(np.int64) == want.view(np.int64)
+            assert np.all(same | np.isnan(col) & np.isnan(want))
 
 
 class TestRunningIntegral:
