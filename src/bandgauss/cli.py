@@ -52,8 +52,8 @@ from .dynamics import evolve_covariances, make_twb
 from .entanglement import (find_last_upcrossing, kappa_full_curve,
                            kappa_secular, negativity, state_kappa_curve)
 from .errors import DomainError, NumericError, UsageError
-from .scenario import (KAPPA_SOURCES, MAX_ROWS, MODES, SweepScenario,
-                       read_config)
+from .scenario import (KAPPA_SOURCES, MAX_ROWS, METHOD_ALIASES, MODES,
+                       SweepScenario, read_config)
 from .spectral import SpectralDensity
 
 
@@ -84,9 +84,11 @@ def _fmt(value) -> str:
 
 
 class _Cells(dict):
-    """The text of each cell value, formatted on first use."""
+    """Each cell value's text, formatted on first use; _MEMO_TEXTS at most."""
 
     def __missing__(self, value):
+        if len(self) >= _MEMO_TEXTS:
+            self.clear()
         text = self[value] = _fmt(value)
         return text
 
@@ -95,6 +97,7 @@ class _Cells(dict):
 # and equal floats print alike. True == 1 == 1.0 would share a key, so a row
 # holding any other type is formatted cell by cell.
 _MEMO_TYPES = frozenset((float, str))
+_MEMO_TEXTS = 2 ** 16  # then the memo starts over; a benchmark file needs 30,263
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
@@ -392,7 +395,7 @@ def _add_common(sp, extras: str, panel_help: str | None = None):
                         help=panel_help)
     if "mode" in extras:
         sp.add_argument("--mode", choices=list(MODES), default=None)
-    sp.add_argument("--method", choices=["closed", "quad"], default=None)
+    sp.add_argument("--method", choices=list(METHOD_ALIASES), default=None)
     if "kappa" in extras:
         sp.add_argument("--kappa", choices=list(KAPPA_SOURCES), default=None)
     sp.add_argument("--tau-max", type=float, default=None)

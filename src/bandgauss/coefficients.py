@@ -48,7 +48,8 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import DomainError, NumericError, UsageError
-from .spectral import SpectralDensity, kernel_cos, kernel_cos_thermal, kernel_sin
+from .spectral import (SpectralDensity, _check_times, kernel_cos,
+                       kernel_cos_thermal, kernel_sin)
 
 METHOD_CLOSED = "closed-form"
 METHOD_QUADRATURE = "quadrature"
@@ -284,7 +285,10 @@ def _lane_scan(sweep, start, *inputs, out=None):
     bits. Every lane has then run the sequential sweep's IEEE operations on
     the same inputs; lane k is exact after pass k + 1, so the loop ends. The
     rows after the last whole lane run once from its end (a blocked scan
-    after Blelloch, CMU-CS-90-190).
+    after Blelloch, CMU-CS-90-190). Under _LANES_FROM rows a zero divisor
+    raises ``ZeroDivisionError`` where lanes give IEEE +-inf or NaN, but
+    :class:`_NotAKnot`, the one caller, gets only checked ascending grids,
+    whose interior rows are strictly diagonally dominant.
     """
     inputs = np.broadcast_arrays(*inputs)
     rows, cols = inputs[0].shape
@@ -389,17 +393,14 @@ class _NotAKnot:
         return np.concatenate(([first], 3 * (dx[1:] * slope[:-1]
                                              + dx[:-1] * slope[1:]), [last]))
 
-    def fit(self, ys, names):
+    def fit(self, ys):
         """One function of time giving the spline through ``(x, y)`` of each
         column ``y`` of ``ys``, all from one solve, with the interval located
-        once for all; a ``NumericError`` naming a column that is not
-        finite."""
+        once for all. A sample that is not finite makes every slope, so
+        every value, of its column non-finite, which the callers refuse."""
         x, dx = self.x, self.dx
         b = np.empty((len(x), len(ys)))
-        for col, y, name in zip(b.T, ys, names):
-            if not np.isfinite(y).all():
-                raise NumericError(f"{name}: not finite on the grid up to "
-                                   f"tau = {x[-1]:g}")
+        for col, y in zip(b.T, ys):
             col[:] = self.rhs(np.diff(y) / dx)
         slopes = list(self.solve(b).T)
 
@@ -420,6 +421,14 @@ class _NotAKnot:
         return at
 
 
+def _check_grid(tau, name: str) -> np.ndarray:
+    """``tau`` as floats; the one check of every time grid, by name."""
+    tau = np.asarray(tau, dtype=float)
+    if tau.ndim != 1 or len(tau) == 0 or np.any(tau[1:] <= tau[:-1]):
+        raise UsageError(f"{name} must be a non-empty, strictly ascending 1-d array")
+    return _check_times(tau, name)
+
+
 # The fitted dense columns, in CoefficientTrace order; the last four are the
 # weighted integrals before the rotation by 2*tau that gives sec_*.
 _DENSE_NAMES = ("gamma", "delta_coef", "pi_coef", "r_shift", "gamma_int",
@@ -436,23 +445,15 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
 
     A dense uniform master grid carries the cumulative integrals; the
     requested grid is filled by a port of scipy's not-a-knot spline, bit for
-    bit (exact at master nodes). A non-finite ``tau_grid`` or one too short
-    for positive dense steps, or an overflowing column, dense or fitted,
-    raises ``NumericError`` naming it.
+    bit (exact at master nodes). ``tau_grid`` is checked as every time grid
+    is (:func:`_check_grid`); one too short for positive dense steps, or an
+    overflowing column, dense or fitted, raises ``NumericError`` naming it.
     """
     require_method(env, method)
     if not isinstance(n_dense, (int, np.integer)) or n_dense < 3 \
             or n_dense % 2 == 0:
         raise UsageError(f"n_dense must be an odd integer >= 3, got {n_dense!r}")
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    if tau_grid.ndim != 1 or len(tau_grid) == 0:
-        raise UsageError("tau_grid must be a non-empty 1-d array")
-    if not np.isfinite(tau_grid).all():
-        raise NumericError("tau_grid: not finite")
-    if np.any(tau_grid < 0.0):
-        raise DomainError("tau_grid must be non-negative")
-    if np.any(np.diff(tau_grid) <= 0.0) and len(tau_grid) > 1:
-        raise UsageError("tau_grid must be strictly ascending")
+    tau_grid = _check_grid(tau_grid, "tau_grid")
 
     tau_max = float(tau_grid[-1])
     if tau_max == 0.0:
@@ -504,9 +505,9 @@ def build_trace(env: EnvironmentParams, tau_grid, method: str = METHOD_CLOSED,
     spline, names = _NotAKnot(s), _DENSE_NAMES[-len(dense):]
     fitted = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, len(names), _FIT_GROUP):
+        while dense:
             group, dense[:_FIT_GROUP] = dense[:_FIT_GROUP], []
-            fitted += spline.fit(group, names[i:i + _FIT_GROUP])(tau_grid)
+            fitted += spline.fit(group)(tau_grid)
     require_finite(names, fitted)
     *first_stage, d_c, d_s, p_c, p_s = on_grid + fitted
     c2, s2 = np.cos(2.0 * tau_grid), np.sin(2.0 * tau_grid)

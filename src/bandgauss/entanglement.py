@@ -28,11 +28,11 @@ import math
 import numpy as np
 
 from .coefficients import (METHOD_CLOSED, CoefficientTrace, EnvironmentParams,
-                           _NotAKnot, build_trace)
+                           _check_grid, _NotAKnot, build_trace)
 from .dynamics import (TwbSpec, TwoModeGaussianState, _assemble_cm,
                        check_covariances, symplectic_form)
 from .errors import DomainError, NumericError, UsageError
-from .spectral import SpectralDensity
+from .spectral import SpectralDensity, _check_times
 
 RADICAND_TOL = 1e-12
 BISECT_XTOL = 1e-6  # time tolerance of every sudden-death bisection
@@ -77,9 +77,7 @@ def _require_parameters(r, j0_delta, omega_lo):
     for name, val in (("r", r), ("j0_delta", j0_delta), ("omega_lo", omega_lo)):
         if not val >= 0.0:
             raise DomainError(f"{name} must be non-negative, got {val}")
-        # an infinite j0_delta, which the product of two finite options can
-        # reach, makes every kappa infinite, and that kappa is refused
-        if val == math.inf and name != "j0_delta":
+        if val == math.inf:
             raise DomainError(f"{name} must be finite, got {val}")
 
 
@@ -90,9 +88,7 @@ def kappa_secular(r, j0_delta, omega_lo, tau):
     and bandwidth only through their product.
     """
     _require_parameters(r, j0_delta, omega_lo)
-    t = np.asarray(tau, dtype=float)
-    if np.any(t < 0.0):
-        raise DomainError("tau must be non-negative")
+    t = _check_times(tau, "tau")
     # a band at zero frequency has no quartic term; an overflowing one decays
     # to exp(-inf) = 0, its limit
     with np.errstate(over="ignore", invalid="ignore"):
@@ -254,8 +250,11 @@ def find_last_upcrossing(tau, values, threshold, point_fn=None):
     """Time of the last upward crossing of ``threshold`` after which the
     sampled curve stays above it; None when there is no such crossing.
     Bisects ``point_fn``, or by default one cubic spline fit of the samples,
-    whose error is orders of magnitude below the time tolerance. A sample
-    that is not finite raises ``NumericError``."""
+    whose error is far below the time tolerance. A sample not finite raises
+    ``NumericError``, and ``values`` not of ``tau``'s shape ``UsageError``."""
+    tau, values = _check_grid(tau, "tau"), np.asarray(values, dtype=float)
+    if values.shape != tau.shape:
+        raise UsageError(f"values: shape {values.shape}, tau's {tau.shape}")
     if not np.isfinite(values).all():
         raise NumericError(f"kappa: not finite on the grid up to "
                            f"tau = {tau[-1]:g}")
@@ -264,7 +263,7 @@ def find_last_upcrossing(tau, values, threshold, point_fn=None):
         return None
     idx = int(np.nonzero(below)[0][-1])
     if point_fn is None:
-        spline = _NotAKnot(np.asarray(tau, float)).fit([values], ["kappa"])
+        spline = _NotAKnot(tau).fit([values])
         point_fn = lambda t: float(spline(t)[0])
     return _bisect(lambda t: point_fn(t) - threshold,
                    float(tau[idx]), float(tau[idx + 1]))

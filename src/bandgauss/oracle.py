@@ -24,8 +24,8 @@ from .coefficients import (METHOD_CLOSED, METHOD_QUADRATURE, EnvironmentParams,
                            build_trace, closed_form, require_method)
 from .dynamics import evolve_covariances, make_twb, rotation
 from .errors import DomainError, NumericError, UsageError
-from .spectral import (SpectralDensity, kernel_cos, kernel_cos_thermal,
-                       kernel_sin)
+from .spectral import (SpectralDensity, _check_times, kernel_cos,
+                       kernel_cos_thermal, kernel_sin)
 
 MAX_SIMPSON_POINTS = 2 ** 22
 
@@ -167,8 +167,7 @@ def propagate_w_matrix(env: EnvironmentParams, tau: float,
     assembled covariance evolution.
     """
     require_method(env, method)
-    if not 0.0 <= tau < math.inf:
-        raise DomainError(f"tau must be finite and non-negative, got {tau}")
+    _check_times(tau, "tau")
     s = np.linspace(0.0, tau, PROPAGATOR_NODES)
     h = s[1] - s[0]
 

@@ -15,12 +15,12 @@ from .errors import UsageError
 
 MODES = ("secular", "full", "both")
 KAPPA_SOURCES = ("symmetric", "paper", "oracle")
-_METHOD_ALIASES = {"closed": METHOD_CLOSED, "quad": METHOD_QUADRATURE}
+METHOD_ALIASES = {"closed": METHOD_CLOSED, "quad": METHOD_QUADRATURE}
 
 # Most output rows (tau_steps times the number of curves) a run may ask for.
-# The rows stream into the CSV from arrays of about 0.1 kB a row, but the
-# writer keeps the text of each distinct value until the file is closed:
-# about 0.6 kB a row in all (evolve, by tracemalloc), so about 0.6 GB.
+# The rows stream into the CSV from arrays, whose computation costs about
+# 0.6 kB a row (a 120,000-row evolve, by tracemalloc), so about 0.6 GB; the
+# writer's memo of cell texts is bounded (cli._MEMO_TEXTS, about 8 MiB).
 MAX_ROWS = 10 ** 6
 
 # field type -> (accepted Python types, what the error calls it)
@@ -72,7 +72,7 @@ class SweepScenario:
             object.__setattr__(self, f.name,
                                _checked(f.name, getattr(self, f.name), f.type))
         object.__setattr__(self, "method",
-                           _METHOD_ALIASES.get(self.method, self.method))
+                           METHOD_ALIASES.get(self.method, self.method))
         if self.tau_steps < 2:
             raise UsageError(f"tau_steps: must be >= 2, got {self.tau_steps}")
         if self.tau_start < 0.0:
@@ -83,7 +83,7 @@ class SweepScenario:
             if not getattr(self, name):
                 raise UsageError(f"{name}: must not be empty")
         for name, choices in (("mode", MODES), ("kappa", KAPPA_SOURCES),
-                              ("method", (METHOD_CLOSED, METHOD_QUADRATURE))):
+                              ("method", METHOD_ALIASES.values())):
             if getattr(self, name) not in choices:
                 raise UsageError(f"{name}: unknown value {getattr(self, name)!r}")
         if self.jobs < 1:

@@ -53,10 +53,13 @@ class SpectralDensity:
         return self.omega_lo + self.delta
 
 
-def _check_times(s) -> np.ndarray:
+def _check_times(s, name: str) -> np.ndarray:
+    """``s`` as floats; the one check of every time argument, by name."""
     s_arr = np.asarray(s, dtype=float)
+    if not np.isfinite(s_arr).all():
+        raise DomainError(f"{name} must be finite")
     if np.any(s_arr < 0.0):
-        raise DomainError("time argument must be non-negative")
+        raise DomainError(f"{name} must be non-negative")
     return s_arr
 
 
@@ -65,7 +68,7 @@ def _band_transform(spectral: SpectralDensity, s, trig, series):
     2*j0*trig(s*(lo+hi)/2)*sin(s*delta/2)/s, which is free of subtractive
     cancellation. ``series(s, lo, hi, j0)`` replaces the s -> 0 division
     where s*hi < SERIES_CROSSOVER; an overflow in it names the band top."""
-    s_arr = _check_times(s)
+    s_arr = _check_times(s, "s")
     lo, hi, j0 = spectral.omega_lo, spectral.omega_hi, spectral.j0
     small = s_arr * hi < SERIES_CROSSOVER
     s_safe = np.where(small, 1.0, s_arr)
@@ -143,9 +146,7 @@ def kernel_cos_thermal(spectral: SpectralDensity, s, beta: float | None = None):
     if spectral.omega_lo == 0.0:
         raise DomainError("omega_lo must be positive at finite temperature: "
                           "the thermal kernel diverges at a zero band edge")
-    s_arr = _check_times(s)
-    if not np.all(np.isfinite(s_arr)):
-        raise DomainError("time argument must be finite")
+    s_arr = _check_times(s, "s")
     times = s_arr.ravel()
     s_max = float(times.max()) if times.size else 0.0
 

@@ -257,6 +257,21 @@ class TestCsvWriter:
         assert lines[8] == "1,1,0,0,True"
         assert lines[11] == "1e+17,1e+17,100000000000000000,1e+17,1e+17"
 
+    def test_memo_is_bounded(self, tmp_path):
+        # 150,000 distinct floats: a memo of every text peaks at 17.8 MiB,
+        # one that starts over at 2**16 texts at 8.1 MiB, with the same bytes
+        rows = lambda: ([i / 7.0, "x"] for i in range(150_000))
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        tracemalloc.start()
+        try:
+            cli.write_csv(str(ours), ["a", "b"], rows())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_point.write_csv(str(theirs), ["a", "b"], rows())
+        assert ours.read_bytes() == theirs.read_bytes()
+        assert peak / 2 ** 20 <= 10.0
+
     def test_rows_are_streamed(self, tmp_path):
         # a generator is written as it is consumed, one row at a time
         out = tmp_path / "g.csv"

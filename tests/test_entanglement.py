@@ -129,15 +129,14 @@ class TestKappaSecular:
         with pytest.raises(DomainError):
             kappa_secular(math.nan, 0.01, 1.0, 1.0)
         # an infinite r or band edge would read as exp(-inf) = 0 and give a
-        # finite kappa (0.005 at omega_lo = inf)
+        # finite kappa (0.005 at omega_lo = inf); an infinite j0_delta
+        # (j0*delta overflowed) an infinite one
         for args, name in (((math.inf, 0.01, 1.0), "r"),
                            ((1.0, 0.01, math.inf), "omega_lo"),
-                           ((1.0, math.nan, 1.0), "j0_delta")):
+                           ((1.0, math.nan, 1.0), "j0_delta"),
+                           ((1.0, math.inf, 1.0), "j0_delta")):
             with pytest.raises(DomainError, match=f"^{name} must be"):
                 kappa_secular(*args, 1.0)
-        # an infinite j0_delta (j0*delta overflowed) makes kappa infinite
-        with pytest.raises(NumericError, match="kappa: not finite"):
-            kappa_secular(1.0, math.inf, 1.0, 1.0)
 
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError, match="tau must be non-negative"):
@@ -453,6 +452,16 @@ class TestLastUpcrossing:
         for point_fn in (None, lambda t: 0.5 + 0.1 * t):
             with pytest.raises(NumericError, match="kappa: not finite"):
                 find_last_upcrossing(tau, values, 1.0, point_fn)
+
+    @pytest.mark.parametrize("tau,error", [
+        ([0.0, 2.0, 1.0, 3.0], UsageError), ([0.0, 1.0, 1.0, 3.0], UsageError),
+        ([0.0, 1.0, math.nan, 3.0], DomainError),
+        ([0.0, 1.0, 2.0], UsageError)], ids=["unordered", "repeated", "nan",
+                                               "short"])
+    def test_grid_checked_as_build_trace_checks_it(self, tau, error):
+        # the grid check of build_trace, and values of the grid's length
+        with pytest.raises(error, match="^(tau|values)"):
+            find_last_upcrossing(tau, [0.5, 0.6, 0.8, 1.2], 1.0)
 
     def test_spline_by_default(self):
         def fn(t):

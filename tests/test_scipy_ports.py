@@ -26,7 +26,7 @@ from bandgauss.coefficients import (_FIT_GROUP, _LANE, _LANES_FROM,
                                     _running_integral, _weighted_cumulative,
                                     build_trace, closed_form)
 from bandgauss.entanglement import find_last_upcrossing, kappa_full_curve
-from bandgauss.errors import NumericError
+from bandgauss.errors import DomainError, NumericError
 from bandgauss.spectral import SpectralDensity, kernel_cos, kernel_sin
 
 TAU_MAXES = (5.0, 10.0, 20.0, 30.0, 100.0)
@@ -99,7 +99,7 @@ class TestNotAKnotSpline:
             s = np.linspace(0.0, tau_max, n)
             spline = _NotAKnot(s)
             for y in columns(s) + [np.where(s < 0.5 * tau_max, -0.0, 0.0)]:
-                assert_same_bits(spline.fit([y], ["y"])(xi)[0],
+                assert_same_bits(spline.fit([y])(xi)[0],
                                  CubicSpline(s, y)(xi))
 
     def test_random_grids_to_exact_slopes(self):
@@ -121,7 +121,7 @@ class TestNotAKnotSpline:
     def test_two_points_are_scipys_straight_line(self):
         x, y = np.array([0.5, 2.0]), np.array([1.0, -3.0])
         xi = np.linspace(-1.0, 3.0, 17)
-        assert_same_bits(_NotAKnot(x).fit([y], ["y"])(xi)[0],
+        assert_same_bits(_NotAKnot(x).fit([y])(xi)[0],
                          CubicSpline(x, y)(xi))
 
     @pytest.mark.parametrize("x", [[0.0, 1.0, 2.0], [0.0, 1.0, 3.0],
@@ -131,16 +131,10 @@ class TestNotAKnotSpline:
         x = np.array(x)
         xi = np.linspace(x[0] - 0.5, x[-1] + 0.5, 41)
         for y in (np.cos(x) + 2.0, np.array([1.0, -2.0, 0.5])):
-            ours = _NotAKnot(x).fit([y], ["y"])(xi)[0]
+            ours = _NotAKnot(x).fit([y])(xi)[0]
             scipys = CubicSpline(x, y)(xi)
             assert np.max(np.abs(ours - scipys)) <= 1e-15 * np.max(
                 np.abs(scipys))
-
-    def test_non_finite_column_named(self):
-        y = np.ones(5)
-        y[2] = np.inf
-        with pytest.raises(NumericError, match="kappa: not finite"):
-            _NotAKnot(np.arange(5.0)).fit([np.ones(5), y], ["gamma", "kappa"])
 
     def test_upcrossing_bisects_the_fit(self):
         env = EnvironmentParams(SpectralDensity(1.0, 1.0, 1e-2))
@@ -268,8 +262,8 @@ class TestLaneScan:
         s = np.linspace(0.0, 30.0, GRID_POINTS)
         xi = np.linspace(-1.0, 31.0, 997)
         spline, ys = _NotAKnot(s), columns(s)
-        for got, y in zip(spline.fit(ys, ["y"] * len(ys))(xi), ys):
-            assert_same_bits(got, spline.fit([y], ["y"])(xi)[0])
+        for got, y in zip(spline.fit(ys)(xi), ys):
+            assert_same_bits(got, spline.fit([y])(xi)[0])
 
     def test_short_lanes_run_more_passes(self, monkeypatch, sweep_rows):
         # two-row lanes are too short to forget a wrong start, so passes
@@ -472,7 +466,7 @@ class TestBatchedRecurrence:
 class TestTraceRefusesNonFinite:
     def test_non_finite_grid(self):
         env = EnvironmentParams(SpectralDensity(1.0, 1.0, 1e-3))
-        with pytest.raises(NumericError, match="tau_grid"):
+        with pytest.raises(DomainError, match="tau_grid must be finite"):
             build_trace(env, [0.0, 1.0, np.nan])
 
     def test_overflowing_column_named(self):

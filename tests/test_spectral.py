@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bandgauss.coefficients import EnvironmentParams, build_trace
+from bandgauss.entanglement import find_last_upcrossing, kappa_secular
 from bandgauss.errors import DomainError
-from bandgauss.oracle import kernel_cos_thermal_gk, quad_reference
+from bandgauss.oracle import (kernel_cos_thermal_gk, propagate_w_matrix,
+                              quad_reference)
 from bandgauss.spectral import (_GL_NODES, _GL_WEIGHTS, SERIES_CROSSOVER,
                                 SpectralDensity, kernel_cos,
                                 kernel_cos_thermal, kernel_sin)
@@ -252,3 +255,34 @@ def test_closed_forms_match_brute_force(omega_lo, delta, s):
                              omega_lo + delta, tol=1e-15)
     assert kernel_sin(sd, s) == pytest.approx(ref_sin, rel=1e-9)
     assert kernel_cos(sd, s) == pytest.approx(ref_cos, rel=1e-9)
+
+
+# Every public function of a time or a time grid, called with a bad time
+# alone or in an ascending grid, and the name of its time argument.
+_SD = SpectralDensity(1.0, 1.0, 1e-3)
+_GRID = lambda bad: np.sort([0.0, 1.0, bad])  # NaN sorts last
+TIME_ARGUMENTS = {
+    "kernel_sin": (lambda t: kernel_sin(_SD, _GRID(t)), "s"),
+    "kernel_cos": (lambda t: kernel_cos(_SD, t), "s"),
+    "kernel_cos_thermal": (lambda t: kernel_cos_thermal(_SD, _GRID(t), 2.0),
+                           "s"),
+    "build_trace": (lambda t: build_trace(EnvironmentParams(_SD), _GRID(t)),
+                    "tau_grid"),
+    "kappa_secular": (lambda t: kappa_secular(1.0, 1e-3, 1.0, _GRID(t)),
+                      "tau"),
+    "propagate_w_matrix": (
+        lambda t: propagate_w_matrix(EnvironmentParams(_SD), t), "tau"),
+    "find_last_upcrossing": (
+        lambda t: find_last_upcrossing(_GRID(t), np.full(3, 0.5), 1.0),
+        "tau"),
+}
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+@pytest.mark.parametrize("function", TIME_ARGUMENTS)
+def test_one_time_check(function, bad):
+    # a negative or non-finite time is refused by one check, the same way
+    # wherever it enters, naming the argument
+    call, name = TIME_ARGUMENTS[function]
+    with pytest.raises(DomainError, match=f"^{name} must be "):
+        call(bad)
