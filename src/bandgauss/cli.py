@@ -27,7 +27,8 @@ its own name, so a sidecar's ``scenario`` block reruns it as ``--config``.
 ``--beta`` is the one temperature option; omitted, it is the low-temperature
 limit. ``build_trace`` refuses a finite beta on the closed route, and
 ``fig1``, ``fig2`` and the ``paper`` kappa source refuse it here; that
-source, the secular closed form, also refuses other modes and methods.
+source, the secular closed form, also refuses other modes and methods, and
+``fig1``, whose secular column is that form, the quadrature method.
 """
 
 from __future__ import annotations
@@ -115,15 +116,21 @@ def write_csv(path: str, header: list[str], rows) -> None:
             f.write(",".join(map(text, row)) + "\n")
 
 
+_ROW_SLICE = 4096  # rows of a block held as Python values at a time
+
+
 def _rows(blocks):
     """The rows of each block in turn. A block is a list of cells: an array
     cell is a column, one value per row, and any other cell repeats down the
-    block; a block without an array is one row."""
+    block; a block without an array is one row. The columns are expanded
+    into Python values ``_ROW_SLICE`` rows at a time."""
     for block in blocks:
         n = max((len(c) for c in block if isinstance(c, np.ndarray)),
                 default=1)
-        yield from zip(*(c.tolist() if isinstance(c, np.ndarray)
-                         else repeat(c, n) for c in block))
+        for lo in range(0, n, _ROW_SLICE):
+            hi = min(lo + _ROW_SLICE, n)
+            yield from zip(*(c[lo:hi].tolist() if isinstance(c, np.ndarray)
+                             else repeat(c, hi - lo) for c in block))
 
 
 def _write(out: str, header: list[str], blocks, **meta) -> int:
@@ -277,6 +284,12 @@ def _fig1_rows(scenario: SweepScenario, key: tuple) -> dict:
 
 def cmd_fig1(scenario: SweepScenario, panel: str) -> int:
     _require_low_t("fig1", scenario)
+    # kappa_secular is the closed form whatever the method: beside a
+    # quadrature kappa_full it would mix two routes under one label
+    if scenario.method != METHOD_CLOSED:
+        raise UsageError(f"method: fig1 runs on the closed route only, got "
+                         f"{scenario.method!r}; use sweep --kappa symmetric "
+                         "--mode both for the quadrature route")
     scenario = replace(scenario, **FIG1_PANELS[panel])
     blocks = ([panel, *block]
               for block in _table(scenario, _fig1_rows, per_r=1))

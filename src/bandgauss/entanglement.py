@@ -30,7 +30,7 @@ import numpy as np
 from .coefficients import (METHOD_CLOSED, CoefficientTrace, EnvironmentParams,
                            _check_grid, _NotAKnot, build_trace)
 from .dynamics import (TwbSpec, TwoModeGaussianState, _assemble_cm,
-                       check_covariances, symplectic_form)
+                       check_covariances)
 from .errors import DomainError, NumericError, UsageError
 from .spectral import SpectralDensity, _check_times
 
@@ -38,8 +38,9 @@ RADICAND_TOL = 1e-12
 BISECT_XTOL = 1e-6  # time tolerance of every sudden-death bisection
 
 # Largest eps * max|lambda| / min|lambda| (about eps * exp(4r) for a twin
-# beam: 6.6e-13 at r = 2, 1.5e-8 at r = 4.5), the relative error of the
-# smallest PT eigenvalue, that the eigensolve accepts.
+# beam: 6.6e-13 at r = 2, 1.5e-8 at r = 4.5), the relative error scale of
+# the smallest PT eigenvalue, that the eigensolve accepts. Against a 60-digit
+# eigensolve the error stays within 10 times it on the recipes' channels.
 PT_EIGEN_COND_MAX = 1e-8
 
 # Vacuum scales by name: (factor on the initial covariance blocks, factor
@@ -103,11 +104,21 @@ def kappa_secular(r, j0_delta, omega_lo, tau):
 
 def _nu_min_pt_stack(cms: np.ndarray) -> np.ndarray:
     """Minimum PT symplectic eigenvalue of each matrix of an (N, 4, 4) stack,
-    by one batched eigensolve."""
-    flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    sigma_pt = flip @ cms @ flip
+    by one batched real eigensolve.
+
+    The real matrix Omega*sigma_pt is built by indexing: the partial
+    transpose negates row and column 3, and Omega permutes the rows
+    (1, 0, 3, 2) and negates rows 1 and 3, so row i is row (1, 0, 3, 2)[i]
+    of the covariance with sign (+, -, -, -)[i] and column 3 negated. Every
+    entry is a signed copy of one covariance entry, equal to the product
+    ``symplectic_form() @ flip @ cm @ flip``. Its eigenvalues +-i*nu have the
+    moduli of those of i*Omega*sigma_pt; the smallest has relative error
+    about eps * max|lambda| / min|lambda| (eps * exp(4r) for a twin beam),
+    which is refused above ``PT_EIGEN_COND_MAX``.
+    """
+    signs = np.array([[1.0], [-1.0], [-1.0], [-1.0]]) * [1.0, 1.0, 1.0, -1.0]
     try:
-        eigs = np.linalg.eigvals(1j * symplectic_form() @ sigma_pt)
+        eigs = np.linalg.eigvals(cms[:, [1, 0, 3, 2]] * signs)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
     moduli = np.abs(eigs)
@@ -125,8 +136,10 @@ def _nu_min_pt_stack(cms: np.ndarray) -> np.ndarray:
 def nu_min_pt(state: TwoModeGaussianState) -> float:
     """Minimum symplectic eigenvalue of the partial transpose, by eigensolver.
 
-    Flips the second mode's momentum, forms i*Omega*sigma_pt and returns the
-    smallest eigenvalue modulus. Independent of the invariant formula.
+    Flips the second mode's momentum, forms the real matrix Omega*sigma_pt
+    by row permutation and signs, and returns the smallest eigenvalue
+    modulus, a stack of one through :func:`_nu_min_pt_stack`. Independent
+    of the invariant formula.
     """
     return float(_nu_min_pt_stack(state.cm[None])[0])
 

@@ -79,6 +79,12 @@ class SweepScenario:
             raise UsageError(f"tau_start: must be >= 0, got {self.tau_start}")
         if not self.tau_max > self.tau_start:
             raise UsageError(f"tau_max: must exceed tau_start, got {self.tau_max}")
+        # a grid too fine for its floats repeats a time; one over MAX_ROWS
+        # is refused unallocated, by the row ceiling
+        if (self.tau_steps <= MAX_ROWS
+                and not np.all(np.diff(self.tau_grid()) > 0.0)):
+            raise UsageError(f"tau_max, tau_steps: {self.tau_steps} times up "
+                             f"to {self.tau_max!r} repeat a time")
         for name in ("r", "j0", "delta", "omega"):
             if not getattr(self, name):
                 raise UsageError(f"{name}: must not be empty")

@@ -3,7 +3,8 @@ eigensolver, for the weighted recurrence, for the spline's tridiagonal
 sweeps and for the CSV writer: the scalar arithmetic, one matrix, one
 indexed element, one row or one cell at a time, that the library code must
 reproduce bit for bit. The two band kernels are kept in their separate
-forms, each evaluating both branches everywhere."""
+forms, each evaluating both branches everywhere, and the PT eigensolve in
+its complex form too, which agrees with the real one to rounding."""
 
 import math
 
@@ -75,10 +76,25 @@ def assemble_cm(a, c, snap):
 
 
 def nu_min_pt(cm):
-    """Minimum PT symplectic eigenvalue of one 4x4 covariance matrix."""
+    """Minimum PT symplectic eigenvalue of one 4x4 covariance matrix: the
+    real matrix Omega*sigma_pt entry by entry, row i of it being row
+    (1, 0, 3, 2)[i] of the covariance with sign (+, -, -, -)[i] and column 3
+    negated, and its smallest eigenvalue modulus."""
+    row_of, row_sign = (1, 0, 3, 2), (1.0, -1.0, -1.0, -1.0)
+    col_sign = (1.0, 1.0, 1.0, -1.0)
+    m = np.array([[row_sign[i] * col_sign[j] * cm[row_of[i], j]
+                   for j in range(4)] for i in range(4)])
+    return float(np.min(np.abs(np.linalg.eigvals(m))))
+
+
+def nu_min_pt_complex(cm):
+    """The smallest and the largest PT symplectic eigenvalue of one 4x4
+    covariance matrix by the complex form: the eigenvalue moduli of
+    i*Omega*sigma_pt, with sigma_pt = flip @ cm @ flip."""
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    eigs = np.linalg.eigvals(1j * symplectic_form() @ (flip @ cm @ flip))
-    return float(np.min(np.abs(eigs)))
+    moduli = np.abs(np.linalg.eigvals(1j * symplectic_form()
+                                      @ (flip @ cm @ flip)))
+    return float(np.min(moduli)), float(np.max(moduli))
 
 
 def _etd_step(y, x0, x1, a, h):

@@ -43,6 +43,12 @@ class TestScenario:
         with pytest.raises(UsageError, match="^jobs: must be >= 1"):
             SweepScenario(jobs=0)
 
+    def test_grid_repeating_a_time_refused(self):
+        # 600 times up to 1e-321 (about 200 subnormal steps) must repeat one
+        with pytest.raises(UsageError, match="^tau_max, tau_steps: 600 "):
+            SweepScenario(tau_max=1e-321, tau_steps=600)
+        SweepScenario(tau_max=1e-320, tau_steps=600)
+
     def test_negative_start(self):
         with pytest.raises(UsageError, match="^tau_start: must be >= 0"):
             SweepScenario(tau_start=-1.0)
@@ -271,6 +277,17 @@ class TestCsvWriter:
         per_point.write_csv(str(theirs), ["a", "b"], rows())
         assert ours.read_bytes() == theirs.read_bytes()
         assert peak / 2 ** 20 <= 10.0
+
+    def test_block_slices_keep_the_bytes(self, tmp_path, monkeypatch):
+        # a block expanded a few rows at a time writes the bytes of the
+        # block expanded whole; 3 stands in for the 4,096-row slice
+        argv = ["evolve", "--mode", "both", "--r", "0.5,1", "--tau-steps",
+                "10"]
+        whole, sliced = tmp_path / "whole.csv", tmp_path / "sliced.csv"
+        assert main(argv + ["--out", str(whole)]) == 0
+        monkeypatch.setattr(cli, "_ROW_SLICE", 3)
+        assert main(argv + ["--out", str(sliced)]) == 0
+        assert sliced.read_bytes() == whole.read_bytes()
 
     def test_rows_are_streamed(self, tmp_path):
         # a generator is written as it is consumed, one row at a time
@@ -571,7 +588,11 @@ class TestStreamedTables:
     @pytest.mark.parametrize("argv,mib", [
         (["fig2", "--panel", "b", "--kappa", "oracle", "--mode", "full"], 1.5),
         (["evolve", "--r", "0.3,0.9,2", "--mode", "both", "--tau-max", "30",
-          "--tau-steps", "1500"], 5.5)], ids=["fig2b", "evolve"])
+          "--tau-steps", "1500"], 5.5),
+        # one 120,000-row block, expanded to Python values 4,096 rows at a
+        # time: 55.0 MiB, and 66.4 MiB expanded whole
+        (["evolve", "--tau-steps", "120000"], 60.0)],
+        ids=["fig2b", "evolve", "evolve-one-block"])
     def test_peak(self, tmp_path, argv, mib):
         argv = argv + ["--out", str(tmp_path / "x.csv")]
         assert main(argv) == 0
@@ -821,6 +842,43 @@ class TestErrors:
         assert "beta" in capsys.readouterr().err
         assert not out.exists()
         assert not out.with_suffix(".meta").exists()
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_fig1_refuses_the_quadrature_route(self, tmp_path, capsys,
+                                               route):
+        # fig1's kappa_secular is the closed form: beside a quadrature
+        # kappa_full it would mix two routes under one method label
+        out = tmp_path / "x.csv"
+        args = ["fig1", "--panel", "b", "--tau-steps", "50"]
+        if route == "flag":
+            args += ["--method", "quad"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"method": "quad"}))
+            args += ["--config", str(cfg)]
+        assert main(args + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: method: fig1 ")
+        assert not out.exists()
+        assert not out.with_suffix(".meta").exists()
+
+    @pytest.mark.parametrize("kappa", ["paper", "symmetric"])
+    def test_grid_repeating_a_time_names_its_options(self, tmp_path, capsys,
+                                                     kappa):
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--kappa", kappa, "--tau-steps", "600",
+                "--out", str(out)]
+        assert main(argv + ["--tau-max", "1e-321"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: tau_max, tau_steps: 600 times up to 1e-321 repeat a time")
+        assert list(tmp_path.iterdir()) == []
+        # an ascending grid: the symmetric source's dense step underflows
+        code = main(argv + ["--tau-max", "1e-320"])
+        err = capsys.readouterr().err
+        if kappa == "symmetric":
+            assert code == 3
+            assert err.startswith("numeric error: tau_grid: dense steps")
+        else:
+            assert (code, err) == (0, "")
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--kappa", "symmetric", "--r", "nan", "--tau-steps", "5"],

@@ -85,11 +85,11 @@ PINNED = {
         "97af7af333672dfee351cdd26c776260da03b2e470ad35d22dd8ef7bdbfa8671"),
     "fig2": (
         ["fig2", "--panel", "b", "--kappa", "oracle", "--mode", "full"],
-        "479d18c9397043f4ef3c77d831ef5a0dacfdc1dd71d4a2face9b0a34dc3cc836"),
+        "83c90f7a43ddd0199ffbbbe32fff579050cf6ccd78a75a66ae0775258861ea60"),
     "sweep": (
         ["sweep", "--kappa", "oracle", "--mode", "both", "--r", "1,0.5,1",
          "--delta", "1e-2,1e-1", "--omega", "3,1"],
-        "657bd03695a5a31727b81c1552d5932593c9637bcb06614f2123157ec78e035c"),
+        "ddf5223e5e81a8515e3600b43c4d5e04b01f9a01831b5e68b0a5a0a5b275a4ee"),
 }
 
 
