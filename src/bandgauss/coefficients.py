@@ -25,7 +25,8 @@ and no less accurate elsewhere. Its sweeps run as lane scans: lanes of rows
 advance side by side in numpy, each from its predecessor's end in the pass
 before, and passes repeat until no lane's start changes in its bits, when
 every lane has run the sequential sweep's IEEE operations on the same
-inputs. The module needs no scipy at run time.
+inputs; the rows after the last whole lane, every row of a short fit, run
+once from its end. The module needs no scipy at run time.
 
 :func:`build_trace` is the one evaluator of both routes: it returns a
 :class:`CoefficientTrace`, every coefficient as a column over a time grid.
@@ -268,15 +269,14 @@ def _running_integral(y: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(pieces) + 0.0))
 
 
-# Rows per lane of a lane scan. Below _LANES_FROM rows, where one column
-# runs faster on Python floats, a scan sweeps each column alone.
-_LANE, _LANES_FROM = 64, 3072
+# Rows per lane of a lane scan; a scan of fewer rows runs as its tail.
+_LANE = 64
 
 
 def _lane_scan(sweep, start, *inputs, out=None):
     """``sweep(start, rows)`` down each column of the (rows, columns)
-    ``inputs``, into ``out`` if given, with the bits of the sweep on Python
-    floats (up to which of two NaN operands a sum or product returns); a
+    ``inputs``, into ``out`` if given, with the sequential sweep's IEEE
+    bits (up to which of two NaN operands a sum or product returns); a
     sweep yields each row's value from a state (last value, the one before).
 
     Lanes of _LANE rows run side by side in numpy, the first from ``start``
@@ -284,34 +284,28 @@ def _lane_scan(sweep, start, *inputs, out=None):
     pass (from ``start`` in the first), until no lane's start changes in its
     bits. Every lane has then run the sequential sweep's IEEE operations on
     the same inputs; lane k is exact after pass k + 1, so the loop ends. The
-    rows after the last whole lane run once from its end (a blocked scan
-    after Blelloch, CMU-CS-90-190). Under _LANES_FROM rows a zero divisor
-    raises ``ZeroDivisionError`` where lanes give IEEE +-inf or NaN, but
-    :class:`_NotAKnot`, the one caller, gets only checked ascending grids,
-    whose interior rows are strictly diagonally dominant.
+    rows after the last whole lane run once from its end, and a scan with
+    no whole lane from ``start`` (a blocked scan after Blelloch,
+    CMU-CS-90-190).
     """
     inputs = np.broadcast_arrays(*inputs)
     rows, cols = inputs[0].shape
     out = np.empty((rows, cols)) if out is None else out
-    if rows < _LANES_FROM:
-        for c in range(cols):
-            out[:, c] = list(sweep(start, zip(
-                *(x[:, c].tolist() for x in inputs))))
-        return out
     body = rows - rows % _LANE
     # (row of a lane, lane, column) views; ``lane_out`` writes into ``out``
     lane_out, *lane_in = (a[:body].reshape(-1, _LANE, cols).swapaxes(0, 1)
                           for a in (out, *inputs))
     starts = np.tile(np.reshape(start, (2, 1, 1)), (body // _LANE, cols))
     with np.errstate(all="ignore"):  # a guessed start may overflow
-        while True:
+        while body:  # passes, when there is a whole lane
             for j, value in enumerate(sweep(tuple(starts), zip(*lane_in))):
                 lane_out[j] = value
             ends = lane_out[[-1, -2], :-1]
             if (ends.view(np.int64) == starts[:, 1:].view(np.int64)).all():
+                start = out[body - 1], out[body - 2]
                 break
             starts[:, 1:] = ends
-        for j, value in enumerate(sweep((out[body - 1], out[body - 2]), zip(
+        for j, value in enumerate(sweep(start, zip(
                 *(a[body:] for a in inputs)))):
             out[body + j] = value
     return out

@@ -85,11 +85,11 @@ PINNED = {
         "97af7af333672dfee351cdd26c776260da03b2e470ad35d22dd8ef7bdbfa8671"),
     "fig2": (
         ["fig2", "--panel", "b", "--kappa", "oracle", "--mode", "full"],
-        "83c90f7a43ddd0199ffbbbe32fff579050cf6ccd78a75a66ae0775258861ea60"),
+        "0acdc7fa8f2224a2cc550810baf28eb2b1601d8e21bb03c9b60824b424c091fc"),
     "sweep": (
         ["sweep", "--kappa", "oracle", "--mode", "both", "--r", "1,0.5,1",
          "--delta", "1e-2,1e-1", "--omega", "3,1"],
-        "ddf5223e5e81a8515e3600b43c4d5e04b01f9a01831b5e68b0a5a0a5b275a4ee"),
+        "1e505cfe09ed3ffb615e1b529390eca6bef09c493e70362f3a5a5e5cc1ae2281"),
 }
 
 

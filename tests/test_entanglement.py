@@ -11,7 +11,7 @@ from bandgauss.coefficients import (METHOD_CLOSED, METHOD_QUADRATURE,
 from bandgauss.dynamics import (TwoModeGaussianState, apply_channel,
                                 evolve_covariances, make_twb,
                                 snapshots_from_trace, symplectic_form)
-from bandgauss.entanglement import (_nu_min_pt_stack, _nu_sq,
+from bandgauss.entanglement import (BISECT_XTOL, _nu_min_pt_stack, _nu_sq,
                                     find_last_upcrossing, kappa_full,
                                     kappa_full_curve, kappa_secular,
                                     kappa_secular_channel_curve, negativity,
@@ -440,6 +440,27 @@ class TestOracleSourceAgainstMpmath:
                 assert abs(nu[k] - lo) <= 16 * EPS * hi, k
 
 
+# Rows of np.linspace(0, 30, 300001) where the real eigensolve of
+# Omega*sigma_pt does not converge on the secular channel of (1, 1e-2) at
+# r = 0.5: there the four PT moduli nearly coincide
+UNCONVERGED = (105505, 105619, 105852, 108866, 109511, 109894, 109986, 111367)
+
+
+@pytest.mark.xfail(strict=True, raises=NumericError, reason="the real "
+                   "Hessenberg QR of Omega*sigma_pt does not converge where "
+                   "the four PT moduli nearly coincide")
+def test_oracle_eigensolve_converges_where_moduli_coincide():
+    # the eight times and tau_max: the dense grid of the 300,001-point sweep
+    times = np.append(np.linspace(0.0, 30.0, 300001)[list(UNCONVERGED)], 30.0)
+    trace = build_trace(narrow_env(delta=1e-2),
+                        times).secular_approximation()
+    nu = state_kappa_curve(trace, 0.5, "oracle")
+    with mpmath.workdps(60):
+        for k in range(len(times)):
+            lo, hi = _nu_mp(trace, 0.5, k)
+            assert abs(nu[k] - lo) <= 16 * EPS * hi, k
+
+
 class TestSuddenDeath:
     def test_no_environment(self):
         assert sudden_death_time(1.0, 0.0, 1.0, "secular") is None
@@ -568,6 +589,46 @@ class TestLastUpcrossing:
         tau = np.linspace(0.0, 20.0, 2001)
         assert find_last_upcrossing(tau, fn(tau), 1.0) == \
             pytest.approx(find_last_upcrossing(tau, fn(tau), 1.0, fn), abs=1e-5)
+
+    @pytest.mark.parametrize("panel", ["b", "c"])
+    def test_fig2_death_within_tolerance_of_the_trace(self, panel):
+        # the trace's own crossing: the same trace (same dense grid) at
+        # 2,001 extra times inside the bracket, interpolated linearly
+        grid, deaths = np.linspace(0.0, 30.0, 600), 0
+        for delta in FIG2_PANELS[panel]["delta"]:
+            for omega_lo in FIG2_PANELS[panel]["omega"]:
+                env = narrow_env(delta=delta, omega_lo=omega_lo)
+                for secular in (False, True):
+                    def kappa(times):
+                        trace = build_trace(env, times)
+                        if secular:
+                            trace = trace.secular_approximation()
+                        return state_kappa_curve(trace, 1.0, "symmetric")
+                    values = kappa(grid)
+                    tau_sd = find_last_upcrossing(grid, values, 1.0)
+                    if tau_sd is None:
+                        continue
+                    deaths += 1
+                    idx = int(np.nonzero(values < 1.0)[0][-1])
+                    fine = np.linspace(grid[idx], grid[idx + 1], 2003)
+                    k = kappa(np.append(fine, grid[-1]))[:-1]
+                    j = int(np.nonzero(k < 1.0)[0][-1])
+                    own = fine[j] + (1.0 - k[j]) / (k[j + 1] - k[j]) * (
+                        fine[j + 1] - fine[j])
+                    assert abs(tau_sd - own) <= BISECT_XTOL
+        assert deaths >= 8
+
+    @pytest.mark.parametrize("tau,values,want", [
+        ([0.0, 1.3], [0.2, 1.7], 0.6933336019515992),
+        ([0.0, 0.4, 1.5], [0.3, 0.8, 1.6], 0.5916009187698364),
+        ([0.0, 0.5, 1.25, 1.5, 2.5, 2.75, 4.0],
+         [0.6, 0.8, 1.1, 0.9, 0.7, 1.2, 1.5], 2.662156581878662)],
+        ids=["2", "3", "7"])
+    def test_short_grid_fits_all_its_samples(self, tau, values, want):
+        # a grid shorter than the eight-sample window is fitted whole: the
+        # time of the whole-curve spline, bit for bit
+        assert find_last_upcrossing(np.array(tau), np.array(values),
+                                    1.0) == want
 
     def test_revival_exists_before_death_at_high_band_location(self):
         # full source, band far above the mode frequency: negativity shows a

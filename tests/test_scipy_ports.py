@@ -19,8 +19,8 @@ from scipy.interpolate import CubicSpline
 
 import per_point
 from bandgauss import coefficients
-from bandgauss.coefficients import (_FIT_GROUP, _LANE, _LANES_FROM,
-                                    _STIFF_PAIR_GAP, GRID_POINTS,
+from bandgauss.coefficients import (_FIT_GROUP, _LANE, _STIFF_PAIR_GAP,
+                                    GRID_POINTS,
                                     METHOD_CLOSED, METHOD_QUADRATURE,
                                     EnvironmentParams, _NotAKnot,
                                     _running_integral, _weighted_cumulative,
@@ -137,14 +137,34 @@ class TestNotAKnotSpline:
                 np.abs(scipys))
 
     def test_upcrossing_bisects_the_fit(self):
+        # scipy's spline through the eight samples around the bracket
         env = EnvironmentParams(SpectralDensity(1.0, 1.0, 1e-2))
         grid = np.linspace(0.0, 30.0, 600)
         kappa = kappa_full_curve(build_trace(env, grid), 1.0)
-        spline = CubicSpline(grid, kappa)
+        idx = int(np.nonzero(kappa < 1.0)[0][-1])
+        assert 3 <= idx <= 600 - 5
+        spline = CubicSpline(grid[idx - 3:idx + 5], kappa[idx - 3:idx + 5])
         tau_sd = find_last_upcrossing(grid, kappa, 1.0)
         assert tau_sd is not None
         assert tau_sd == find_last_upcrossing(
             grid, kappa, 1.0, lambda t: float(spline(t)))
+
+    @pytest.mark.parametrize("end", ["first", "last"])
+    def test_upcrossing_at_an_end_fits_the_end_samples(self, end):
+        # a bracket in the first or last interval: the first or last eight
+        # samples, where the whole-curve spline gives another time
+        tau = np.linspace(0.0, 19.0, 20)
+        if end == "first":
+            values, window = 1.5 + 0.3 * np.cos(2.1 * tau), slice(0, 8)
+            values[0] = 0.2
+        else:
+            values, window = 0.5 + 0.3 * np.cos(2.1 * tau), slice(-8, None)
+            values[-1] = 1.8
+        tau_sd = find_last_upcrossing(tau, values, 1.0)
+        for samples, same in ((window, True), (slice(None), False)):
+            spline = CubicSpline(tau[samples], values[samples])
+            assert (tau_sd == find_last_upcrossing(
+                tau, values, 1.0, lambda t: float(spline(t)))) == same
 
 
 def sweep_columns(s):
@@ -173,15 +193,15 @@ SWEEPS = ("_factor_sweep", "_forward_sweep", "_back_sweep")
 
 @pytest.fixture
 def sweep_rows(monkeypatch):
-    """Values each spline sweep yields, by dimension: [rows on Python floats,
-    rows in numpy after the last whole lane, lane rows (one row of every lane
-    per value, so a pass yields _LANE of them)]."""
+    """Values each spline sweep yields, by dimension: [rows after the last
+    whole lane, lane rows (one row of every lane per value, so a pass yields
+    _LANE of them)]."""
     rows = {}
     for name in SWEEPS:
         def counted(state, inputs, sweep=getattr(coefficients, name),
-                    count=rows.setdefault(name, [0, 0, 0])):
+                    count=rows.setdefault(name, [0, 0])):
             for value in sweep(state, inputs):
-                count[np.ndim(value)] += 1
+                count[np.ndim(value) - 1] += 1
                 yield value
         monkeypatch.setattr(coefficients, name, counted)
     return rows
@@ -223,8 +243,9 @@ def scans(draw):
     """A sweep with its start and (rows, columns) or (rows, 1) inputs: the
     solve's kind of values with specials and growing factors among them."""
     name = draw(st.sampled_from(SWEEPS))
-    k = draw(st.integers(_LANES_FROM // _LANE, _LANES_FROM // _LANE + 3))
-    rows = draw(st.one_of(st.just(_LANES_FROM), st.just(k * _LANE),
+    # whole lanes: none, one, or about as many as a dense grid's
+    k = draw(st.one_of(st.integers(0, 2), st.integers(48, 51)))
+    rows = draw(st.one_of(st.just(max(k * _LANE, 1)),
                           st.integers(1, _LANE - 1).map(lambda t: k * _LANE + t)))
     cols = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -269,15 +290,13 @@ class TestLaneScan:
         # two-row lanes are too short to forget a wrong start, so passes
         # repeat until the exact values have reached every lane
         monkeypatch.setattr(coefficients, "_LANE", 2)
-        monkeypatch.setattr(coefficients, "_LANES_FROM", 16)
         rng = np.random.default_rng(5)
         graded = np.unique(np.cumsum(rng.exponential(size=9000) ** 3))
         for x in (np.linspace(0.0, 100.0, 9000), graded):
             for count in sweep_rows.values():
-                count[:] = 0, 0, 0
+                count[:] = 0, 0
             assert_sequential_bits(x, *sweep_columns(x))
-            for python, _, lanes in sweep_rows.values():
-                assert python == 0
+            for _, lanes in sweep_rows.values():
                 assert lanes // coefficients._LANE > 2  # passes
 
     @pytest.mark.parametrize("env, tau_grid, method, columns", [
@@ -290,34 +309,33 @@ class TestLaneScan:
         ids=["fig1b", "thermal-sweep", "thermal-coefficients"])
     def test_no_solve_lane_recomputed_on_dense_grids(
             self, sweep_rows, env, tau_grid, method, columns):
-        # no row on Python floats, and two passes per sweep: a sweep forgets
-        # a wrong start within one lane, so the first pass ends every lane
-        # exact and the second finds the starts unchanged
+        # two passes per sweep: a sweep forgets a wrong start within one
+        # lane, so the first pass ends every lane exact and the second finds
+        # the starts unchanged
         build_trace(env, tau_grid, method)
         solves = -(-columns // _FIT_GROUP)
         for name, runs in zip(SWEEPS, (1, solves, solves)):
-            python, _, lanes = sweep_rows[name]
-            assert python == 0
-            assert lanes == 2 * _LANE * runs
+            assert sweep_rows[name][1] == 2 * _LANE * runs
 
-    def test_short_kappa_fit_is_one_lane(self, sweep_rows):
+    def test_crossing_fit_is_eight_rows_and_no_lane(self, sweep_rows):
         grid = np.linspace(0.0, 30.0, 600)
         env = EnvironmentParams(SpectralDensity(1.0, 1.0, 1e-2))
         kappa = kappa_full_curve(build_trace(env, grid), 1.0)
-        assert sweep_rows["_back_sweep"][2] > 0  # the dense grid has lanes
+        assert sweep_rows["_back_sweep"][1] > 0  # the dense grid has lanes
         for count in sweep_rows.values():
-            count[:] = 0, 0, 0
+            count[:] = 0, 0
         assert find_last_upcrossing(grid, kappa, 1.0) is not None
-        assert sweep_rows["_back_sweep"] == [600, 0, 0]
-        assert all(count[1:] == [0, 0] for count in sweep_rows.values())
+        # the factorization runs from row 0's pivot over the other seven
+        assert sweep_rows == {"_factor_sweep": [7, 0],
+                              "_forward_sweep": [8, 0], "_back_sweep": [8, 0]}
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(scans())
     # right-hand sides of -0.0: a lane's first value then takes its sign
     # from 0.0 times the value two rows back, the second of its start
     @example((coefficients._back_sweep, (0.0, 0.0), [
-        np.full((_LANES_FROM, 1), -0.0), np.ones((_LANES_FROM, 1)),
-        np.full((_LANES_FROM, 1), 4.0)]))
+        np.full((48 * _LANE, 1), -0.0), np.ones((48 * _LANE, 1)),
+        np.full((48 * _LANE, 1), 4.0)]))
     def test_any_scan_is_the_sequential_sweep(self, scan):
         # bit for bit, with one exception: with two NaN operands IEEE gives
         # either, and numpy orders a commutative operation's operands
