@@ -25,10 +25,11 @@ the logarithm-base choice, the library version and the scenario that ran
 its own name, so a sidecar's ``scenario`` block reruns it as ``--config``.
 
 ``--beta`` is the one temperature option; omitted, it is the low-temperature
-limit. ``build_trace`` refuses a finite beta on the closed route, and
-``fig1``, ``fig2`` and the ``paper`` kappa source refuse it here; that
-source, the secular closed form, also refuses other modes and methods, and
-``fig1``, whose secular column is that form, the quadrature method.
+limit. Every data command refuses the same inputs: ``build_trace`` refuses a
+finite beta on the closed route, and the ``paper`` kappa source, the secular
+closed form at low temperature, refuses a beta, a mode or a method it would
+not read. ``fig1``'s two kappa columns are the secular and full channels of
+one trace, on either route.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ from .coefficients import (METHOD_CLOSED, CoefficientTrace,
                            EnvironmentParams, build_trace)
 from .dynamics import evolve_covariances, make_twb
 from .entanglement import (find_last_upcrossing, kappa_full_curve,
-                           kappa_secular, negativity, state_kappa_curve)
+                           kappa_secular, kappa_secular_channel_curve,
+                           negativity, state_kappa_curve)
 from .errors import DomainError, NumericError, UsageError
 from .scenario import (KAPPA_SOURCES, MAX_ROWS, METHOD_ALIASES, MODES,
                        SweepScenario, read_config)
@@ -141,14 +143,6 @@ def _write(out: str, header: list[str], blocks, **meta) -> int:
     with open(Path(out).with_suffix(".meta"), "w", newline="") as f:
         f.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     return 0
-
-
-def _require_low_t(what: str, scenario: SweepScenario) -> None:
-    # A finite beta that the computation never reads would still be
-    # recorded in the sidecar; refuse it instead.
-    if scenario.beta is not None:
-        raise UsageError(f"beta: {what} runs at low temperature only; use "
-                         "sweep for a finite beta")
 
 
 def _require_paper_route(scenario: SweepScenario) -> None:
@@ -274,22 +268,15 @@ FIG1_HEADER = ["panel", "tau", "r", "j0", "delta", "omega_lo",
 
 
 def _fig1_rows(scenario: SweepScenario, key: tuple) -> dict:
-    j0, delta, omega_lo = key
+    # both columns are channels of the one trace, so they share its route
     trace = _trace(scenario, key)
     return {r: [[trace.tau_grid, r, *key,
-                 kappa_secular(r, j0 * delta, omega_lo, trace.tau_grid),
+                 kappa_secular_channel_curve(trace, r),
                  kappa_full_curve(trace, r), scenario.method]]
             for r in sorted(set(scenario.r))}
 
 
 def cmd_fig1(scenario: SweepScenario, panel: str) -> int:
-    _require_low_t("fig1", scenario)
-    # kappa_secular is the closed form whatever the method: beside a
-    # quadrature kappa_full it would mix two routes under one label
-    if scenario.method != METHOD_CLOSED:
-        raise UsageError(f"method: fig1 runs on the closed route only, got "
-                         f"{scenario.method!r}; use sweep --kappa symmetric "
-                         "--mode both for the quadrature route")
     scenario = replace(scenario, **FIG1_PANELS[panel])
     blocks = ([panel, *block]
               for block in _table(scenario, _fig1_rows, per_r=1))
@@ -341,10 +328,6 @@ FIG2_HEADER = ["kind", "panel", "tau", "r", "j0_delta", "omega_lo",
 
 
 def cmd_fig2(scenario: SweepScenario, panel: str) -> int:
-    _require_low_t("fig2", scenario)
-    if scenario.mode == "both":
-        raise UsageError("mode: fig2 emits one curve per combination; "
-                         "choose secular or full")
     _require_paper_route(scenario)
     scenario = replace(scenario, **FIG2_PANELS[panel])
     # the sweep blocks with the panel for j0 = 1: delta is then j0_delta

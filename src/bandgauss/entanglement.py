@@ -120,7 +120,8 @@ def _nu_min_pt_stack(cms: np.ndarray) -> np.ndarray:
     try:
         eigs = np.linalg.eigvals(cms[:, [1, 0, 3, 2]] * signs)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+        raise NumericError(f"eigendecomposition failed: {exc}; use --kappa "
+                           "symmetric") from exc
     moduli = np.abs(eigs)
     nu = np.min(moduli, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):

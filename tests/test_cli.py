@@ -12,8 +12,13 @@ import pytest
 import per_point
 from bandgauss import cli
 from bandgauss.cli import build_parser, main
+from bandgauss.coefficients import (METHOD_QUADRATURE, EnvironmentParams,
+                                    build_trace)
+from bandgauss.entanglement import (kappa_full_curve,
+                                    kappa_secular_channel_curve)
 from bandgauss.scenario import MAX_ROWS, SweepScenario, read_config
 from bandgauss.errors import UsageError
+from bandgauss.spectral import SpectralDensity
 
 
 def read_lines(path):
@@ -296,6 +301,56 @@ class TestCsvWriter:
         assert read_lines(out) == ["x", "0", "1", "2", "0", "1", "2", "0"]
 
 
+def fig1_kappas(out) -> dict:
+    """Per r of a fig1 CSV: its kappa_secular and kappa_full columns."""
+    rows = [line.split(",") for line in read_lines(out)[1:]]
+    return {r: np.array([row[6:8] for row in rows if float(row[2]) == r],
+                        dtype=float).T
+            for r in {float(row[2]) for row in rows}}
+
+
+class TestFig1:
+    """fig1's two kappa columns are the secular and full channels of one
+    trace, on either route."""
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_quadrature_route_reads_one_trace(self, tmp_path, route):
+        out = tmp_path / "x.csv"
+        args = ["fig1", "--panel", "b", "--tau-steps", "50"]
+        if route == "flag":
+            args += ["--method", "quad"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"method": "quad"}))
+            args += ["--config", str(cfg)]
+        assert main(args + ["--out", str(out)]) == 0
+        assert {line.rsplit(",", 1)[1] for line in read_lines(out)[1:]} == \
+            {METHOD_QUADRATURE}
+        panel = cli.FIG1_PANELS["b"]
+        env = EnvironmentParams(SpectralDensity(1.0, panel["omega"][0],
+                                                panel["delta"][0]))
+        trace = build_trace(env, SweepScenario(tau_steps=50).tau_grid(),
+                            METHOD_QUADRATURE)
+        kappas = fig1_kappas(out)
+        assert sorted(kappas) == sorted(panel["r"])
+        for r, (secular, full) in kappas.items():
+            np.testing.assert_array_equal(
+                secular, kappa_secular_channel_curve(trace, r))
+            np.testing.assert_array_equal(full, kappa_full_curve(trace, r))
+
+    @pytest.mark.parametrize("argv", [
+        ["--panel", "a"], ["--panel", "b"], ["--panel", "c"],
+        ["--panel", "b", "--method", "quad"],
+        ["--panel", "b", "--method", "quad", "--beta", "2"]])
+    def test_full_kappa_never_exceeds_secular(self, tmp_path, argv):
+        # where det A >= |det C|, as on every row here, the secular terms
+        # only lower kappa: the secular approximation is pessimistic
+        out = tmp_path / "f1.csv"
+        assert main(["fig1", *argv, "--out", str(out)]) == 0
+        for secular, full in fig1_kappas(out).values():
+            assert np.all(full <= secular)
+
+
 class TestFig2:
     def test_sudden_death_rows(self, tmp_path):
         out = tmp_path / "f2a.csv"
@@ -343,6 +398,22 @@ class TestFig2:
                      "full", "--tau-steps", "12", "--out", str(out)]) == 3
         assert "use --kappa symmetric" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_both_modes_are_the_sweep_rows(self, tmp_path):
+        # fig2 refuses only what sweep refuses, and writes its rows over
+        # the panel's lists, with the panel for j0 = 1
+        route = ["--kappa", "symmetric", "--mode", "both", "--method",
+                 "quad", "--beta", "2", "--tau-steps", "31"]
+        fig2, sweep = tmp_path / "f2.csv", tmp_path / "s.csv"
+        assert main(["fig2", "--panel", "b", *route,
+                     "--out", str(fig2)]) == 0
+        lists = [f"--{name}={','.join(map(repr, values))}"
+                 for name, values in cli.FIG2_PANELS["b"].items()]
+        assert main(["sweep", *lists, *route, "--out", str(sweep)]) == 0
+        want = [",".join([kind, "b", tau, r, *rest]) for kind, tau, r, _, *rest
+                in (line.split(",") for line in read_lines(sweep)[1:])]
+        assert read_lines(fig2)[1:] == want
+        assert len(want) == 5 * 2 * (31 + 1)  # delta x modes x (grid + death)
 
     def test_panel_help_lists_swept_values(self, capsys):
         with pytest.raises(SystemExit):
@@ -822,6 +893,8 @@ class TestErrors:
         assert list(tmp_path.iterdir()) == []
 
     def test_fig2_both_mode_rejected(self, tmp_path):
+        # the default kappa source, paper, is the secular closed form: fig2
+        # refuses mode both with it, as sweep does
         assert main(["fig2", "--panel", "a", "--mode", "both", "--out",
                      str(tmp_path / "x.csv")]) == 2
 
@@ -843,23 +916,19 @@ class TestErrors:
         assert not out.exists()
         assert not out.with_suffix(".meta").exists()
 
-    @pytest.mark.parametrize("route", ["flag", "config"])
-    def test_fig1_refuses_the_quadrature_route(self, tmp_path, capsys,
-                                               route):
-        # fig1's kappa_secular is the closed form: beside a quadrature
-        # kappa_full it would mix two routes under one method label
-        out = tmp_path / "x.csv"
-        args = ["fig1", "--panel", "b", "--tau-steps", "50"]
-        if route == "flag":
-            args += ["--method", "quad"]
-        else:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"method": "quad"}))
-            args += ["--config", str(cfg)]
-        assert main(args + ["--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: method: fig1 ")
-        assert not out.exists()
-        assert not out.with_suffix(".meta").exists()
+    def test_eigensolve_failure_names_the_symmetric_source(
+            self, tmp_path, capsys, monkeypatch):
+        def fail(matrices):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--kappa", "oracle", "--tau-steps", "8",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numeric error: eigendecomposition failed: Eigenvalues did not "
+            "converge; use --kappa symmetric\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("kappa", ["paper", "symmetric"])
     def test_grid_repeating_a_time_names_its_options(self, tmp_path, capsys,

@@ -35,21 +35,18 @@ def runs(draw):
               "--omega", _csv(draw(st.lists(st.floats(0.5, 3.0), min_size=2,
                                             max_size=2, unique=True)))]
     # the paper source is the secular closed form at low temperature
-    paper = ["--kappa", "paper", "--mode", "secular"]
-    curves = paper if kappa == "paper" else ["--kappa", kappa, "--mode", mode]
+    curves = (["--kappa", "paper", "--mode", "secular"] if kappa == "paper"
+              else [*route, "--kappa", kappa, "--mode", mode])
     panel = draw(st.sampled_from("abc"))
     # fig2 b and c only: panel a's r = 10 is beyond the oracle's eigensolver
     fig2_panel = "b" if kappa == "oracle" and panel == "a" else panel
-    fig2_mode = "full" if mode == "both" else mode
     return {
         "coefficients": ["coefficients", *route, *params, *grid],
         "evolve": ["evolve", *route, "--mode", mode, *params, *grid],
-        "sweep": ["sweep", *([] if kappa == "paper" else route), *curves,
-                  *params, *grid],
-        "fig1": ["fig1", "--panel", panel, *grid],
-        "fig2": ["fig2", "--panel", fig2_panel, *grid,
-                 *(paper if kappa == "paper"
-                   else ["--kappa", kappa, "--mode", fig2_mode])],
+        "sweep": ["sweep", *curves, *params, *grid],
+        # the recipes run on every route and kappa source sweep runs on
+        "fig1": ["fig1", "--panel", panel, *route, *grid],
+        "fig2": ["fig2", "--panel", fig2_panel, *curves, *grid],
     }
 
 
@@ -82,7 +79,7 @@ PINNED = {
         "dca47b8ef23b2bcd184ea4ec6f90b563f358ac40906e3f5142670ced3cc5feaf"),
     "fig1": (
         ["fig1", "--panel", "c"],
-        "97af7af333672dfee351cdd26c776260da03b2e470ad35d22dd8ef7bdbfa8671"),
+        "5be8eda794291a653e5461c9083469df4f6176b75b3d79d93a0adfe77bcfcd86"),
     "fig2": (
         ["fig2", "--panel", "b", "--kappa", "oracle", "--mode", "full"],
         "0acdc7fa8f2224a2cc550810baf28eb2b1601d8e21bb03c9b60824b424c091fc"),
