@@ -87,7 +87,9 @@ def _fmt(value) -> str:
 
 
 class _Cells(dict):
-    """Each cell value's text, formatted on first use; _MEMO_TEXTS at most."""
+    """Each cell value's text, formatted on first use; _MEMO_TEXTS at most.
+    Keyed by value, so every cell is a float or a string: True == 1 == 1.0
+    would share a key."""
 
     def __missing__(self, value):
         if len(self) >= _MEMO_TEXTS:
@@ -96,25 +98,19 @@ class _Cells(dict):
         return text
 
 
-# Cell types that share one memo keyed by value: no float equals a string,
-# and equal floats print alike. True == 1 == 1.0 would share a key, so a row
-# holding any other type is formatted cell by cell.
-_MEMO_TYPES = frozenset((float, str))
 _MEMO_TEXTS = 2 ** 16  # then the memo starts over; a benchmark file needs 30,263
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
     """Write ``header`` and ``rows`` to ``path``, each row as it is consumed
     from the iterable ``rows`` (the data commands stream them from their
-    per-environment arrays)."""
+    per-environment arrays). Every cell is a float or a string (_Cells)."""
     # most cells repeat a value (a grid time, a parameter, a saturated
-    # curve), so each distinct value is formatted once per file
-    cells = _Cells()
+    # curve), so each distinct value is formatted once until the memo clears
+    text = _Cells().__getitem__
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            text = (cells.__getitem__ if _MEMO_TYPES.issuperset(map(type, row))
-                    else _fmt)
             f.write(",".join(map(text, row)) + "\n")
 
 
@@ -356,7 +352,7 @@ def cmd_verify(out: str | None, tol_scale: float) -> int:
     if out:
         _write(out, VERIFY_HEADER,
                [[r.name, r.primary, r.oracle, r.abs_dev, r.rel_dev, r.tol,
-                 r.passed] for r in reports],
+                 str(r.passed)] for r in reports],
                command="verify", tol_scale=tol_scale)
     return 0 if n_pass == len(reports) else 1
 

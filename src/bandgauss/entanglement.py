@@ -112,16 +112,23 @@ def _nu_min_pt_stack(cms: np.ndarray) -> np.ndarray:
     of the covariance with sign (+, -, -, -)[i] and column 3 negated. Every
     entry is a signed copy of one covariance entry, equal to the product
     ``symplectic_form() @ flip @ cm @ flip``. Its eigenvalues +-i*nu have the
-    moduli of those of i*Omega*sigma_pt; the smallest has relative error
+    moduli of those of i*Omega*sigma_pt, which is solved instead where the
+    real solve does not converge; the smallest has relative error
     about eps * max|lambda| / min|lambda| (eps * exp(4r) for a twin beam),
     which is refused above ``PT_EIGEN_COND_MAX``.
     """
     signs = np.array([[1.0], [-1.0], [-1.0], [-1.0]]) * [1.0, 1.0, 1.0, -1.0]
+    m = cms[:, [1, 0, 3, 2]] * signs
     try:
-        eigs = np.linalg.eigvals(cms[:, [1, 0, 3, 2]] * signs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition failed: {exc}; use --kappa "
-                           "symmetric") from exc
+        eigs = np.linalg.eigvals(m)
+    except np.linalg.LinAlgError:
+        # the real QR can fail where the four moduli nearly coincide; i*m
+        # is exact, and its complex QR converges there
+        try:
+            eigs = np.linalg.eigvals(1j * m)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"eigendecomposition failed: {exc}; use "
+                               "--kappa symmetric") from exc
     moduli = np.abs(eigs)
     nu = np.min(moduli, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):

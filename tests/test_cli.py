@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import per_point
-from bandgauss import cli
+from bandgauss import cli, oracle
 from bandgauss.cli import build_parser, main
 from bandgauss.coefficients import (METHOD_QUADRATURE, EnvironmentParams,
                                     build_trace)
@@ -241,32 +241,58 @@ class TestCsvContract:
 
 class TestCsvWriter:
     ROWS = [
-        [1.0, True, 1, "1", -0.0],
-        [True, 1.0, 1, "x", 0.0],
-        [-0.0, 0.0, False, 0, "0"],
+        [1.0, "1", -0.0],
+        [1.0, "x", 0.0],
+        [-0.0, 0.0, "0"],
         [math.nan, math.inf, -math.inf, 1e-300, 1e300],
         [1e300, -1e300, "", "none", -1e-300],
         [0.0, -0.0, 1e-300, 1e300, math.nan],
-        [0.1, 0.1, np.float64(0.1), 1, 1.0],
-        [1.0, 1.0, 0.0, 0.0, True],
-        [1, 1.0, True, False, 0.0],
-        [np.float64(-0.0), 2.5, 2.5, "2.5", 10 ** 17],
-        [1e17, 1e17, 10 ** 17, float(10 ** 17), "1e+17"],
+        [0.1, 0.1, np.float64(0.1), 1.0],
+        [1.0, 1.0, 0.0, 0.0],
+        [1.0, 0.0],
+        [np.float64(-0.0), 2.5, 2.5, "2.5"],
+        [1e17, 1e17, float(10 ** 17), "1e+17"],
     ]
 
     def test_same_bytes_as_per_cell_formatting(self, tmp_path):
-        # True == 1 == 1.0 would share one memo key: the bools and ints
-        # must print as themselves wherever they come
+        # a float and a string of the same text, both zeros, the non-finite
+        # values and np.float64 share the memo and print as themselves
         header = ["a", "b", "c", "d", "e"]
         ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
         cli.write_csv(str(ours), header, self.ROWS)
         per_point.write_csv(str(theirs), header, self.ROWS)
         assert ours.read_bytes() == theirs.read_bytes()
         lines = read_lines(ours)
-        assert lines[1] == "1,True,1,1,0"
-        assert lines[2] == "True,1,1,x,0"
-        assert lines[8] == "1,1,0,0,True"
-        assert lines[11] == "1e+17,1e+17,100000000000000000,1e+17,1e+17"
+        assert lines[1] == "1,1,0"
+        assert lines[2] == "1,x,0"
+        assert lines[10] == "0,2.5,2.5,2.5"
+        assert lines[11] == "1e+17,1e+17,1e+17,1e+17"
+
+    @pytest.mark.parametrize("argv", [
+        ["coefficients"], ["coefficients", "--method", "quad"],
+        ["evolve", "--mode", "both"],
+        ["evolve", "--mode", "both", "--method", "quad"],
+        ["fig1", "--panel", "b"], ["fig1", "--panel", "b", "--method", "quad"],
+        ["fig2", "--panel", "c", "--mode", "full", "--kappa", "oracle"],
+        ["sweep", "--kappa", "paper"],
+        *(["sweep", "--kappa", kappa, "--mode", "both", "--method", method]
+          for kappa in ("symmetric", "oracle") for method in ("closed", "quad")),
+        ["verify"]], ids=" ".join)
+    def test_every_cell_is_a_float_or_a_string(self, tmp_path, monkeypatch,
+                                               argv):
+        # the memo keys cells by value, which only these two types allow
+        write_csv, types = cli.write_csv, set()
+
+        def record(path, header, rows):
+            def seen(rows):
+                for row in rows:
+                    types.update(map(type, row))
+                    yield row
+            write_csv(path, header, seen(rows))
+        monkeypatch.setattr(cli, "write_csv", record)
+        steps = [] if argv == ["verify"] else ["--tau-steps", "9"]
+        assert main(argv + steps + ["--out", str(tmp_path / "t.csv")]) == 0
+        assert types and all(issubclass(t, (float, str)) for t in types), types
 
     def test_memo_is_bounded(self, tmp_path):
         # 150,000 distinct floats: a memo of every text peaks at 17.8 MiB,
@@ -1116,6 +1142,23 @@ class TestVerifyCommand:
         # verify reads no scenario, so its sidecar records none
         meta = json.loads(out.with_suffix(".meta").read_text())
         assert "scenario" not in meta and meta["tol_scale"] == 1.0
+
+    def test_csv_is_the_reports_formatted_cell_by_cell(self, tmp_path,
+                                                       monkeypatch):
+        # the verdict is written as text: the bytes of every report's own
+        # cells, its bool among them, formatted one at a time
+        reports, run = [], oracle.run_verification
+
+        def recorded(tol_scale):
+            reports.extend(run(tol_scale))
+            return reports
+        monkeypatch.setattr(oracle, "run_verification", recorded)
+        ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+        assert main(["verify", "--out", str(ours)]) == 0
+        per_point.write_csv(str(theirs), cli.VERIFY_HEADER,
+                            [[r.name, r.primary, r.oracle, r.abs_dev,
+                              r.rel_dev, r.tol, r.passed] for r in reports])
+        assert reports and ours.read_bytes() == theirs.read_bytes()
 
     def test_zero_tolerance_fails(self, capsys):
         assert main(["verify", "--tol-scale", "0"]) == 1
