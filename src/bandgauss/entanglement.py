@@ -247,50 +247,71 @@ def state_kappa_curve(trace: CoefficientTrace, r: float,
 # sudden death
 # ---------------------------------------------------------------------------
 
-def _bisect(f, a: float, b: float) -> float:
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise NumericError("bisection bracket does not straddle the threshold")
-    while b - a > BISECT_XTOL:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if fa * fm < 0.0:
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
-
-
-def find_last_upcrossing(tau, values, threshold, point_fn=None):
-    """Time of the last upward crossing of ``threshold`` after which the
-    sampled curve stays above it; None when there is no such crossing.
-    Bisects ``point_fn``, or by default the not-a-knot cubic through the
-    eight samples around the bracket (all of a shorter grid), whose crossing
-    is within 6.1e-8 of the curve's own on 600 points. A sample not finite
-    raises ``NumericError``, and ``values`` not of ``tau``'s shape
-    ``UsageError``."""
+def _curve(tau, values, threshold):
+    """The checked grid and samples, the samples at or above ``threshold``,
+    and the brackets: each i where the samples change side between tau[i]
+    and tau[i + 1]. A sample not finite raises ``NumericError``, and
+    ``values`` not of ``tau``'s shape ``UsageError``."""
     tau, values = _check_grid(tau, "tau"), np.asarray(values, dtype=float)
     if values.shape != tau.shape:
         raise UsageError(f"values: shape {values.shape}, tau's {tau.shape}")
     if not np.isfinite(values).all():
         raise NumericError(f"kappa: not finite on the grid up to "
                            f"tau = {tau[-1]:g}")
-    below = values < threshold
-    if not below[0] or below[-1]:
-        return None
-    idx = int(np.nonzero(below)[0][-1])
+    above = values >= threshold
+    return tau, values, above, np.flatnonzero(above[1:] != above[:-1])
+
+
+def _crossing(tau, values, threshold, i, point_fn=None) -> float:
+    """The crossing in the bracket [tau[i], tau[i + 1]], bisected to
+    BISECT_XTOL on ``point_fn``, or by default on the not-a-knot cubic
+    through the eight samples around the bracket (all of a shorter grid).
+    The bracket's end values are its samples, so it always straddles."""
     if point_fn is None:
-        lo = max(0, min(idx - 3, len(tau) - 8))
+        lo = max(0, min(i - 3, len(tau) - 8))
         spline = _NotAKnot(tau[lo:lo + 8]).fit([values[lo:lo + 8]])
         point_fn = lambda t: float(spline(t)[0])
-    return _bisect(lambda t: point_fn(t) - threshold,
-                   float(tau[idx]), float(tau[idx + 1]))
+    a, b = float(tau[i]), float(tau[i + 1])
+    fa, fb = values[i] - threshold, values[i + 1] - threshold
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    while b - a > BISECT_XTOL:
+        m = 0.5 * (a + b)
+        fm = point_fn(m) - threshold
+        if fm == 0.0:
+            return m
+        if (fa < 0.0) != (fm < 0.0):  # a product of tiny values underflows
+            b = m
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
+
+
+def crossing_windows(tau, values, threshold):
+    """The (enter, leave) times of each interval where the sampled curve is
+    at or above ``threshold``, in order; an end is None where its window is
+    open at tau[0] or tau[-1]. Each end is bisected on the not-a-knot cubic
+    through the eight samples around its own bracket."""
+    tau, values, above, brackets = _curve(tau, values, threshold)
+    ends = [_crossing(tau, values, threshold, i) for i in brackets]
+    ends = [None] * bool(above[0]) + ends + [None] * bool(above[-1])
+    return list(zip(ends[::2], ends[1::2]))
+
+
+def find_last_upcrossing(tau, values, threshold, point_fn=None):
+    """Time of the last upward crossing of ``threshold`` after which the
+    sampled curve stays above it; None when there is no such crossing: the
+    enter time of the last of :func:`crossing_windows` when that window is
+    open at tau[-1] and ``values[0]`` is below the threshold. Bisects
+    ``point_fn``, or by default the not-a-knot cubic through the eight
+    samples around the bracket, whose crossing is within 6.1e-8 of the
+    curve's own on 600 points. A sample not finite raises
+    ``NumericError``, and ``values`` not of ``tau``'s shape
+    ``UsageError``."""
+    tau, values, above, brackets = _curve(tau, values, threshold)
+    if above[0] or not above[-1]:
+        return None
+    return _crossing(tau, values, threshold, brackets[-1], point_fn)
 
 
 def sudden_death_time(r: float, j0_delta: float, omega_lo: float,

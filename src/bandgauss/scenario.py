@@ -19,8 +19,9 @@ METHOD_ALIASES = {"closed": METHOD_CLOSED, "quad": METHOD_QUADRATURE}
 
 # Most output rows (tau_steps times the number of curves) a run may ask for.
 # The rows stream into the CSV from arrays, whose computation costs about
-# 0.6 kB a row (a 120,000-row evolve, by tracemalloc), so about 0.6 GB; the
-# writer's memo of cell texts is bounded (cli._MEMO_TEXTS, about 8 MiB).
+# 0.46 kB a row (the peak's growth from a 60,000- to a 120,000-row evolve,
+# by tracemalloc), so about 0.5 GB; the writer's memo of cell texts is
+# bounded (cli._MEMO_TEXTS, about 8 MiB).
 MAX_ROWS = 10 ** 6
 
 # field type -> (accepted Python types, what the error calls it)

@@ -676,6 +676,16 @@ class TestOneTracePerEnvironment:
         assert len(seen) == calls
 
 
+def traced_peak(argv):
+    """tracemalloc's peak over one run of ``argv`` in process, in bytes."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestStreamedTables:
     """A data command holds its curves as arrays and streams the rows into
     the CSV, so its working set is about one coefficient trace. The guard
@@ -685,21 +695,22 @@ class TestStreamedTables:
     @pytest.mark.parametrize("argv,mib", [
         (["fig2", "--panel", "b", "--kappa", "oracle", "--mode", "full"], 1.5),
         (["evolve", "--r", "0.3,0.9,2", "--mode", "both", "--tau-max", "30",
-          "--tau-steps", "1500"], 5.5),
-        # one 120,000-row block, expanded to Python values 4,096 rows at a
-        # time: 55.0 MiB, and 66.4 MiB expanded whole
-        (["evolve", "--tau-steps", "120000"], 60.0)],
-        ids=["fig2b", "evolve", "evolve-one-block"])
+          "--tau-steps", "1500"], 5.5)], ids=["fig2b", "evolve"])
     def test_peak(self, tmp_path, argv, mib):
         argv = argv + ["--out", str(tmp_path / "x.csv")]
         assert main(argv) == 0
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / 2 ** 20 <= mib
+        assert traced_peak(argv) / 2 ** 20 <= mib
+
+    def test_peak_growth_of_one_block(self, tmp_path):
+        # one block of 10,000 and then of 30,000 rows, expanded to Python
+        # values 4,096 rows at a time: the peak grows by 3.8 MiB, and by
+        # 9.9 MiB expanded whole
+        def argv(steps):
+            return ["evolve", "--tau-steps", str(steps), "--out",
+                    str(tmp_path / "x.csv")]
+        assert main(argv(10000)) == 0
+        small = traced_peak(argv(10000))
+        assert (traced_peak(argv(30000)) - small) / 2 ** 20 <= 6.0
 
     @pytest.mark.parametrize("argv,code,err", [
         # the second r, after the first one's curves

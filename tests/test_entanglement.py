@@ -4,18 +4,19 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bandgauss.cli import FIG2_PANELS, main
 from bandgauss.coefficients import (METHOD_CLOSED, METHOD_QUADRATURE,
-                                    EnvironmentParams, build_trace)
+                                    EnvironmentParams, _NotAKnot, build_trace)
 from bandgauss.dynamics import (TwoModeGaussianState, apply_channel,
                                 evolve_covariances, make_twb,
                                 snapshots_from_trace, symplectic_form)
 from bandgauss.entanglement import (BISECT_XTOL, _nu_min_pt_stack, _nu_sq,
-                                    find_last_upcrossing, kappa_full,
-                                    kappa_full_curve, kappa_secular,
-                                    kappa_secular_channel_curve, negativity,
-                                    nu_min_pt, state_kappa_curve,
+                                    crossing_windows, find_last_upcrossing,
+                                    kappa_full, kappa_full_curve,
+                                    kappa_secular, kappa_secular_channel_curve,
+                                    negativity, nu_min_pt, state_kappa_curve,
                                     sudden_death_time)
 from bandgauss.errors import DomainError, NumericError, UsageError
 from bandgauss.spectral import SpectralDensity
@@ -460,6 +461,45 @@ def test_oracle_eigensolve_converges_where_moduli_coincide():
             assert abs(nu[k] - lo) <= 16 * EPS * hi, k
 
 
+# One row of each 100,001-point secular stack on [0, 30] (j0 = 1) whose real
+# eigensolve does not converge, of 192 (Omega in {0.1, 1, 3, 10}, delta in
+# {1e-3, 1e-2, 0.1}, both routes, full and secular, r in {0.1, 0.5, 1, 2}):
+# (Omega, delta, route, r, row). The real solve of each [t, 30] stack below
+# raises too.
+UNCONVERGED_STACKS = (
+    (0.1, 1e-2, METHOD_CLOSED, 2.0, 66769),
+    (0.1, 0.1, METHOD_CLOSED, 0.1, 33547),
+    (1.0, 1e-3, METHOD_CLOSED, 0.1, 63989),
+    (1.0, 1e-2, METHOD_CLOSED, 0.1, 34434),
+    (1.0, 1e-2, METHOD_CLOSED, 0.5, 36662),
+    (1.0, 1e-2, METHOD_CLOSED, 1.0, 35470),
+    (1.0, 0.1, METHOD_CLOSED, 2.0, 21090),
+    (1.0, 0.1, METHOD_QUADRATURE, 0.1, 73124),
+    (1.0, 0.1, METHOD_QUADRATURE, 0.5, 73174),
+    (1.0, 0.1, METHOD_QUADRATURE, 1.0, 74240),
+    (1.0, 0.1, METHOD_QUADRATURE, 2.0, 83170),
+    (3.0, 1e-2, METHOD_CLOSED, 1.0, 27645),
+    (3.0, 0.1, METHOD_CLOSED, 0.1, 15200),
+    (3.0, 0.1, METHOD_CLOSED, 2.0, 15536),
+    (10.0, 1e-3, METHOD_CLOSED, 0.5, 37609),
+    (10.0, 1e-3, METHOD_CLOSED, 1.0, 38271),
+    (10.0, 1e-3, METHOD_CLOSED, 2.0, 38025),
+    (10.0, 1e-2, METHOD_CLOSED, 0.1, 19750))
+
+
+@pytest.mark.parametrize("omega_lo,delta,method,r,row", UNCONVERGED_STACKS)
+def test_oracle_within_the_eigensolve_bound_on_every_unconverged_stack(
+        omega_lo, delta, method, r, row):
+    times = [np.linspace(0.0, 30.0, 100001)[row], 30.0]
+    trace = build_trace(narrow_env(omega_lo=omega_lo, delta=delta), times,
+                        method).secular_approximation()
+    nu = state_kappa_curve(trace, r, "oracle")
+    with mpmath.workdps(60):
+        for k in range(len(times)):
+            lo, hi = _nu_mp(trace, r, k)
+            assert abs(nu[k] - lo) <= 16 * EPS * hi, k
+
+
 def test_complex_solve_where_the_real_one_fails(monkeypatch):
     # a real solve that never converges: the stack is solved again as
     # i*Omega*sigma_pt, within the eigensolve's error scale of the real one
@@ -620,6 +660,8 @@ class TestLastUpcrossing:
         for point_fn in (None, lambda t: 0.5 + 0.1 * t):
             with pytest.raises(NumericError, match="kappa: not finite"):
                 find_last_upcrossing(tau, values, 1.0, point_fn)
+        with pytest.raises(NumericError, match="kappa: not finite"):
+            crossing_windows(tau, values, 1.0)
 
     @pytest.mark.parametrize("tau,error", [
         ([0.0, 2.0, 1.0, 3.0], UsageError), ([0.0, 1.0, 1.0, 3.0], UsageError),
@@ -628,8 +670,9 @@ class TestLastUpcrossing:
                                                "short"])
     def test_grid_checked_as_build_trace_checks_it(self, tau, error):
         # the grid check of build_trace, and values of the grid's length
-        with pytest.raises(error, match="^(tau|values)"):
-            find_last_upcrossing(tau, [0.5, 0.6, 0.8, 1.2], 1.0)
+        for finder in (find_last_upcrossing, crossing_windows):
+            with pytest.raises(error, match="^(tau|values)"):
+                finder(tau, [0.5, 0.6, 0.8, 1.2], 1.0)
 
     def test_spline_by_default(self):
         def fn(t):
@@ -679,6 +722,23 @@ class TestLastUpcrossing:
         assert find_last_upcrossing(np.array(tau), np.array(values),
                                     1.0) == want
 
+    def test_last_sample_on_the_threshold(self):
+        # the fit's end interval, evaluated at its last knot, rounds below
+        # the threshold; the bracket's end values are its samples
+        values = np.array([0.1, 0.2, 0.2, 0.2, 0.2, 0.5, 0.9, 1.0])
+        assert find_last_upcrossing(np.arange(8.0), values, 1.0) == 7.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(0.05, 2.0), min_size=8, max_size=19),
+           st.data())
+    def test_a_curve_that_reaches_the_threshold_last_crosses_there(
+            self, steps, data):
+        below = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                   min_size=len(steps) - 1,
+                                   max_size=len(steps) - 1))
+        tau, values = np.cumsum(steps), np.append(sorted(below), 1.0)
+        assert find_last_upcrossing(tau, values, 1.0) == tau[-1]
+
     def test_revival_exists_before_death_at_high_band_location(self):
         # full source, band far above the mode frequency: negativity shows a
         # strictly increasing stretch before it dies
@@ -690,3 +750,104 @@ class TestLastUpcrossing:
         diffs = np.diff(e_n)
         first_drop = np.argmax(diffs < 0.0)
         assert np.any(diffs[first_drop + 1:] > 1e-10)
+
+
+def own_fit(tau, values, i):
+    """The not-a-knot cubic through the eight samples around the bracket
+    [tau[i], tau[i + 1]] (all of a shorter grid), with the bracket's
+    samples at its ends."""
+    lo = max(0, min(i - 3, len(tau) - 8))
+    spline = _NotAKnot(tau[lo:lo + 8]).fit([values[lo:lo + 8]])
+
+    def fit(t):
+        out = spline(t)[0]
+        for k in (i, i + 1):
+            out[t == tau[k]] = values[k]
+        return out
+    return fit
+
+
+@st.composite
+def curves(draw):
+    """A grid of 2 to 24 times and samples in [0, 2], some exactly 1."""
+    n = draw(st.integers(2, 24))
+    steps = draw(st.lists(st.floats(0.05, 2.0), min_size=n, max_size=n))
+    values = draw(st.lists(st.one_of(st.just(1.0), st.floats(0.0, 2.0)),
+                           min_size=n, max_size=n))
+    return np.cumsum(steps), np.array(values)
+
+
+class TestCrossingWindows:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(curves())
+    def test_windows_are_ordered_and_bisected_on_their_fits(self, curve):
+        tau, values = curve
+        windows = crossing_windows(tau, values, 1.0)
+        ends = [t for window in windows for t in window]
+        # open only at the grid's ends, and only where a sample is above
+        assert None not in ends[1:-1]
+        assert (ends[:1] == [None]) == (values[0] >= 1.0)
+        assert (ends[-1:] == [None]) == (values[-1] >= 1.0)
+        closed = [t for t in ends if t is not None]
+        assert all(a <= b for a, b in zip(closed, closed[1:]))
+        assert all(a[1] < b[0] for a, b in zip(windows, windows[1:]))
+        # each end: a sign change of its own fit within BISECT_XTOL
+        brackets = np.flatnonzero(np.diff(values >= 1.0))
+        assert len(closed) == len(brackets)
+        for t, i in zip(closed, brackets):
+            near = np.clip(t + BISECT_XTOL * np.linspace(-1.0, 1.0, 65),
+                           tau[i], tau[i + 1])
+            g = own_fit(tau, values, i)(near) - 1.0
+            assert g.min() <= 0.0 <= g.max()
+        # the last upcrossing is the last window's enter, bit for bit
+        last_open = bool(windows) and windows[-1][1] is None
+        want = windows[-1][0] if last_open and values[0] < 1.0 else None
+        assert find_last_upcrossing(tau, values, 1.0) == want
+
+    @pytest.mark.parametrize("values,want", [
+        (1.45 - 0.1 * np.arange(10.0), [(None, 4.5)]),
+        (0.55 + 0.1 * np.arange(10.0), [(4.5, None)]),
+        (np.full(10, 1.2), [(None, None)]), (np.full(10, 0.5), []),
+        (0.5 + 0.1 * (np.arange(10.0) - 4.5) ** 2,
+         [(None, 4.5 - math.sqrt(5.0)), (4.5 + math.sqrt(5.0), None)])],
+        ids=["open-at-start", "open-at-end", "open-at-both", "none", "dip"])
+    def test_open_windows(self, values, want):
+        # lines and parabolas: the fit is the curve, to rounding
+        got = crossing_windows(np.arange(10.0), values, 1.0)
+        assert len(got) == len(want)
+        for ends, wants in zip(got, want):
+            for end, w in zip(ends, wants):
+                assert end == w if w is None else abs(end - w) <= BISECT_XTOL
+
+    def test_a_tiny_curve_crosses_where_its_multiple_does(self):
+        # scaled by a power of two, every value of the fit scales exactly;
+        # fa * fm would underflow to a signed zero
+        values = np.array([-1.0, -1.0, -0.5, 1.5, 1.0, 1.0])
+        want = crossing_windows(np.arange(6.0), values, 0.0)
+        assert want[0][0] < 2.5
+        assert crossing_windows(np.arange(6.0), 2.0 ** -600 * values,
+                                0.0) == want
+
+    def test_a_sample_on_the_threshold_is_an_end(self):
+        # above means at or above: the window enters and leaves at samples
+        values = [0.5, 1.0, 1.3, 1.0, 0.7, 0.6]
+        assert crossing_windows(np.arange(6.0), values, 1.0) == [(1.0, 3.0)]
+
+    def test_every_death_and_revival_of_a_swinging_curve(self):
+        # sweep --method quad --omega 0.5 --delta 1e-2 --beta 0.5 --r 0.1
+        # --kappa oracle --mode both --tau-max 300 --tau-steps 6001: the
+        # pair dies 24 times and revives 23 times in each mode, and the last
+        # death is the sudden_death row's time
+        grid = np.linspace(0.0, 300.0, 6001)
+        env = EnvironmentParams(SpectralDensity(1.0, 0.5, 1e-2), 0.5)
+        trace = build_trace(env, grid, METHOD_QUADRATURE)
+        for channel, tau_sd in ((trace, 296.5432643890381),
+                                (trace.secular_approximation(),
+                                 296.4604213714599)):
+            kappa = state_kappa_curve(channel, 0.1, "oracle")
+            windows = crossing_windows(grid, kappa, 1.0)
+            assert len(windows) == 24
+            assert all(None not in window for window in windows[:-1])
+            assert windows[-1][1] is None
+            assert windows[-1][0] == find_last_upcrossing(grid, kappa, 1.0)
+            assert windows[-1][0] == pytest.approx(tau_sd, abs=BISECT_XTOL)
